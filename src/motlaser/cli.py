@@ -78,6 +78,13 @@ def _load_cfg(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
         cfg = cfg.replace(seed=args.seed)
+    # the domain objects check their own ranges; a value they reject is a
+    # configuration error, not a crash
+    try:
+        cfg.system()
+        cfg.operating_point()
+    except ValueError as exc:
+        raise ConfigError(f"invalid configuration: {exc}") from exc
     return cfg
 
 
@@ -142,7 +149,7 @@ def cmd_map(args) -> int:
         + [f"power_tem{n}_w" for n in families] + ["lasing_families"])
     if pump.size and cav.size:
         result = gain.detuning_map(cfg.operating_point(), system, calib,
-                                   pump, cav, families, threads=args.threads)
+                                   pump, cav, families)
         for i, dp in enumerate(pump):
             for j, dc in enumerate(cav):
                 if not result.ok[i, j]:
@@ -343,6 +350,14 @@ def _resolve_tau_c(args, cfg: RunConfig, calib) -> float:
 
 
 def cmd_g2(args) -> int:
+    # the correlator's own conditions, checked before any synthesis
+    if not args.bin > 0:
+        raise ConfigError("--bin must be positive")
+    if args.max_lag < args.bin:
+        raise ConfigError("--max-lag must be at least one --bin")
+    if args.duration - round(args.max_lag / args.bin) * args.bin <= 0:
+        raise ConfigError("--max-lag (rounded to whole bins) must be "
+                          "shorter than --duration")
     cfg = _load_cfg(args)
     seed = cfg.seed()
     if args.regime == "below":
@@ -446,7 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--calibration", default="calibration.txt",
                         help="calibration file path")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for grids and correlation shards")
+                        help="number of g2 correlation shards; they run "
+                             "serially and the output is identical for "
+                             "any value")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import constants as sc
 from scipy.ndimage import label as _ndlabel
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from . import atomics, geometry
 from .atomics import AtomEnsemble, TransitionSpec
@@ -168,9 +168,81 @@ def two_photon_resonance(pump_detuning: float, mot_detuning: float) -> float:
     return pump_detuning + mot_detuning
 
 
-def _lorentzian(delta_hz: float, fwhm_rad: float) -> float:
+def _lorentzian(delta_hz, fwhm_rad: float):
     hwhm_hz = fwhm_rad / (4.0 * np.pi)
     return hwhm_hz**2 / (delta_hz**2 + hwhm_hz**2)
+
+
+class _GainKernel:
+    """The gain model at one operating point, over arrays of detunings.
+
+    The factors that depend on neither detuning are computed once here:
+    per family the overlap, g_N^2 and frequency offset, per channel the
+    drive w_m * s_pump, the Zeeman shift and E_m.  :meth:`channel_gains`
+    then broadcasts rho_ee and the two-photon Lorentzian over any pump and
+    cavity detuning arrays.  The product keeps the operand order of the
+    formula in the module docstring, so a grid cell equals the same cell
+    evaluated alone, bit for bit.  Families are kept sorted and distinct,
+    the order in which the steady state sums them.
+    """
+
+    def __init__(self, op: OperatingPoint, families, system: LaserSystem,
+                 calib: CalibrationConstants):
+        self.families = tuple(sorted(set(families)))
+        self._op, self._system, self._calib = op, system, calib
+        b = np.asarray(op.b_offset, float)
+        b_mag = float(np.linalg.norm(b))
+        weights = geometry.pump_excitation_weights(system.pump_beam(op), b)
+        s_pump = atomics.saturation_parameter(
+            op.pump_power, system.pump_waist,
+            atomics.saturation_intensity(system.green))
+        self._channels = []
+        for m, w in zip(SUBLEVELS, weights):
+            shift = atomics.zeeman_shift(system.green.lande_g_upper, m, b_mag)
+            _, strength = geometry.cavity_emission_jones(m, b,
+                                                         system.cavity.axis)
+            self._channels.append((w * s_pump, shift, strength))
+        self._families = []
+        for n in self.families:
+            fraction = geometry.mode_overlap_fraction(system.ensemble,
+                                                      system.cavity, n)
+            peak_ratio = geometry.family_peak_ratio(system.ensemble,
+                                                    system.cavity, n)
+            g_family_sq = system.cavity.single_atom_coupling**2 * peak_ratio
+            offset = geometry.transverse_mode_frequency(
+                n, system.cavity.family_spacing, system.cavity.family_step)
+            self._families.append(
+                (calib.gain_scale * op.total_atoms * fraction * g_family_sq,
+                 offset))
+        self._doppler = system.pump_doppler_sigma()
+
+    def channel_gains(self, pump, cavity) -> list:
+        """Gain rates (m = -1, 0, +1) of each family, 1/s, broadcast over
+        the pump and cavity detuning arrays."""
+        op, system, calib = self._op, self._system, self._calib
+        linewidth = system.green.linewidth
+        rho = [atomics.excited_population(pump - shift, drive, linewidth,
+                                          self._doppler)
+               for drive, shift, _ in self._channels]
+        out = []
+        for prefactor, offset in self._families:
+            delta_two_photon = (cavity + offset - pump - op.mot_detuning
+                                - calib.resonance_offset)
+            lorentz = _lorentzian(delta_two_photon, system.blue.linewidth)
+            out.append([prefactor * r * strength * op.mot_saturation
+                        * lorentz / linewidth
+                        for r, (_, _, strength) in zip(rho, self._channels)])
+        return out
+
+    def gains(self, pump, cavity) -> np.ndarray:
+        """Total gain per family, stacked along axis 0 of the broadcast
+        detuning shape; the channels are summed m = -1, 0, +1."""
+        shape = np.broadcast_shapes(np.shape(pump), np.shape(cavity))
+        out = np.empty((len(self.families),) + shape)
+        for k, (g_minus, g_zero, g_plus) in enumerate(
+                self.channel_gains(pump, cavity)):
+            out[k] = g_minus + g_zero + g_plus
+        return out
 
 
 def mode_gain(op: OperatingPoint, family: int, system: LaserSystem,
@@ -179,99 +251,113 @@ def mode_gain(op: OperatingPoint, family: int, system: LaserSystem,
 
     Raises :class:`QuantizationAxisError` when the offset field is zero.
     """
-    b = np.asarray(op.b_offset, float)
-    b_mag = float(np.linalg.norm(b))
-    weights = geometry.pump_excitation_weights(system.pump_beam(op), b)
-    fraction = geometry.mode_overlap_fraction(system.ensemble, system.cavity,
-                                              family)
-    peak_ratio = geometry.family_peak_ratio(system.ensemble, system.cavity,
-                                            family)
-    g_family_sq = system.cavity.single_atom_coupling**2 * peak_ratio
-    s_pump = atomics.saturation_parameter(
-        op.pump_power, system.pump_waist,
-        atomics.saturation_intensity(system.green))
-    doppler = system.pump_doppler_sigma()
-    family_offset = geometry.transverse_mode_frequency(
-        family, system.cavity.family_spacing, system.cavity.family_step)
-    delta_two_photon = (op.cavity_detuning + family_offset
-                        - op.pump_detuning - op.mot_detuning
-                        - calib.resonance_offset)
-    lorentz = _lorentzian(delta_two_photon, system.blue.linewidth)
-
-    per_channel = {}
-    for m, w in zip(SUBLEVELS, weights):
-        shift = atomics.zeeman_shift(system.green.lande_g_upper, m, b_mag)
-        rho = atomics.excited_population(op.pump_detuning - shift,
-                                         w * s_pump, system.green.linewidth,
-                                         doppler)
-        _, strength = geometry.cavity_emission_jones(m, b, system.cavity.axis)
-        per_channel[m] = (calib.gain_scale * op.total_atoms * fraction
-                          * g_family_sq * rho * strength * op.mot_saturation
-                          * lorentz / system.green.linewidth)
-    return GainBreakdown(family, per_channel, system.cavity.kappa)
+    kernel = _GainKernel(op, (family,), system, calib)
+    rates = kernel.channel_gains(op.pump_detuning, op.cavity_detuning)[0]
+    return GainBreakdown(family, dict(zip(SUBLEVELS, map(float, rates))),
+                         system.cavity.kappa)
 
 
 def family_gains(op: OperatingPoint, families, system: LaserSystem,
                  calib: CalibrationConstants) -> dict:
-    return {n: mode_gain(op, n, system, calib).total for n in families}
+    kernel = _GainKernel(op, families, system, calib)
+    g = kernel.gains(op.pump_detuning, op.cavity_detuning)
+    return dict(zip(kernel.families, g.tolist()))
 
 
 # ---------------------------------------------------------------------------
 # Steady state
 # ---------------------------------------------------------------------------
 
-def _steady_state_from_gains(gains: dict, kappa: float, n_sat: float,
-                             max_expansions: int = 200) -> LaserSolution:
+# Newton from the dominant family's root settles in at most 9 steps over
+# G/kappa in [1e-6, 1e6], 1-4 families and n_sat in [1, 1e8], thresholds
+# included; an element still moving after this many is reported unsolved.
+_NEWTON_CAP = 60
+
+
+def _photons(g, s_tot, kappa: float):
+    """n_i(S) = G_i / (kappa - G_i/(1 + S)), elementwise."""
+    return g / (kappa - g / (1.0 + s_tot))
+
+
+def _saturation(gains: np.ndarray, kappa: float, n_sat: float) -> np.ndarray:
+    """Shared saturation S = sum(n)/n_sat at the fixed point, elementwise.
+
+    ``gains`` holds one family per row of axis 0; the result has the
+    shape of the remaining axes and is NaN wherever the solve fails.
+
+    Above the pole max(G)/kappa - 1, every n_i(S) is positive, decreasing
+    and convex, so f(S) = S - sum_i n_i(S)/n_sat is strictly increasing
+    and concave.  At the dominant family's own root (closed form) the
+    other families make f <= 0, so Newton's method climbs monotonically
+    to the unique root without a bracket: the tangent of a concave
+    function never overshoots it.  An element freezes once its step stops
+    increasing S; the families are summed in a fixed order.  Every
+    element therefore follows the same arithmetic whatever batch it is
+    solved in.
+    """
+    g = np.asarray(gains, float)
+    g_max = np.zeros(g.shape[1:])
+    for g_i in g:
+        g_max = np.maximum(g_max, g_i)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # (kappa/n_sat) n^2 + (kappa - G - G/n_sat) n - G = 0, in the form
+        # that avoids cancellation for either sign of the linear term
+        b = kappa - g_max - g_max / n_sat
+        root = np.sqrt(b * b + 4.0 * (kappa / n_sat) * g_max)
+        n_dom = np.where(b > 0.0, 2.0 * g_max / (b + root),
+                         (root - b) / (2.0 * kappa / n_sat))
+        s_tot = n_dom / n_sat
+        moving = np.isfinite(s_tot)
+        for _ in range(_NEWTON_CAP):
+            total = 0.0
+            slope = 0.0
+            for g_i in g:
+                n_i = _photons(g_i, s_tot, kappa)
+                total = total + n_i
+                slope = slope + n_i * n_i
+            one_s = 1.0 + s_tot
+            step = (s_tot - total / n_sat) \
+                / (1.0 + slope / (one_s * one_s * n_sat))
+            nxt = s_tot - step
+            moving &= nxt > s_tot
+            # n_i depends on S only through 1 + S.  Across a step that
+            # leaves 1 + S unchanged the computed f is S - total/n_sat, on
+            # which Newton would crawl; go to its root when 1 + S keeps its
+            # value there, else to the first S of the next value of 1 + S.
+            settled = total / n_sat
+            jump = np.where(1.0 + settled == one_s, settled,
+                            np.nextafter(one_s, np.inf) - 1.0)
+            nxt = np.where(1.0 + nxt == one_s, jump, nxt)
+            if not moving.any():
+                break
+            s_tot = np.where(moving, nxt, s_tot)
+    # a start rounded onto or below the pole gives infinite or negative
+    # photon numbers; it fails like an element still moving at the cap
+    solved = ~moving & np.isfinite(step) & (total >= 0.0)
+    return np.where(solved, s_tot, np.nan)
+
+
+def _steady_state_from_gains(gains: dict, kappa: float,
+                             n_sat: float) -> LaserSolution:
     """Fixed point of dn_i/dt = (G_i/(1 + S) - kappa) n_i + G_i, S = sum n/n_sat.
 
-    n_i(S) = G_i / (kappa - G_i/(1+S)) decreases in S, so
-    f(S) = S - sum_i n_i(S)/n_sat is strictly increasing and has a unique
-    root; it is bracketed and solved with Brent's method.
+    One element of :func:`_saturation`.  Raises :class:`SolverError`
+    when the solve fails.
     """
-    g = np.array([gains[n] for n in sorted(gains)])
     names = sorted(gains)
+    g = np.array([gains[n] for n in names], float)
     if np.any(g < 0):
         raise ValueError("gain rates must be >= 0")
-    g_max = g.max() if g.size else 0.0
-
-    def photons(s_tot):
-        denom = kappa - g / (1.0 + s_tot)
-        return g / denom
-
-    def f(s_tot):
-        return s_tot - photons(s_tot).sum() / n_sat
-
-    lo = max(0.0, g_max / kappa - 1.0)
-    # nudge off the pole where the dominant family's photon number diverges
-    step = max(lo * 1e-12, 1e-12)
-    lo_probe = lo + step
-    tries = 0
-    while f(lo_probe) >= 0.0:
-        if lo_probe <= lo + 1e-307 or tries > 60:
-            break
-        step *= 0.25
-        lo_probe = lo + step
-        tries += 1
-    if f(lo_probe) >= 0.0:
-        # below-threshold landscape: the root sits essentially at S ~ ASE/n_sat
-        s_root = photons(lo_probe).sum() / n_sat
-    else:
-        hi = max(2.0 * (lo_probe + 1.0), 1.0)
-        for _ in range(max_expansions):
-            if f(hi) > 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise SolverError("saturation fixed point not bracketed",
-                              last_iterate=hi)
-        s_root = brentq(f, lo_probe, hi, xtol=1e-300, rtol=8.9e-16,
-                        maxiter=600)
-    n = photons(s_root)
+    s_root = float(_saturation(g, kappa, n_sat))
+    if math.isnan(s_root):
+        raise SolverError("saturation fixed point not found",
+                          last_iterate=s_root)
+    n = _photons(g, s_root, kappa)
     return LaserSolution(
         photons=dict(zip(names, n.tolist())),
         gains=dict(zip(names, g.tolist())),
         lasing={name: bool(gi >= kappa) for name, gi in zip(names, g)},
-        saturation=float(s_root),
+        saturation=s_root,
         kappa=kappa,
     )
 
@@ -288,10 +374,18 @@ def steady_state(op: OperatingPoint, families, system: LaserSystem,
     return _steady_state_from_gains(gains, system.cavity.kappa, calib.n_sat)
 
 
-def output_power(n_photons: float, cavity: CavityGeometry,
-                 wavelength: float = 556e-9) -> float:
+def _solve_grid(kernel: _GainKernel, pump, cavity, kappa: float,
+                n_sat: float):
+    """Gains, per-family photon numbers and solved mask over a grid."""
+    g = kernel.gains(pump, cavity)
+    s_tot = _saturation(g, kappa, n_sat)
+    return g, _photons(g, s_tot, kappa), ~np.isnan(s_tot)
+
+
+def output_power(n_photons, cavity: CavityGeometry,
+                 wavelength: float = 556e-9):
     """Power through one mirror, W: eta * n * kappa * (h c / lambda)."""
-    if n_photons < 0:
+    if np.any(np.asarray(n_photons) < 0):
         raise ValueError("photon number must be >= 0")
     return (cavity.output_fraction * n_photons * cavity.kappa
             * sc.h * sc.c / wavelength)
@@ -369,26 +463,37 @@ def threshold_solve(vary: str, op: OperatingPoint, system: LaserSystem,
                     rtol: float = 1e-9) -> float:
     """Value of ``atoms`` or ``pump_power`` at which family gain meets loss.
 
-    Bisection on G(x) - kappa with bracket expansion; G is monotone in
-    both quantities.  Raises :class:`NoThresholdError` when the gain never
-    reaches the loss within the search range.
+    G is exactly linear in the atom number, so the atom threshold is
+    kappa / G(1 atom) in closed form (``hi`` plays no part).  The pump
+    threshold is a bisection on G(x) - kappa with bracket expansion; G is
+    monotone in the pump power.  Raises :class:`NoThresholdError` when the
+    threshold lies above the search cap (1e12 atoms, 1 kW) or the gain
+    already exceeds the loss at ``lo``.
     """
+    kappa = system.cavity.kappa
     if vary == "atoms":
         lo = 1.0 if lo is None else lo
-        hi = max(op.total_atoms, 10.0 * lo) if hi is None else hi
-        make = lambda x: replace(op, total_atoms=x)
         cap = 1e12
-    elif vary == "pump_power":
-        lo = 1e-12 if lo is None else lo
-        hi = max(op.pump_power, 10.0 * lo) if hi is None else hi
-        make = lambda x: replace(op, pump_power=x)
-        cap = 1e3
-    else:
+        unit = mode_gain(replace(op, total_atoms=1.0), family, system,
+                         calib).total
+        threshold = kappa / unit if unit > 0.0 else math.inf
+        if not threshold <= cap:
+            raise NoThresholdError(
+                f"no threshold in range: gain stays below the cavity loss "
+                f"for {vary} up to {cap:g}")
+        if threshold < lo:
+            raise NoThresholdError(
+                f"gain already exceeds the loss at {vary} = {lo:g}")
+        return threshold
+    if vary != "pump_power":
         raise ValueError("vary must be 'atoms' or 'pump_power'")
+    lo = 1e-12 if lo is None else lo
+    hi = max(op.pump_power, 10.0 * lo) if hi is None else hi
+    cap = 1e3
 
     def excess(x):
-        return mode_gain(make(x), family, system, calib).total \
-            - system.cavity.kappa
+        return mode_gain(replace(op, pump_power=x), family, system,
+                         calib).total - kappa
 
     while excess(hi) < 0.0:
         hi *= 4.0
@@ -471,53 +576,31 @@ class DetuningMap:
 def detuning_map(op: OperatingPoint, system: LaserSystem,
                  calib: CalibrationConstants,
                  pump_detunings, cavity_detunings,
-                 families=(0, 37, 74, 111), threads: int = 1) -> DetuningMap:
+                 families=(0, 37, 74, 111)) -> DetuningMap:
     """Steady-state output power over a detuning grid.
 
+    One array evaluation of the gain kernel and one elementwise solve;
+    every cell equals :func:`steady_state` on that cell, bit for bit.
     Solver failures mark single cells as missing (NaN power, ok=False);
     the scan itself never aborts.
     """
     pump = np.asarray(pump_detunings, float)
     cav = np.asarray(cavity_detunings, float)
-    families = tuple(families)
-    shape = (pump.size, cav.size)
-    total = np.full(shape, np.nan)
-    fam_p = {n: np.full(shape, np.nan) for n in families}
-    fam_las = {n: np.zeros(shape, bool) for n in families}
-    lasing = np.zeros(shape, bool)
-    ok = np.zeros(shape, bool)
-
-    def solve_row(i):
-        row = []
-        for j in range(cav.size):
-            cell = replace(op, pump_detuning=pump[i], cavity_detuning=cav[j])
-            try:
-                row.append(steady_state(cell, families, system, calib))
-            except SolverError:
-                row.append(None)
-        return row
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(solve_row, range(pump.size)))
-    else:
-        rows = [solve_row(i) for i in range(pump.size)]
-
-    for i, row in enumerate(rows):
-        for j, sol in enumerate(row):
-            if sol is None:
-                continue
-            ok[i, j] = True
-            lasing[i, j] = bool(sol.lasing_families)
-            total[i, j] = sum(
-                output_power(nn, system.cavity, system.green.wavelength)
-                for nn in sol.photons.values())
-            for n in families:
-                fam_p[n][i, j] = output_power(
-                    sol.photons[n], system.cavity, system.green.wavelength)
-                fam_las[n][i, j] = sol.lasing[n]
-    return DetuningMap(pump, cav, total, fam_p, fam_las, lasing, ok)
+    kappa = system.cavity.kappa
+    kernel = _GainKernel(op, families, system, calib)
+    g, n, ok = _solve_grid(kernel, pump[:, None], cav[None, :], kappa,
+                           calib.n_sat)
+    total = np.zeros((pump.size, cav.size))
+    fam_p, fam_las = {}, {}
+    for name, g_k, n_k in zip(kernel.families, g, n):
+        fam_p[name] = output_power(n_k, system.cavity, system.green.wavelength)
+        fam_las[name] = ok & (g_k >= kappa)
+        total = total + fam_p[name]
+    lasing = ok & np.any(g >= kappa, axis=0)
+    return DetuningMap(pump, cav, total,
+                       {name: fam_p[name] for name in families},
+                       {name: fam_las[name] for name in families},
+                       lasing, ok)
 
 
 @dataclass(frozen=True)
@@ -542,36 +625,36 @@ class OptimumScan:
 def _argmax_power(op, system, calib, families, pump_lo, pump_hi,
                   cavity_lo, cavity_hi, coarse=25):
     """Coarse grid argmax refined by alternating 1D Brent searches."""
+    kernel = _GainKernel(op, families, system, calib)
+    kappa = system.cavity.kappa
 
-    def power(dp, dc):
-        cell = replace(op, pump_detuning=dp, cavity_detuning=dc)
-        sol = steady_state(cell, families, system, calib)
-        return sum(sol.photons.values()), bool(sol.lasing_families)
+    def photons(dp, dc):
+        g, n, ok = _solve_grid(kernel, dp, dc, kappa, calib.n_sat)
+        if not ok.all():
+            raise SolverError("saturation fixed point not found")
+        total = 0.0
+        for n_k in n:
+            total = total + n_k
+        return g, total
 
     dps = np.linspace(pump_lo, pump_hi, coarse)
     dcs = np.linspace(cavity_lo, cavity_hi, 2 * coarse)
-    best = (-np.inf, None, None)
-    any_lasing = False
-    for dp in dps:
-        for dc in dcs:
-            p, las = power(dp, dc)
-            any_lasing = any_lasing or las
-            if p > best[0]:
-                best = (p, dp, dc)
-    if not any_lasing:
+    g, total = photons(dps[:, None], dcs[None, :])
+    if not np.any(g >= kappa):
         return None, None
-    dp, dc = best[1], best[2]
+    i, j = np.unravel_index(np.argmax(total), total.shape)
+    dp, dc = dps[i], dcs[j]
     span_p = (pump_hi - pump_lo) / (coarse - 1)
     span_c = (cavity_hi - cavity_lo) / (2 * coarse - 1)
     for _ in range(3):
         res = minimize_scalar(
-            lambda x: -power(dp, x)[0], method="bounded",
+            lambda x: -float(photons(dp, x)[1]), method="bounded",
             bounds=(max(cavity_lo, dc - 2 * span_c),
                     min(cavity_hi, dc + 2 * span_c)),
             options={"xatol": 1.0})
         dc = float(res.x)
         res = minimize_scalar(
-            lambda x: -power(x, dc)[0], method="bounded",
+            lambda x: -float(photons(x, dc)[1]), method="bounded",
             bounds=(max(pump_lo, dp - 2 * span_p),
                     min(pump_hi, dp + 2 * span_p)),
             options={"xatol": 1.0})

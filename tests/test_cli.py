@@ -305,6 +305,28 @@ class TestClicksCommand:
         assert a != b
 
 
+@pytest.mark.parametrize("window", [
+    ("--bin", "0", "--max-lag", "13us", "--duration", "1s"),
+    ("--bin", "2.6us", "--max-lag", "1us", "--duration", "1s"),
+    ("--bin", "2.6us", "--max-lag", "2s", "--duration", "1s"),
+], ids=["zero-bin", "max-lag-below-bin", "max-lag-beyond-duration"])
+def test_bad_g2_window_is_usage_error(workdir, monkeypatch, window):
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("the window must be checked before synthesis")
+
+    monkeypatch.setattr("motlaser.cli.photonstats.simulate_intensity",
+                        no_synthesis)
+    assert run("g2", "--regime", "above", "--rate", "1000", *window) == 2
+    assert not (workdir / "g2.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["pump_power = -1mW", "cloud_radius = 0"])
+def test_out_of_range_config_value_exit_code(workdir, line):
+    bad = workdir / "bad.cfg"
+    bad.write_text(line + "\n")
+    assert run("--config", str(bad), "calibrate") == 2
+
+
 def test_unknown_config_key_exit_code(workdir):
     bad = workdir / "bad.cfg"
     bad.write_text("pump_powr = 7 mW\n")

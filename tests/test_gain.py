@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import constants as sc
 from scipy.optimize import minimize_scalar
 
@@ -186,6 +186,43 @@ class TestThresholds:
         p37 = threshold_solve("pump_power", op, system, calib, family=37)
         assert p0 < p37
 
+    def test_atom_threshold_closed_form_matches_bisection(self, system, op,
+                                                          calib):
+        # the bisection the closed form replaced is the reference: bracket
+        # expansion by 4x, then halving until hi - lo <= 1e-9 hi
+        anchor = gain.reference_operating_point(op, system)
+
+        def excess(x):
+            return mode_gain(replace(anchor, total_atoms=x), 0, system,
+                             calib).total - KAPPA
+
+        lo, hi = 1.0, max(anchor.total_atoms, 10.0)
+        while excess(hi) < 0.0:
+            hi *= 4.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if excess(mid) >= 0.0:
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo <= 1e-9 * hi:
+                break
+        bisected = 0.5 * (lo + hi)
+        got = threshold_solve("atoms", anchor, system, calib)
+        assert got == pytest.approx(bisected, rel=1e-9)
+
+    def test_atom_threshold_outside_range(self, system, op, calib):
+        anchor = gain.reference_operating_point(op, system)
+        with pytest.raises(NoThresholdError, match="already exceeds"):
+            threshold_solve("atoms", anchor, system, calib, lo=6000.0)
+        # 3e-9 of the trap drive moves the threshold to 5e12 atoms
+        weak = replace(anchor, mot_saturation=3e-9)
+        with pytest.raises(NoThresholdError, match="up to 1e\\+12"):
+            threshold_solve("atoms", weak, system, calib)
+        dead = replace(anchor, pump_polarization=geometry.jones_linear(0.0))
+        with pytest.raises(NoThresholdError, match="up to 1e\\+12"):
+            threshold_solve("atoms", dead, system, calib)
+
     def test_unknown_vary_rejected(self, system, op, calib):
         with pytest.raises(ValueError):
             threshold_solve("temperature", op, system, calib)
@@ -264,6 +301,84 @@ class TestSteadyState:
         with pytest.raises(ValueError):
             gain._steady_state_from_gains({0: -1.0}, KAPPA, calib.n_sat)
 
+    def test_non_finite_gain_is_solver_error(self, calib):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(SolverError):
+                gain._steady_state_from_gains({0: KAPPA, 37: bad}, KAPPA,
+                                              calib.n_sat)
+
+
+EPS = np.finfo(float).eps
+
+
+def _fixed_point_slope(g, s, n_sat):
+    # f'(S) = 1 + sum_i n_i^2 / ((1 + S)^2 n_sat)
+    n = g / (KAPPA - g / (1.0 + s))
+    return 1.0 + float(np.sum(n * n)) / ((1.0 + s) ** 2 * n_sat)
+
+
+@st.composite
+def _gain_batches(draw):
+    """(gains of shape (families, batch), n_sat): G/kappa in [1e-6, 1e6],
+    1-4 families, n_sat in [1, 1e8]."""
+    families = draw(st.integers(1, 4))
+    batch = draw(st.integers(1, 5))
+    exponent = st.floats(-6.0, 6.0, allow_nan=False)
+    logs = draw(st.lists(st.lists(exponent, min_size=batch, max_size=batch),
+                         min_size=families, max_size=families))
+    n_sat = 10.0 ** draw(st.floats(0.0, 8.0))
+    return KAPPA * 10.0 ** np.array(logs), n_sat
+
+
+class TestSaturationSolver:
+    """Properties of the elementwise Newton solve over wide ranges."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_gain_batches())
+    def test_array_solve_equals_scalar_solves(self, case):
+        g, n_sat = case
+        batch = gain._saturation(g, KAPPA, n_sat)
+        for b in range(g.shape[1]):
+            sol = gain._steady_state_from_gains(dict(enumerate(g[:, b])),
+                                                KAPPA, n_sat)
+            assert batch[b] == sol.saturation
+            assert float(gain._saturation(g[:, b], KAPPA, n_sat)) == \
+                sol.saturation
+
+    @settings(max_examples=150, deadline=None)
+    @given(_gain_batches())
+    def test_residual_bounds(self, case):
+        g, n_sat = case
+        for b in range(g.shape[1]):
+            sol = gain._steady_state_from_gains(dict(enumerate(g[:, b])),
+                                                KAPPA, n_sat)
+            s = sol.saturation
+            # each family's rate equation, to two roundings of G
+            for k, g_k in enumerate(g[:, b]):
+                n_k = sol.photons[k]
+                residual = (g_k / (1.0 + s) - KAPPA) * n_k + g_k
+                assert abs(residual) <= 2.3e-16 * max(KAPPA * n_k, g_k)
+            # S = sum(n)/n_sat: the Newton correction left at S is within
+            # 8 roundings of 1 + S
+            f = s - sum(sol.photons.values()) / n_sat
+            slope = _fixed_point_slope(g[:, b], s, n_sat)
+            assert abs(f) / slope <= 8.0 * EPS * (1.0 + s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_gain_batches(), st.integers(0, 3), st.floats(1e-3, 10.0))
+    def test_photon_number_monotone_in_each_gain(self, case, which, grow):
+        g, n_sat = case
+        k = which % g.shape[0]
+        base = dict(enumerate(g[:, 0]))
+        more = dict(base)
+        more[k] = base[k] * (1.0 + grow)
+        before = gain._steady_state_from_gains(base, KAPPA, n_sat)
+        after = gain._steady_state_from_gains(more, KAPPA, n_sat)
+        assert after.photons[k] >= before.photons[k]
+        # the total n_sat * S, to the solver's precision
+        s0 = before.saturation
+        assert after.saturation >= s0 - 16.0 * EPS * (1.0 + s0)
+
 
 class TestOutputPower:
     cavity = LaserSystem().cavity
@@ -314,30 +429,49 @@ class TestDetuningMap:
 
     def test_solver_failure_marks_cell_missing(self, system, op, calib,
                                                monkeypatch):
-        real = gain.steady_state
-        poison = {"count": 0}
+        real = gain._saturation
+        calls = {"count": 0}
 
-        def flaky(op_, families, system_, calib_):
-            if op_.pump_detuning == 5e6 and op_.cavity_detuning == -30e6:
-                poison["count"] += 1
-                raise SolverError("synthetic failure")
-            return real(op_, families, system_, calib_)
+        def flaky(gains, kappa, n_sat):
+            calls["count"] += 1
+            s_tot = real(gains, kappa, n_sat)
+            s_tot[1, 1] = np.nan       # the solve of cell (5, -30) MHz fails
+            return s_tot
 
-        monkeypatch.setattr(gain, "steady_state", flaky)
+        monkeypatch.setattr(gain, "_saturation", flaky)
         pump = np.array([4e6, 5e6])
         cav = np.array([-31e6, -30e6])
         m = detuning_map(op, system, calib, pump, cav)
-        assert poison["count"] == 1
+        assert calls["count"] == 1
         assert not m.ok[1, 1] and np.isnan(m.total_power[1, 1])
+        assert not m.lasing_any[1, 1]
+        for n in (0, 37, 74, 111):
+            assert np.isnan(m.family_powers[n][1, 1])
+            assert not m.family_lasing[n][1, 1]
         assert m.ok[0, 0] and m.ok[0, 1] and m.ok[1, 0]
+        assert np.isfinite(m.total_power[[0, 0, 1], [0, 1, 0]]).all()
 
-    def test_threaded_map_matches_serial(self, system, op, calib):
-        pump = np.arange(-6e6, 7e6, 3e6)
-        cav = np.arange(-45e6, -14e6, 5e6)
-        serial = detuning_map(op, system, calib, pump, cav)
-        threaded = detuning_map(op, system, calib, pump, cav, threads=3)
-        assert np.array_equal(serial.total_power, threaded.total_power,
-                              equal_nan=True)
+    def test_cells_equal_steady_state_bit_for_bit(self, system, op, calib):
+        families = (0, 37, 74, 111)
+        pump = np.array([-8e6, 4e6, 5e6])
+        cav = np.array([-31e6, -30e6, -10e6])
+        m = detuning_map(op, system, calib, pump, cav, families)
+        assert m.lasing_any.any() and not m.lasing_any.all()
+        cavity, wavelength = system.cavity, system.green.wavelength
+        for i, dp in enumerate(pump):
+            for j, dc in enumerate(cav):
+                sol = steady_state(replace(op, pump_detuning=dp,
+                                           cavity_detuning=dc),
+                                   families, system, calib)
+                assert m.ok[i, j]
+                assert m.total_power[i, j] == sum(
+                    output_power(n, cavity, wavelength)
+                    for n in sol.photons.values())
+                assert m.lasing_any[i, j] == bool(sol.lasing_families)
+                for n in families:
+                    assert m.family_powers[n][i, j] == output_power(
+                        sol.photons[n], cavity, wavelength)
+                    assert m.family_lasing[n][i, j] == sol.lasing[n]
 
 
 class TestOptimumScan:
