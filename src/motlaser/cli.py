@@ -189,10 +189,13 @@ def cmd_threshold(args) -> int:
     xs = np.linspace(args.min, args.max, args.points)
     table = ScanResultTable(
         [args.vary, "power_w"] + [f"power_tem{n}_w" for n in families])
-    for x in xs:
-        op_x = replace(op, total_atoms=x) if args.vary == "atoms" \
-            else replace(op, pump_power=x)
-        sol = gain.steady_state(op_x, families, system, calib)
+    if args.vary == "atoms":
+        solutions = [gain.steady_state(replace(op, total_atoms=x), families,
+                                       system, calib) for x in xs]
+    else:
+        solutions = gain.pump_power_steady_states(op, xs, families, system,
+                                                  calib)
+    for x, sol in zip(xs, solutions):
         powers = {n: gain.output_power(sol.photons[n], system.cavity,
                                        system.green.wavelength)
                   for n in families}

@@ -30,6 +30,7 @@ measurements show.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -183,7 +184,8 @@ class _GainKernel:
     cavity detuning arrays.  The product keeps the operand order of the
     formula in the module docstring, so a grid cell equals the same cell
     evaluated alone, bit for bit.  Families are kept sorted and distinct,
-    the order in which the steady state sums them.
+    the order in which the steady state sums them.  The pump power enters
+    only the drives, so :meth:`with_pump_power` re-derives just those.
     """
 
     def __init__(self, op: OperatingPoint, families, system: LaserSystem,
@@ -192,16 +194,16 @@ class _GainKernel:
         self._op, self._system, self._calib = op, system, calib
         b = np.asarray(op.b_offset, float)
         b_mag = float(np.linalg.norm(b))
-        weights = geometry.pump_excitation_weights(system.pump_beam(op), b)
-        s_pump = atomics.saturation_parameter(
-            op.pump_power, system.pump_waist,
-            atomics.saturation_intensity(system.green))
+        self._weights = geometry.pump_excitation_weights(
+            system.pump_beam(op), b)
+        self._i_sat = atomics.saturation_intensity(system.green)
+        self._drives = self._pump_drives(op.pump_power)
         self._channels = []
-        for m, w in zip(SUBLEVELS, weights):
+        for m in SUBLEVELS:
             shift = atomics.zeeman_shift(system.green.lande_g_upper, m, b_mag)
             _, strength = geometry.cavity_emission_jones(m, b,
                                                          system.cavity.axis)
-            self._channels.append((w * s_pump, shift, strength))
+            self._channels.append((shift, strength))
         self._families = []
         for n in self.families:
             fraction = geometry.mode_overlap_fraction(system.ensemble,
@@ -216,6 +218,20 @@ class _GainKernel:
                  offset))
         self._doppler = system.pump_doppler_sigma()
 
+    def _pump_drives(self, pump_power: float) -> list:
+        """Drive w_m * s_pump of each channel, m = -1, 0, +1."""
+        s_pump = atomics.saturation_parameter(
+            pump_power, self._system.pump_waist, self._i_sat)
+        return [w * s_pump for w in self._weights]
+
+    def with_pump_power(self, pump_power: float) -> "_GainKernel":
+        """This kernel at another pump power; it equals a kernel built
+        at that power, bit for bit."""
+        kernel = copy.copy(self)
+        kernel._op = replace(self._op, pump_power=pump_power)
+        kernel._drives = self._pump_drives(pump_power)
+        return kernel
+
     def channel_gains(self, pump, cavity) -> list:
         """Gain rates (m = -1, 0, +1) of each family, 1/s, broadcast over
         the pump and cavity detuning arrays."""
@@ -223,7 +239,7 @@ class _GainKernel:
         linewidth = system.green.linewidth
         rho = [atomics.excited_population(pump - shift, drive, linewidth,
                                           self._doppler)
-               for drive, shift, _ in self._channels]
+               for drive, (shift, _) in zip(self._drives, self._channels)]
         out = []
         for prefactor, offset in self._families:
             delta_two_photon = (cavity + offset - pump - op.mot_detuning
@@ -231,7 +247,7 @@ class _GainKernel:
             lorentz = _lorentzian(delta_two_photon, system.blue.linewidth)
             out.append([prefactor * r * strength * op.mot_saturation
                         * lorentz / linewidth
-                        for r, (_, _, strength) in zip(rho, self._channels)])
+                        for r, (_, strength) in zip(rho, self._channels)])
         return out
 
     def gains(self, pump, cavity) -> np.ndarray:
@@ -374,6 +390,24 @@ def steady_state(op: OperatingPoint, families, system: LaserSystem,
     return _steady_state_from_gains(gains, system.cavity.kappa, calib.n_sat)
 
 
+def pump_power_steady_states(op: OperatingPoint, powers, families,
+                             system: LaserSystem,
+                             calib: CalibrationConstants) -> list:
+    """:func:`steady_state` at each pump power, from one gain kernel.
+
+    Each solution equals :func:`steady_state` at that power, bit for bit.
+    """
+    kernel = _GainKernel(op, families, system, calib)
+    out = []
+    for power in powers:
+        g = kernel.with_pump_power(power).gains(op.pump_detuning,
+                                                op.cavity_detuning)
+        out.append(_steady_state_from_gains(
+            dict(zip(kernel.families, g.tolist())), system.cavity.kappa,
+            calib.n_sat))
+    return out
+
+
 def _solve_grid(kernel: _GainKernel, pump, cavity, kappa: float,
                 n_sat: float):
     """Gains, per-family photon numbers and solved mask over a grid."""
@@ -490,10 +524,12 @@ def threshold_solve(vary: str, op: OperatingPoint, system: LaserSystem,
     lo = 1e-12 if lo is None else lo
     hi = max(op.pump_power, 10.0 * lo) if hi is None else hi
     cap = 1e3
+    kernel = _GainKernel(op, (family,), system, calib)
 
     def excess(x):
-        return mode_gain(replace(op, pump_power=x), family, system,
-                         calib).total - kappa
+        g = kernel.with_pump_power(x).gains(op.pump_detuning,
+                                            op.cavity_detuning)
+        return float(g[0]) - kappa
 
     while excess(hi) < 0.0:
         hi *= 4.0

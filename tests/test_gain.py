@@ -101,6 +101,19 @@ class TestModeGain:
                               options={"xatol": 0.1})
         assert abs(res.x - center) < 1e3
 
+    def test_kernel_at_new_pump_power_bit_for_bit(self, system, op, calib):
+        pump = np.linspace(-10e6, 10e6, 21)[:, None]
+        cavity = np.linspace(-60e6, 0.0, 31)[None, :]
+        base = gain._GainKernel(op, (0, 37), system, calib)
+        for power in (0.0, 3e-6, 4e-3, 0.2):
+            fresh = gain._GainKernel(replace(op, pump_power=power), (0, 37),
+                                     system, calib)
+            reused = base.with_pump_power(power)
+            assert np.array_equal(reused.gains(pump, cavity),
+                                  fresh.gains(pump, cavity))
+        with pytest.raises(ValueError):
+            base.with_pump_power(-1e-3)
+
     def test_gain_vanishes_far_from_resonance(self, system, op, calib):
         far = replace(op, cavity_detuning=op.cavity_detuning + 5e9)
         assert mode_gain(far, 0, system, calib).total < \
@@ -211,6 +224,28 @@ class TestThresholds:
         got = threshold_solve("atoms", anchor, system, calib)
         assert got == pytest.approx(bisected, rel=1e-9)
 
+    def test_pump_threshold_matches_per_step_kernels(self, system, op,
+                                                     calib):
+        # the bisection as it ran before the kernel was reused, with a
+        # fresh mode_gain on every step, is the reference: same value
+        def excess(x):
+            return mode_gain(replace(op, pump_power=x), 37, system,
+                             calib).total - KAPPA
+
+        lo, hi = 1e-12, op.pump_power
+        while excess(hi) < 0.0:
+            hi *= 4.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if excess(mid) >= 0.0:
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo <= 1e-9 * hi:
+                break
+        got = threshold_solve("pump_power", op, system, calib, family=37)
+        assert got == 0.5 * (lo + hi)
+
     def test_atom_threshold_outside_range(self, system, op, calib):
         anchor = gain.reference_operating_point(op, system)
         with pytest.raises(NoThresholdError, match="already exceeds"):
@@ -277,6 +312,16 @@ class TestSteadyState:
                                system, calib)
             sets.append(sol.lasing_families)
         assert sets == [(), (0,), (0, 37)]
+
+    def test_pump_power_steady_states_bit_for_bit(self, system, op, calib):
+        families = (0, 37, 74)
+        powers = np.concatenate([np.linspace(1e-6, 1e-3, 5),
+                                 np.geomspace(2e-3, 50e-3, 4)])
+        got = gain.pump_power_steady_states(op, powers, families, system,
+                                            calib)
+        for power, sol in zip(powers, got):
+            assert sol == steady_state(replace(op, pump_power=power),
+                                       families, system, calib)
 
     def test_photon_number_monotone_in_atoms(self, system, op, calib):
         totals = []

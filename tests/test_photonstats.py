@@ -190,13 +190,36 @@ class TestG2Cross:
             assert np.array_equal(serial.g2, sharded.g2)
             assert np.array_equal(serial.sigma, sharded.sigma)
 
-    def test_engines_agree_exactly(self, poisson_pair):
-        pytest.importorskip("numba")
+    def test_dense_and_sweep_agree_exactly(self, poisson_pair):
+        # ~2 M clicks at 2.6 us bins: the default path is the dense one,
+        # and it must equal the pair sweep count for count
         a, b = poisson_pair
-        nb = g2_cross(a, b, 2.6e-6, 50e-6, engine="numba")
-        np_ = g2_cross(a, b, 2.6e-6, 50e-6, engine="numpy")
-        assert np.array_equal(nb.counts, np_.counts)
-        assert np.array_equal(nb.g2, np_.g2)
+        width, kmax = 2.6e-6, 19
+        fa = np.floor(a.timestamps / width).astype(np.int64)
+        fb = np.floor(b.timestamps / width).astype(np.int64)
+        nbins = int(max(fa[-1], fb[-1]) - min(fa[0], fb[0])) + 1
+        assert ps._use_dense(fa.size, fb.size, nbins, 2 * kmax + 1)
+        dense = np.zeros(2 * kmax + 1, np.int64)
+        sweep = np.zeros(2 * kmax + 1, np.int64)
+        ps._pair_hist_dense(fa, fb, kmax, dense)
+        ps._pair_hist_numpy(fa, fb, kmax, sweep)
+        assert sweep.sum() > 10**6
+        assert np.array_equal(dense, sweep)
+        assert np.array_equal(g2_cross(a, b, width, kmax * width).counts,
+                              sweep)
+
+    def test_path_choice_from_sizes(self):
+        # the rule sees sizes only; nothing here is allocated
+        # g2-sparse shape: 2e5 clicks per detector, 1 ns bins over 2 s,
+        # 52001 lags: ~1e3 pairs against 1e14 bin x lag cells
+        assert not ps._use_dense(200_000, 200_000, 2 * 10**9, 52_001)
+        # criterion-9 shape: 5.5e6 clicks per detector, 2.6 us bins over
+        # 22 s, 771 lags
+        assert ps._use_dense(5_500_000, 5_500_000, 8_461_539, 771)
+        # from Na * Nb = 2**53 on, float64 sums may round: the sweep runs,
+        # however dense the clicks
+        assert not ps._use_dense(2**27, 2**26, 1_000, 771)
+        assert ps._use_dense(2**27, 2**26 - 1, 1_000, 771)
 
     def test_empty_stream_rejected(self, poisson_pair):
         a, _ = poisson_pair
@@ -218,11 +241,6 @@ class TestG2Cross:
         with pytest.raises(ValueError):
             g2_cross(a, b, 1e-5, 1e-6)
 
-    def test_unknown_engine_rejected(self):
-        a = ClickStream(0, np.array([0.1, 0.2]), 1.0)
-        with pytest.raises(ValueError, match="unknown engine"):
-            g2_cross(a, a, 0.01, 0.05, engine="nunba")
-
     def test_total_pairs_counted(self, poisson_pair):
         a, b = poisson_pair
         r = g2_cross(a, b, 2.6e-6, 20e-6)
@@ -238,8 +256,8 @@ class TestG2Cross:
         a = ClickStream(0, np.sort(np.array(ta)), 1.0)
         b = ClickStream(1, np.sort(np.array(tb)), 1.0)
         # brute-force oracle: every (a, b) pair whose quantized delay
-        # lies within the +-5 bin window; "auto" is the numba kernel
-        # wherever numba imports, so both engines meet the same oracle
+        # lies within the +-5 bin window; the default path and both
+        # histogram kernels must meet it
         width, kmax = 0.01, 5
         oracle = np.zeros(2 * kmax + 1, np.int64)
         for t_a in ta:
@@ -249,9 +267,17 @@ class TestG2Cross:
                     oracle[k + kmax] += 1
         r_ab = g2_cross(a, b, width, 0.05)
         r_ba = g2_cross(b, a, width, 0.05)
-        r_np = g2_cross(a, b, width, 0.05, engine="numpy")
         assert np.array_equal(r_ab.counts, oracle)
-        assert np.array_equal(r_np.counts, oracle)
+        fa = np.floor(a.timestamps / width).astype(np.int64)
+        fb = np.floor(b.timestamps / width).astype(np.int64)
+        for kernel in (ps._pair_hist_dense, ps._pair_hist_numpy):
+            hist = np.zeros(2 * kmax + 1, np.int64)
+            kernel(fa, fb, kmax, hist)
+            assert np.array_equal(hist, oracle), kernel.__name__
+        # a dense block narrower than the lag window and than the stream
+        hist = np.zeros(2 * kmax + 1, np.int64)
+        ps._pair_hist_dense(fa, fb, kmax, hist, block=3)
+        assert np.array_equal(hist, oracle)
         assert np.array_equal(r_ab.counts, r_ba.counts[::-1])
         # invariance under bin-preserving sharding
         r_sh = g2_cross(a, b, width, 0.05, shards=3)
