@@ -16,11 +16,9 @@ from .gain import (CalibrationConstants, GainBreakdown, LaserSolution,
                    LaserSystem, OperatingPoint, calibrate, detuning_map,
                    mode_gain, optimum_scan, output_power, steady_state,
                    threshold_solve, two_photon_resonance)
-from .geometry import (BeamGeometry, CavityGeometry, LabFrame,
-                       MagneticEnvironment, PolarizationLabel,
+from .geometry import (BeamGeometry, CavityGeometry, PolarizationLabel,
                        cavity_emission_jones, mode_overlap_fraction,
-                       pump_excitation_weights, quadrupole_field,
-                       transverse_mode_frequency)
+                       pump_excitation_weights, transverse_mode_frequency)
 from .photonstats import (ClickStream, CorrelationResult, IntensityTrace,
                           binning_washout, g2_auto, g2_cross, invert_washout,
                           poissonize, read_clickstream, simulate_intensity,

@@ -28,49 +28,36 @@ _GAUSSIAN_FWHM = 2.0 * np.sqrt(2.0 * np.log(2.0))
 
 @dataclass(frozen=True)
 class TransitionSpec:
-    """One optical transition out of the ground state.
+    """One optical transition out of the ground state: the narrow green
+    line (pumping and lasing) or the broad blue line (trap beams).
 
     Attributes
     ----------
-    label : str
-        Either ``green_556`` (narrow intercombination line used for pumping
-        and lasing) or ``blue_399`` (broad line driven by the trap beams).
     wavelength : float
         Vacuum wavelength in m.
     linewidth : float
         Natural linewidth, angular (rad/s).
-    saturation_intensity : float
-        W/m^2; the factories fill this in from the closed form below.
     lande_g_upper : float
         Lande factor of the upper level.
-    sublevels_upper : tuple of int
-        Magnetic quantum numbers of the upper level (J=1 here).
     """
 
-    label: str
     wavelength: float
     linewidth: float
-    saturation_intensity: float
     lande_g_upper: float
-    sublevels_upper: tuple = (-1, 0, 1)
 
     def __post_init__(self):
         if self.wavelength <= 0 or self.linewidth <= 0:
             raise ValueError("wavelength and linewidth must be positive")
-        if self.saturation_intensity <= 0:
-            raise ValueError("saturation_intensity must be positive")
 
     @classmethod
     def green_556(cls, wavelength=556e-9, linewidth=2 * np.pi * 182e3,
                   lande_g_upper=1.5):
-        return cls("green_556", wavelength, linewidth,
-                   _saturation_intensity(wavelength, linewidth), lande_g_upper)
+        return cls(wavelength, linewidth, lande_g_upper)
 
     @classmethod
     def blue_399(cls, wavelength=399e-9, linewidth=2 * np.pi * 29e6,
                  lande_g_upper=1.0):
-        return cls("blue_399", wavelength, linewidth,
-                   _saturation_intensity(wavelength, linewidth), lande_g_upper)
+        return cls(wavelength, linewidth, lande_g_upper)
 
 
 @dataclass(frozen=True)
@@ -78,25 +65,19 @@ class AtomEnsemble:
     """Trapped cloud: size, temperature and species mass.
 
     ``cloud_radius_rms`` is the per-axis rms radius of the (isotropic)
-    Gaussian density profile.
+    Gaussian density profile.  The atom number belongs to the operating
+    point (:class:`motlaser.gain.OperatingPoint`).
     """
 
-    total_atoms: float
     cloud_radius_rms: float    # m
     temperature: float         # K
     species_mass: float = MASS_YB174  # kg
 
     def __post_init__(self):
-        if self.total_atoms < 0:
-            raise ValueError("total_atoms must be >= 0")
         if self.cloud_radius_rms <= 0:
             raise ValueError("cloud_radius_rms must be positive")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
-
-
-def _saturation_intensity(wavelength, linewidth):
-    return 2.0 * np.pi**2 * sc.hbar * sc.c * linewidth / (3.0 * wavelength**3)
 
 
 def saturation_intensity(transition: TransitionSpec) -> float:
@@ -105,9 +86,8 @@ def saturation_intensity(transition: TransitionSpec) -> float:
     I_sat = 2 pi^2 hbar c Gamma / (3 lambda^3), evaluated from the
     transition's wavelength and natural linewidth.
     """
-    if transition.wavelength <= 0 or transition.linewidth <= 0:
-        raise ValueError("wavelength and linewidth must be positive")
-    return _saturation_intensity(transition.wavelength, transition.linewidth)
+    return (2.0 * np.pi**2 * sc.hbar * sc.c * transition.linewidth
+            / (3.0 * transition.wavelength**3))
 
 
 def saturation_parameter(power: float, waist_radius: float, i_sat: float) -> float:

@@ -179,13 +179,15 @@ def cmd_map(args) -> int:
 
 
 def cmd_threshold(args) -> int:
+    if args.min < 0:
+        raise ConfigError("threshold scan needs min >= 0")
+    if args.max <= args.min:
+        raise ConfigError("threshold scan needs max > min")
     cfg = _load_cfg(args)
     system = cfg.system()
     calib = load_calibration(args.calibration, cfg)
     op = cfg.operating_point()
     families = cfg.families()
-    if args.max <= args.min:
-        raise ConfigError("threshold scan needs max > min")
     xs = np.linspace(args.min, args.max, args.points)
     table = ScanResultTable(
         [args.vary, "power_w"] + [f"power_tem{n}_w" for n in families])

@@ -20,13 +20,13 @@ from . import geometry
 from .atomics import MASS_YB174, AtomEnsemble, TransitionSpec
 from .errors import ConfigError
 from .gain import LaserSystem, OperatingPoint
-from .geometry import CavityGeometry, MagneticEnvironment
+from .geometry import CavityGeometry
 
 _UNIT_SCALE = {
     "": 1.0,
     "hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9,
     "w": 1.0, "mw": 1e-3, "uw": 1e-6, "nw": 1e-9,
-    "g": 1.0, "g/cm": 1.0,
+    "g": 1.0,
     "m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "nm": 1e-9,
     "k": 1.0, "mk": 1e-3, "uk": 1e-6,
     "s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9,
@@ -34,7 +34,7 @@ _UNIT_SCALE = {
 }
 
 _VALUE_RE = re.compile(
-    r"^\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*([a-zA-Zμ/]*)\s*$")
+    r"^\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*([a-zA-Zμ]*)\s*$")
 
 
 def parse_quantity(text: str) -> float:
@@ -58,11 +58,14 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected on/off, got {text!r}")
 
 
-def _parse_int_list(text: str) -> tuple:
+def _parse_families(text: str) -> tuple:
     try:
-        return tuple(int(tok) for tok in str(text).split(",") if tok.strip())
+        values = tuple(int(tok) for tok in str(text).split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"malformed integer list {text!r}") from exc
+    if any(v < 0 for v in values):
+        raise ConfigError(f"family indices must be >= 0, got {text!r}")
+    return values
 
 
 def _parse_polarization(text: str):
@@ -95,8 +98,6 @@ _KEYS = {
     "cloud_radius": (parse_quantity, "1 mm", "rms cloud radius per axis"),
     "temperature": (parse_quantity, "2 mK", "cloud temperature"),
     "atom_mass": (parse_quantity, repr(MASS_YB174), "species mass, kg"),
-    "mot_gradient": (parse_quantity, "36 G/cm",
-                     "axial quadrupole gradient (radial is half)"),
     "mot_detuning": (parse_quantity, "-35 MHz", "trap beam detuning"),
     "mot_saturation": (parse_quantity, "3.0",
                        "total trap drive, six beams x 0.5 I_sat"),
@@ -111,14 +112,13 @@ _KEYS = {
     "cavity_linewidth": (parse_quantity, "70 kHz",
                          "energy decay linewidth (ordinary frequency)"),
     "cavity_waist": (parse_quantity, "90 um", "TEM0 waist radius"),
-    "cavity_length": (parse_quantity, "4.78 cm", "mirror spacing"),
     "cavity_coupling": (parse_quantity, "30 kHz",
                         "single-atom coupling (ordinary frequency)"),
     "cavity_output_fraction": (parse_quantity, "0.05",
                                "output power fraction per mirror"),
     "family_spacing": (parse_quantity, "6.9 MHz",
                        "frequency spacing of co-resonant TEM families"),
-    "families": (_parse_int_list, "0,37,74,111",
+    "families": (_parse_families, "0,37,74,111",
                  "TEM families included in steady-state solves"),
     "b_offset_x": (parse_quantity, "2.38 G", "offset field, cavity axis"),
     "b_offset_y": (parse_quantity, "0 G", "offset field, y"),
@@ -126,7 +126,6 @@ _KEYS = {
     "green_wavelength": (parse_quantity, "556 nm", "narrow-line wavelength"),
     "green_linewidth": (parse_quantity, "182 kHz",
                         "narrow-line natural width (ordinary frequency)"),
-    "blue_wavelength": (parse_quantity, "399 nm", "broad-line wavelength"),
     "blue_linewidth": (parse_quantity, "29 MHz",
                        "broad-line natural width (ordinary frequency)"),
     "lande_g": (parse_quantity, "1.5", "upper-level Lande factor"),
@@ -163,31 +162,24 @@ class RunConfig:
                                         self["lande_g"])
 
     def blue(self) -> TransitionSpec:
-        return TransitionSpec.blue_399(self["blue_wavelength"],
-                                       2 * np.pi * self["blue_linewidth"])
+        return TransitionSpec.blue_399(
+            linewidth=2 * np.pi * self["blue_linewidth"])
 
     def ensemble(self) -> AtomEnsemble:
-        return AtomEnsemble(self["total_atoms"], self["cloud_radius"],
-                            self["temperature"], self["atom_mass"])
+        return AtomEnsemble(self["cloud_radius"], self["temperature"],
+                            self["atom_mass"])
 
     def cavity(self) -> CavityGeometry:
         return CavityGeometry(
-            waist_radius=self["cavity_waist"], length=self["cavity_length"],
+            waist_radius=self["cavity_waist"],
             kappa=2 * np.pi * self["cavity_linewidth"],
             single_atom_coupling=2 * np.pi * self["cavity_coupling"],
             output_fraction=self["cavity_output_fraction"],
             family_spacing=self["family_spacing"])
 
-    def magnetic(self) -> MagneticEnvironment:
-        return MagneticEnvironment(
-            radial_gradient=self["mot_gradient"] / 2.0,
-            offset_field=(self["b_offset_x"], self["b_offset_y"],
-                          self["b_offset_z"]))
-
     def system(self) -> LaserSystem:
         return LaserSystem(green=self.green(), blue=self.blue(),
                            ensemble=self.ensemble(), cavity=self.cavity(),
-                           magnetic=self.magnetic(),
                            pump_waist=self["pump_waist"],
                            include_pump_doppler=self["pump_doppler"])
 

@@ -42,7 +42,7 @@ from scipy.optimize import minimize_scalar
 from . import atomics, geometry
 from .atomics import AtomEnsemble, TransitionSpec
 from .errors import CalibrationError, NoThresholdError, SolverError
-from .geometry import BeamGeometry, CavityGeometry, MagneticEnvironment
+from .geometry import BeamGeometry, CavityGeometry
 
 SUBLEVELS = (-1, 0, 1)
 
@@ -83,16 +83,18 @@ class LaserSystem:
     green: TransitionSpec = field(default_factory=TransitionSpec.green_556)
     blue: TransitionSpec = field(default_factory=TransitionSpec.blue_399)
     ensemble: AtomEnsemble = field(default_factory=lambda: AtomEnsemble(
-        total_atoms=20e3, cloud_radius_rms=1e-3, temperature=2e-3))
+        cloud_radius_rms=1e-3, temperature=2e-3))
     cavity: CavityGeometry = field(default_factory=CavityGeometry)
-    magnetic: MagneticEnvironment = field(default_factory=MagneticEnvironment)
     pump_waist: float = 2.4e-3
     pump_propagation: tuple = (0.0, 0.0, 1.0)
     include_pump_doppler: bool = False
 
+    def __post_init__(self):
+        if self.pump_waist <= 0:
+            raise ValueError("pump_waist must be positive")
+
     def pump_beam(self, op: OperatingPoint) -> BeamGeometry:
-        return BeamGeometry(self.pump_propagation, op.pump_polarization,
-                            op.pump_power, self.pump_waist, op.pump_detuning)
+        return BeamGeometry(self.pump_propagation, op.pump_polarization)
 
     def pump_doppler_sigma(self) -> float:
         if not self.include_pump_doppler:
@@ -130,15 +132,10 @@ class GainBreakdown:
 
     family: int
     per_channel: dict            # m -> rate
-    kappa: float
 
     @property
     def total(self) -> float:
         return sum(self.per_channel.values())
-
-    @property
-    def above_threshold(self) -> bool:
-        return self.total >= self.kappa
 
 
 @dataclass(frozen=True)
@@ -269,8 +266,7 @@ def mode_gain(op: OperatingPoint, family: int, system: LaserSystem,
     """
     kernel = _GainKernel(op, (family,), system, calib)
     rates = kernel.channel_gains(op.pump_detuning, op.cavity_detuning)[0]
-    return GainBreakdown(family, dict(zip(SUBLEVELS, map(float, rates))),
-                         system.cavity.kappa)
+    return GainBreakdown(family, dict(zip(SUBLEVELS, map(float, rates))))
 
 
 def family_gains(op: OperatingPoint, families, system: LaserSystem,

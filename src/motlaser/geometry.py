@@ -1,4 +1,4 @@
-"""Spatial and polarization layer: trap field, selection rules, mode overlap.
+"""Spatial and polarization layer: selection rules and mode overlap.
 
 Lab frame
 ---------
@@ -6,7 +6,9 @@ The cavity axis is horizontal and defines x.  The pump beam propagates
 vertically (z), which is also the symmetry axis of the trap coils; y
 completes the right-handed frame.  The cavity's 45-degree tilt against the
 horizontal trap beams lies in the horizontal plane and plays no role for a
-vertical pump, so it is ignored here.
+vertical pump, so it is ignored here.  The magnetic field enters only as
+the uniform offset at the active region (see
+:class:`motlaser.gain.OperatingPoint`).
 
 Circular-polarization sign table
 --------------------------------
@@ -35,46 +37,8 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
-class LabFrame:
-    """Right-handed orthonormal frame (cavity axis, y, vertical)."""
-
-    cavity_axis: tuple = (1.0, 0.0, 0.0)
-    vertical: tuple = (0.0, 0.0, 1.0)
-
-    def __post_init__(self):
-        x = np.asarray(self.cavity_axis, float)
-        z = np.asarray(self.vertical, float)
-        if not (np.isclose(np.linalg.norm(x), 1.0)
-                and np.isclose(np.linalg.norm(z), 1.0)
-                and np.isclose(np.dot(x, z), 0.0)):
-            raise ValueError("cavity_axis and vertical must be orthonormal")
-
-    @property
-    def y(self):
-        return np.cross(np.asarray(self.vertical, float),
-                        np.asarray(self.cavity_axis, float))
-
-
-@dataclass(frozen=True)
-class MagneticEnvironment:
-    """Quadrupole trap field plus a uniform offset.
-
-    ``radial_gradient`` is the gradient along the two radial directions in
-    G/cm; the gradient along the (vertical) coil axis is twice that, so a
-    quoted axial gradient of 36 G/cm means radial_gradient = 18.
-    """
-
-    radial_gradient: float = 18.0        # G/cm
-    offset_field: tuple = (0.0, 0.0, 0.0)  # G
-
-    def __post_init__(self):
-        if self.radial_gradient < 0:
-            raise ValueError("radial_gradient must be >= 0")
-
-
-@dataclass(frozen=True)
 class BeamGeometry:
-    """A Gaussian beam: direction, Jones polarization, power, waist, detuning.
+    """A beam's direction and Jones polarization.
 
     The Jones vector lives in the beam's transverse plane with the basis
     returned by :func:`beam_transverse_basis`; for a vertical beam that
@@ -84,9 +48,6 @@ class BeamGeometry:
 
     propagation: tuple
     polarization: tuple           # complex Jones pair, unit norm
-    power: float                  # W
-    waist_radius: float           # m
-    detuning: float = 0.0         # Hz
 
     def __post_init__(self):
         n = np.asarray(self.propagation, float)
@@ -95,8 +56,6 @@ class BeamGeometry:
         j = np.asarray(self.polarization, complex)
         if j.shape != (2,) or not np.isclose(np.linalg.norm(j), 1.0):
             raise ValueError("polarization must be a unit-norm Jones pair")
-        if self.power < 0 or self.waist_radius <= 0:
-            raise ValueError("power must be >= 0 and waist_radius positive")
 
     def field_vector(self):
         """Complex 3-vector of the polarization in the lab frame."""
@@ -117,7 +76,6 @@ class CavityGeometry:
 
     axis: tuple = (1.0, 0.0, 0.0)
     waist_radius: float = 90e-6          # m
-    length: float = 4.78e-2              # m
     kappa: float = 2 * np.pi * 70e3      # rad/s, energy decay
     single_atom_coupling: float = 2 * np.pi * 30e3  # rad/s
     output_fraction: float = 0.05        # per mirror
@@ -125,15 +83,11 @@ class CavityGeometry:
     family_step: int = 37
 
     def __post_init__(self):
-        if min(self.waist_radius, self.length, self.kappa,
+        if min(self.waist_radius, self.kappa,
                self.single_atom_coupling, self.family_spacing) <= 0:
             raise ValueError("cavity dimensions and rates must be positive")
         if not 0 < self.output_fraction <= 1:
             raise ValueError("output_fraction must be in (0, 1]")
-
-    def cooperativity(self, linewidth: float) -> float:
-        """Single-atom coupling parameter C = g^2 / (kappa * Gamma)."""
-        return self.single_atom_coupling**2 / (self.kappa * linewidth)
 
 
 @dataclass(frozen=True)
@@ -187,19 +141,6 @@ def jones_circular(handedness: int):
     if handedness not in (-1, 1):
         raise ValueError("handedness must be +1 or -1")
     return (complex(1 / np.sqrt(2)), handedness * 1j / np.sqrt(2))
-
-
-def quadrupole_field(env: MagneticEnvironment, position) -> np.ndarray:
-    """Trap magnetic field in gauss at a lab-frame position (m).
-
-    B = b' (x, y, -2z) + offset with b' the radial gradient; the field
-    vanishes at the trap center when no offset is applied and is exactly
-    divergence-free.
-    """
-    p = np.asarray(position, float)
-    grad_per_m = env.radial_gradient * 100.0  # G/cm -> G/m
-    quad = grad_per_m * np.array([p[0], p[1], -2.0 * p[2]])
-    return quad + np.asarray(env.offset_field, float)
 
 
 def _spherical_basis(b_dir):
@@ -285,22 +226,6 @@ def classify_jones(jones, tol=1e-6) -> PolarizationLabel:
             return PolarizationLabel("V", 90.0)
         return PolarizationLabel("linear", angle)
     return PolarizationLabel("elliptical", angle, 1 if s3 > 0 else -1)
-
-
-def jones_of_label(label: PolarizationLabel):
-    """Jones vector of a pure label (inverse of classify_jones)."""
-    if label.kind == "H":
-        return np.array([1.0 + 0j, 0.0j])
-    if label.kind == "V":
-        return np.array([0.0j, 1.0 + 0j])
-    if label.kind == "R":
-        return np.array([1.0, -1j]) / np.sqrt(2.0)
-    if label.kind == "L":
-        return np.array([1.0, 1j]) / np.sqrt(2.0)
-    if label.kind == "linear":
-        a = np.deg2rad(label.angle_deg)
-        return np.array([np.cos(a) + 0j, np.sin(a) + 0j])
-    raise ValueError(f"label {label} has no unique Jones vector")
 
 
 # ---------------------------------------------------------------------------

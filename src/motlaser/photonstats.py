@@ -252,17 +252,18 @@ def _pair_hist_numpy(fa, fb, kmax, hist, chunk=500_000):
     lo = np.searchsorted(fb, fa - kmax, side="left")
     hi = np.searchsorted(fb, fa + kmax, side="right")
     counts = hi - lo
+    # cum[i] = pairs of the first i a-clicks; a chunk is the longest run
+    # of a-clicks whose pairs fit in ``chunk``, and at least one click
+    cum = np.concatenate(([0], np.cumsum(counts)))
     i0 = 0
     while i0 < fa.size:
-        i1 = i0 + 1
-        block = int(counts[i0])
-        while i1 < fa.size and block + counts[i1] <= chunk:
-            block += int(counts[i1])
-            i1 += 1
+        i1 = max(i0 + 1, int(np.searchsorted(cum, cum[i0] + chunk,
+                                             side="right")) - 1)
+        block = int(cum[i1] - cum[i0])
         if block:
             # concatenated aranges [lo_i, hi_i) for the chunk
             c = counts[i0:i1]
-            starts = np.repeat(np.cumsum(c) - c, c)
+            starts = np.repeat(cum[i0:i1] - cum[i0], c)
             idx = np.repeat(lo[i0:i1], c) + np.arange(block) - starts
             delta = fb[idx] - np.repeat(fa[i0:i1], c) + kmax
             hist += np.bincount(delta, minlength=hist.size).astype(np.int64)
@@ -427,9 +428,9 @@ def write_clickstream_text(stream: ClickStream, path) -> None:
             fh.write(f"{float(t)!r}\n")
 
 
-def read_clickstream_text(path, detector_id: int = 0,
-                          duration: float | None = None) -> ClickStream:
+def read_clickstream_text(path, detector_id: int = 0, *,
+                          duration: float) -> ClickStream:
+    """Read the plain-text format.  The file holds no duration, and the g2
+    normalization depends on it, so the caller supplies it."""
     times = np.loadtxt(path, ndmin=1, dtype=np.float64)
-    if duration is None:
-        duration = float(times[-1]) if times.size else 1.0
     return ClickStream(detector_id, times, duration)

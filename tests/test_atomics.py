@@ -30,18 +30,16 @@ class TestSaturationIntensity:
 
     def test_homogeneity(self):
         base = saturation_intensity(GREEN)
-        doubled = TransitionSpec("green_556", 556e-9, 2 * GREEN.linewidth,
-                                 1.0, 1.5)
+        doubled = TransitionSpec(556e-9, 2 * GREEN.linewidth, 1.5)
         assert saturation_intensity(doubled) == pytest.approx(2 * base)
-        stretched = TransitionSpec("green_556", 2 * 556e-9, GREEN.linewidth,
-                                   1.0, 1.5)
+        stretched = TransitionSpec(2 * 556e-9, GREEN.linewidth, 1.5)
         assert saturation_intensity(stretched) == pytest.approx(base / 8)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            TransitionSpec("green_556", -1.0, GREEN.linewidth, 1.0, 1.5)
+            TransitionSpec(-1.0, GREEN.linewidth, 1.5)
         with pytest.raises(ValueError):
-            TransitionSpec("green_556", 556e-9, 0.0, 1.0, 1.5)
+            TransitionSpec(556e-9, 0.0, 1.5)
 
 
 class TestSaturationParameter:
@@ -146,8 +144,6 @@ class TestExcitedPopulation:
 
 def test_atom_ensemble_validation():
     with pytest.raises(ValueError):
-        atomics.AtomEnsemble(-1, 1e-3, 2e-3)
+        atomics.AtomEnsemble(0.0, 2e-3)
     with pytest.raises(ValueError):
-        atomics.AtomEnsemble(100, 0.0, 2e-3)
-    with pytest.raises(ValueError):
-        atomics.AtomEnsemble(100, 1e-3, 0.0)
+        atomics.AtomEnsemble(1e-3, 0.0)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from motlaser import gain
 from motlaser.cli import main, render_polarization_table
-from motlaser.config import (ConfigError, default_config, load_config,
-                             parse_config_text, parse_quantity)
+from motlaser.config import (_HASH_EXCLUDED, ConfigError, default_config,
+                             load_config, parse_config_text, parse_quantity)
 from motlaser.photonstats import read_clickstream
 from motlaser.results import parse_metadata
 
@@ -320,11 +321,50 @@ def test_bad_g2_window_is_usage_error(workdir, monkeypatch, window):
     assert not (workdir / "g2.csv").exists()
 
 
-@pytest.mark.parametrize("line", ["pump_power = -1mW", "cloud_radius = 0"])
+@pytest.mark.parametrize("line", ["pump_power = -1mW", "cloud_radius = 0",
+                                  "total_atoms = -10", "pump_waist = 0",
+                                  "families = 0,-37"])
 def test_out_of_range_config_value_exit_code(workdir, line):
     bad = workdir / "bad.cfg"
     bad.write_text(line + "\n")
     assert run("--config", str(bad), "calibrate") == 2
+
+
+@pytest.mark.parametrize("vary,bounds", [("pump", ("--min=-1mW", "--max=10mW")),
+                                         ("atoms", ("--min=-10", "--max=3e4"))])
+def test_negative_threshold_min_exit_code(workdir, vary, bounds):
+    calibrated(workdir)
+    assert run("threshold", "--vary", vary, *bounds) == 2
+    assert not (workdir / "threshold.csv").exists()
+
+
+def test_every_hashed_key_changes_an_output():
+    # a key sealed into the calibration hash must move the calibration or
+    # the output at the default operating point; Doppler broadening is on
+    # so that temperature and atom_mass take part
+    base = default_config().replace(pump_doppler=True)
+
+    def outputs(cfg):
+        system, op = cfg.system(), cfg.operating_point()
+        calib = gain.calibrate(system, op)
+        sol = gain.steady_state(op, cfg.families(), system, calib)
+        return (calib.gain_scale, calib.n_sat,
+                *(gain.output_power(sol.photons[n], system.cavity,
+                                    system.green.wavelength)
+                  for n in cfg.families()))
+
+    reference = outputs(base)
+    dead = []
+    for key, value in base.as_dict().items():
+        if key in _HASH_EXCLUDED:
+            continue
+        if isinstance(value, bool):
+            changed = not value
+        else:
+            changed = 0.5 if value == 0 else 1.1 * value
+        if outputs(base.replace(**{key: changed})) == reference:
+            dead.append(key)
+    assert dead == []
 
 
 def test_unknown_config_key_exit_code(workdir):

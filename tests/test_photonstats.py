@@ -278,6 +278,11 @@ class TestG2Cross:
         hist = np.zeros(2 * kmax + 1, np.int64)
         ps._pair_hist_dense(fa, fb, kmax, hist, block=3)
         assert np.array_equal(hist, oracle)
+        # sweep chunks smaller than one click's pairs, and a few pairs wide
+        for chunk in (1, 7):
+            hist = np.zeros(2 * kmax + 1, np.int64)
+            ps._pair_hist_numpy(fa, fb, kmax, hist, chunk=chunk)
+            assert np.array_equal(hist, oracle), chunk
         assert np.array_equal(r_ab.counts, r_ba.counts[::-1])
         # invariance under bin-preserving sharding
         r_sh = g2_cross(a, b, width, 0.05, shards=3)
