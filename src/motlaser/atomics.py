@@ -28,8 +28,8 @@ _GAUSSIAN_FWHM = 2.0 * np.sqrt(2.0 * np.log(2.0))
 
 @dataclass(frozen=True)
 class TransitionSpec:
-    """One optical transition out of the ground state: the narrow green
-    line (pumping and lasing) or the broad blue line (trap beams).
+    """One optical transition out of the ground state, such as the narrow
+    green line (pumping and lasing).
 
     Attributes
     ----------
@@ -54,11 +54,6 @@ class TransitionSpec:
                   lande_g_upper=1.5):
         return cls(wavelength, linewidth, lande_g_upper)
 
-    @classmethod
-    def blue_399(cls, wavelength=399e-9, linewidth=2 * np.pi * 29e6,
-                 lande_g_upper=1.0):
-        return cls(wavelength, linewidth, lande_g_upper)
-
 
 @dataclass(frozen=True)
 class AtomEnsemble:
@@ -80,6 +75,12 @@ class AtomEnsemble:
             raise ValueError("temperature must be positive")
 
 
+def _any_negative(x) -> bool:
+    # a plain comparison for scalars: the gain kernel checks its drives on
+    # every evaluation, and np.any costs microseconds on a scalar
+    return (x < 0).any() if isinstance(x, np.ndarray) else x < 0
+
+
 def saturation_intensity(transition: TransitionSpec) -> float:
     """Two-level saturation intensity, W/m^2.
 
@@ -98,7 +99,7 @@ def saturation_parameter(power: float, waist_radius: float, i_sat: float) -> flo
     reproduces the documented pump drive of ~280 I_sat from 7 mW in a
     2.4 mm beam.
     """
-    if power < 0:
+    if _any_negative(power):
         raise ValueError("power must be >= 0")
     if waist_radius <= 0:
         raise ValueError("waist_radius must be positive")
@@ -145,7 +146,7 @@ def excited_population(detuning: float, s: float, gamma: float,
     doppler_sigma_hz : float
         1D rms Doppler width in Hz; 0 disables the broadening.
     """
-    if s < 0:
+    if _any_negative(s):
         raise ValueError("saturation parameter must be >= 0")
     if gamma <= 0:
         raise ValueError("gamma must be positive")

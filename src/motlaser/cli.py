@@ -183,30 +183,28 @@ def cmd_threshold(args) -> int:
         raise ConfigError("threshold scan needs min >= 0")
     if args.max <= args.min:
         raise ConfigError("threshold scan needs max > min")
+    if args.points < 1:
+        raise ConfigError("threshold scan needs --points >= 1")
     cfg = _load_cfg(args)
     system = cfg.system()
     calib = load_calibration(args.calibration, cfg)
     op = cfg.operating_point()
     families = cfg.families()
     xs = np.linspace(args.min, args.max, args.points)
+    vary = "atoms" if args.vary == "atoms" else "pump_power"
+    sol = gain.threshold_scan(vary, xs, op, families, system, calib)
+    powers = {n: gain.output_power(sol.photons[n], system.cavity,
+                                   system.green.wavelength)
+              for n in families}
     table = ScanResultTable(
         [args.vary, "power_w"] + [f"power_tem{n}_w" for n in families])
-    if args.vary == "atoms":
-        solutions = [gain.steady_state(replace(op, total_atoms=x), families,
-                                       system, calib) for x in xs]
-    else:
-        solutions = gain.pump_power_steady_states(op, xs, families, system,
-                                                  calib)
-    for x, sol in zip(xs, solutions):
-        powers = {n: gain.output_power(sol.photons[n], system.cavity,
-                                       system.green.wavelength)
-                  for n in families}
-        table.add_row(float(x), sum(powers.values()),
-                      *[powers[n] for n in families])
+    for i, x in enumerate(xs):
+        row = {n: float(p[i]) for n, p in powers.items()}
+        table.add_row(float(x), sum(row.values()),
+                      *[row[n] for n in families])
     thresholds = {}
     for n in families:
         try:
-            vary = "atoms" if args.vary == "atoms" else "pump_power"
             thresholds[n] = gain.threshold_solve(
                 vary, op, system, calib, family=n, lo=args.min, hi=args.max)
         except MotlaserError:
@@ -320,9 +318,13 @@ def cmd_polarization_table(args) -> int:
     cfg = _load_cfg(args)
     extra = []
     for field_text in args.extra_b or []:
-        parts = [float(tok) for tok in field_text.split(",")]
-        if len(parts) != 3:
-            raise ConfigError(f"--extra-b expects X,Y,Z, got {field_text!r}")
+        try:
+            parts = [float(tok) for tok in field_text.split(",")]
+            if len(parts) != 3:
+                raise ValueError
+        except ValueError:
+            raise ConfigError(
+                f"--extra-b expects X,Y,Z, got {field_text!r}") from None
         if not any(parts):
             raise QuantizationAxisError(
                 "quantization axis undefined: --extra-b field is zero")
@@ -343,8 +345,7 @@ def _resolve_tau_c(args, cfg: RunConfig, calib) -> float:
     if args.washout_g2 is not None:
         return photonstats.invert_washout(args.washout_g2, args.bin)
     system = cfg.system()
-    sol = gain.steady_state(cfg.operating_point(), (0,), system, calib)
-    g0 = sol.gains[0]
+    g0 = gain.mode_gain(cfg.operating_point(), 0, system, calib).total
     kappa = system.cavity.kappa
     if g0 >= kappa:
         raise PhysicsError(
@@ -363,6 +364,8 @@ def cmd_g2(args) -> int:
     if args.duration - round(args.max_lag / args.bin) * args.bin <= 0:
         raise ConfigError("--max-lag (rounded to whole bins) must be "
                           "shorter than --duration")
+    if args.washout_g2 is not None and not 1.0 < args.washout_g2 < 2.0:
+        raise ConfigError("--washout-g2 must be strictly between 1 and 2")
     cfg = _load_cfg(args)
     seed = cfg.seed()
     if args.regime == "below":

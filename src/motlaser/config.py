@@ -161,10 +161,6 @@ class RunConfig:
                                         2 * np.pi * self["green_linewidth"],
                                         self["lande_g"])
 
-    def blue(self) -> TransitionSpec:
-        return TransitionSpec.blue_399(
-            linewidth=2 * np.pi * self["blue_linewidth"])
-
     def ensemble(self) -> AtomEnsemble:
         return AtomEnsemble(self["cloud_radius"], self["temperature"],
                             self["atom_mass"])
@@ -178,7 +174,8 @@ class RunConfig:
             family_spacing=self["family_spacing"])
 
     def system(self) -> LaserSystem:
-        return LaserSystem(green=self.green(), blue=self.blue(),
+        return LaserSystem(green=self.green(),
+                           broad_linewidth=2 * np.pi * self["blue_linewidth"],
                            ensemble=self.ensemble(), cavity=self.cavity(),
                            pump_waist=self["pump_waist"],
                            include_pump_doppler=self["pump_doppler"])

@@ -30,7 +30,6 @@ measurements show.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -81,7 +80,7 @@ class LaserSystem:
     """Everything about the apparatus that an operating point does not vary."""
 
     green: TransitionSpec = field(default_factory=TransitionSpec.green_556)
-    blue: TransitionSpec = field(default_factory=TransitionSpec.blue_399)
+    broad_linewidth: float = 2 * np.pi * 29e6   # broad-line natural width, rad/s
     ensemble: AtomEnsemble = field(default_factory=lambda: AtomEnsemble(
         cloud_radius_rms=1e-3, temperature=2e-3))
     cavity: CavityGeometry = field(default_factory=CavityGeometry)
@@ -92,6 +91,8 @@ class LaserSystem:
     def __post_init__(self):
         if self.pump_waist <= 0:
             raise ValueError("pump_waist must be positive")
+        if self.broad_linewidth <= 0:
+            raise ValueError("broad_linewidth must be positive")
 
     def pump_beam(self, op: OperatingPoint) -> BeamGeometry:
         return BeamGeometry(self.pump_propagation, op.pump_polarization)
@@ -140,21 +141,11 @@ class GainBreakdown:
 
 @dataclass(frozen=True)
 class LaserSolution:
-    """Steady state of the coupled family rate equations."""
+    """Steady state of the coupled family rate equations; along a scan,
+    each value is an array over the scan points."""
 
     photons: dict                # N -> photon number
     gains: dict                  # N -> unsaturated gain rate (1/s)
-    lasing: dict                 # N -> bool (gain exceeds cavity loss)
-    saturation: float            # sum(n)/n_sat at the fixed point
-    kappa: float
-
-    @property
-    def total_photons(self) -> float:
-        return sum(self.photons.values())
-
-    @property
-    def lasing_families(self) -> tuple:
-        return tuple(sorted(n for n, on in self.lasing.items() if on))
 
 
 def two_photon_resonance(pump_detuning: float, mot_detuning: float) -> float:
@@ -172,17 +163,18 @@ def _lorentzian(delta_hz, fwhm_rad: float):
 
 
 class _GainKernel:
-    """The gain model at one operating point, over arrays of detunings.
+    """The gain model over arrays of its four scan variables: the pump and
+    cavity detunings, the pump power and the atom number.
 
-    The factors that depend on neither detuning are computed once here:
-    per family the overlap, g_N^2 and frequency offset, per channel the
-    drive w_m * s_pump, the Zeeman shift and E_m.  :meth:`channel_gains`
-    then broadcasts rho_ee and the two-photon Lorentzian over any pump and
-    cavity detuning arrays.  The product keeps the operand order of the
-    formula in the module docstring, so a grid cell equals the same cell
-    evaluated alone, bit for bit.  Families are kept sorted and distinct,
-    the order in which the steady state sums them.  The pump power enters
-    only the drives, so :meth:`with_pump_power` re-derives just those.
+    The factors that depend on none of them are computed once here: per
+    family the overlap, g_N^2 and frequency offset, per channel the
+    polarization weight w_m, the Zeeman shift and E_m.  :meth:`channel_gains`
+    then broadcasts the drive w_m * s_pump, rho_ee, the atom-number
+    prefactor and the two-photon Lorentzian over any arrays of the four.
+    The products keep the operand order of the formula in the module
+    docstring, so an element of a scan equals the same point evaluated
+    alone, bit for bit.  Families are kept sorted and distinct, the order
+    in which the steady state sums them.
     """
 
     def __init__(self, op: OperatingPoint, families, system: LaserSystem,
@@ -194,7 +186,6 @@ class _GainKernel:
         self._weights = geometry.pump_excitation_weights(
             system.pump_beam(op), b)
         self._i_sat = atomics.saturation_intensity(system.green)
-        self._drives = self._pump_drives(op.pump_power)
         self._channels = []
         for m in SUBLEVELS:
             shift = atomics.zeeman_shift(system.green.lande_g_upper, m, b_mag)
@@ -210,52 +201,47 @@ class _GainKernel:
             g_family_sq = system.cavity.single_atom_coupling**2 * peak_ratio
             offset = geometry.transverse_mode_frequency(
                 n, system.cavity.family_spacing, system.cavity.family_step)
-            self._families.append(
-                (calib.gain_scale * op.total_atoms * fraction * g_family_sq,
-                 offset))
+            self._families.append((fraction, g_family_sq, offset))
         self._doppler = system.pump_doppler_sigma()
 
-    def _pump_drives(self, pump_power: float) -> list:
-        """Drive w_m * s_pump of each channel, m = -1, 0, +1."""
-        s_pump = atomics.saturation_parameter(
-            pump_power, self._system.pump_waist, self._i_sat)
-        return [w * s_pump for w in self._weights]
-
-    def with_pump_power(self, pump_power: float) -> "_GainKernel":
-        """This kernel at another pump power; it equals a kernel built
-        at that power, bit for bit."""
-        kernel = copy.copy(self)
-        kernel._op = replace(self._op, pump_power=pump_power)
-        kernel._drives = self._pump_drives(pump_power)
-        return kernel
-
-    def channel_gains(self, pump, cavity) -> list:
+    def channel_gains(self, pump, cavity, pump_power, atoms) -> list:
         """Gain rates (m = -1, 0, +1) of each family, 1/s, broadcast over
-        the pump and cavity detuning arrays."""
+        the four scan variables."""
         op, system, calib = self._op, self._system, self._calib
         linewidth = system.green.linewidth
-        rho = [atomics.excited_population(pump - shift, drive, linewidth,
-                                          self._doppler)
-               for drive, (shift, _) in zip(self._drives, self._channels)]
+        s_pump = atomics.saturation_parameter(pump_power, system.pump_waist,
+                                              self._i_sat)
+        rho = [atomics.excited_population(pump - shift, w * s_pump,
+                                          linewidth, self._doppler)
+               for w, (shift, _) in zip(self._weights, self._channels)]
         out = []
-        for prefactor, offset in self._families:
+        for fraction, g_family_sq, offset in self._families:
+            prefactor = calib.gain_scale * atoms * fraction * g_family_sq
             delta_two_photon = (cavity + offset - pump - op.mot_detuning
                                 - calib.resonance_offset)
-            lorentz = _lorentzian(delta_two_photon, system.blue.linewidth)
+            lorentz = _lorentzian(delta_two_photon, system.broad_linewidth)
             out.append([prefactor * r * strength * op.mot_saturation
                         * lorentz / linewidth
                         for r, (_, strength) in zip(rho, self._channels)])
         return out
 
-    def gains(self, pump, cavity) -> np.ndarray:
+    def gains(self, pump, cavity, pump_power, atoms) -> np.ndarray:
         """Total gain per family, stacked along axis 0 of the broadcast
-        detuning shape; the channels are summed m = -1, 0, +1."""
-        shape = np.broadcast_shapes(np.shape(pump), np.shape(cavity))
+        shape; the channels are summed m = -1, 0, +1."""
+        shape = np.broadcast(pump, cavity, pump_power, atoms).shape
         out = np.empty((len(self.families),) + shape)
         for k, (g_minus, g_zero, g_plus) in enumerate(
-                self.channel_gains(pump, cavity)):
+                self.channel_gains(pump, cavity, pump_power, atoms)):
             out[k] = g_minus + g_zero + g_plus
         return out
+
+    def solve(self, pump, cavity, pump_power, atoms):
+        """Gains, per-family photon numbers and solved mask, broadcast
+        over the four scan variables."""
+        kappa = self._system.cavity.kappa
+        g = self.gains(pump, cavity, pump_power, atoms)
+        s_tot = _saturation(g, kappa, self._calib.n_sat)
+        return g, _photons(g, s_tot, kappa), ~np.isnan(s_tot)
 
 
 def mode_gain(op: OperatingPoint, family: int, system: LaserSystem,
@@ -265,15 +251,9 @@ def mode_gain(op: OperatingPoint, family: int, system: LaserSystem,
     Raises :class:`QuantizationAxisError` when the offset field is zero.
     """
     kernel = _GainKernel(op, (family,), system, calib)
-    rates = kernel.channel_gains(op.pump_detuning, op.cavity_detuning)[0]
+    rates = kernel.channel_gains(op.pump_detuning, op.cavity_detuning,
+                                 op.pump_power, op.total_atoms)[0]
     return GainBreakdown(family, dict(zip(SUBLEVELS, map(float, rates))))
-
-
-def family_gains(op: OperatingPoint, families, system: LaserSystem,
-                 calib: CalibrationConstants) -> dict:
-    kernel = _GainKernel(op, families, system, calib)
-    g = kernel.gains(op.pump_detuning, op.cavity_detuning)
-    return dict(zip(kernel.families, g.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -349,67 +329,46 @@ def _saturation(gains: np.ndarray, kappa: float, n_sat: float) -> np.ndarray:
     return np.where(solved, s_tot, np.nan)
 
 
-def _steady_state_from_gains(gains: dict, kappa: float,
-                             n_sat: float) -> LaserSolution:
-    """Fixed point of dn_i/dt = (G_i/(1 + S) - kappa) n_i + G_i, S = sum n/n_sat.
-
-    One element of :func:`_saturation`.  Raises :class:`SolverError`
-    when the solve fails.
-    """
-    names = sorted(gains)
-    g = np.array([gains[n] for n in names], float)
-    if np.any(g < 0):
-        raise ValueError("gain rates must be >= 0")
-    s_root = float(_saturation(g, kappa, n_sat))
-    if math.isnan(s_root):
-        raise SolverError("saturation fixed point not found",
-                          last_iterate=s_root)
-    n = _photons(g, s_root, kappa)
-    return LaserSolution(
-        photons=dict(zip(names, n.tolist())),
-        gains=dict(zip(names, g.tolist())),
-        lasing={name: bool(gi >= kappa) for name, gi in zip(names, g)},
-        saturation=s_root,
-        kappa=kappa,
-    )
-
-
 def steady_state(op: OperatingPoint, families, system: LaserSystem,
                  calib: CalibrationConstants) -> LaserSolution:
     """Steady-state photon numbers of the requested TEM families.
 
     Families with gain below the cavity loss settle on the amplified-
     spontaneous-emission branch n = G/(kappa - G); lasing families clamp
-    the shared saturation.
+    the shared saturation.  This is the one-point case of
+    :func:`threshold_scan`; raises :class:`SolverError` when the solve
+    fails.
     """
-    gains = family_gains(op, families, system, calib)
-    return _steady_state_from_gains(gains, system.cavity.kappa, calib.n_sat)
+    return threshold_scan("atoms", op.total_atoms, op, families, system,
+                          calib)
 
 
-def pump_power_steady_states(op: OperatingPoint, powers, families,
-                             system: LaserSystem,
-                             calib: CalibrationConstants) -> list:
-    """:func:`steady_state` at each pump power, from one gain kernel.
+def threshold_scan(vary: str, values, op: OperatingPoint, families,
+                   system: LaserSystem,
+                   calib: CalibrationConstants) -> LaserSolution:
+    """:func:`steady_state` along ``atoms`` or ``pump_power`` values.
 
-    Each solution equals :func:`steady_state` at that power, bit for bit.
+    One gain kernel and one elementwise solve serve the whole scan.  Each
+    family maps to an array over ``values`` whose elements equal
+    :func:`steady_state` at that point, bit for bit.  Raises
+    :class:`SolverError` when any point fails.
     """
+    x = np.asarray(values, float)
+    if np.any(x < 0):
+        raise ValueError(f"{vary} must be >= 0")
+    if vary == "atoms":
+        pump_power, atoms = op.pump_power, x
+    elif vary == "pump_power":
+        pump_power, atoms = x, op.total_atoms
+    else:
+        raise ValueError("vary must be 'atoms' or 'pump_power'")
     kernel = _GainKernel(op, families, system, calib)
-    out = []
-    for power in powers:
-        g = kernel.with_pump_power(power).gains(op.pump_detuning,
-                                                op.cavity_detuning)
-        out.append(_steady_state_from_gains(
-            dict(zip(kernel.families, g.tolist())), system.cavity.kappa,
-            calib.n_sat))
-    return out
-
-
-def _solve_grid(kernel: _GainKernel, pump, cavity, kappa: float,
-                n_sat: float):
-    """Gains, per-family photon numbers and solved mask over a grid."""
-    g = kernel.gains(pump, cavity)
-    s_tot = _saturation(g, kappa, n_sat)
-    return g, _photons(g, s_tot, kappa), ~np.isnan(s_tot)
+    g, n, ok = kernel.solve(op.pump_detuning, op.cavity_detuning,
+                            pump_power, atoms)
+    if not ok.all():
+        raise SolverError("saturation fixed point not found")
+    return LaserSolution(dict(zip(kernel.families, n)),
+                         dict(zip(kernel.families, g)))
 
 
 def output_power(n_photons, cavity: CavityGeometry,
@@ -501,11 +460,16 @@ def threshold_solve(vary: str, op: OperatingPoint, system: LaserSystem,
     already exceeds the loss at ``lo``.
     """
     kappa = system.cavity.kappa
+    kernel = _GainKernel(op, (family,), system, calib)
+
+    def gain_at(pump_power, atoms):
+        return float(kernel.gains(op.pump_detuning, op.cavity_detuning,
+                                  pump_power, atoms)[0])
+
     if vary == "atoms":
         lo = 1.0 if lo is None else lo
         cap = 1e12
-        unit = mode_gain(replace(op, total_atoms=1.0), family, system,
-                         calib).total
+        unit = gain_at(op.pump_power, 1.0)
         threshold = kappa / unit if unit > 0.0 else math.inf
         if not threshold <= cap:
             raise NoThresholdError(
@@ -520,12 +484,9 @@ def threshold_solve(vary: str, op: OperatingPoint, system: LaserSystem,
     lo = 1e-12 if lo is None else lo
     hi = max(op.pump_power, 10.0 * lo) if hi is None else hi
     cap = 1e3
-    kernel = _GainKernel(op, (family,), system, calib)
 
     def excess(x):
-        g = kernel.with_pump_power(x).gains(op.pump_detuning,
-                                            op.cavity_detuning)
-        return float(g[0]) - kappa
+        return gain_at(x, op.total_atoms) - kappa
 
     while excess(hi) < 0.0:
         hi *= 4.0
@@ -620,8 +581,8 @@ def detuning_map(op: OperatingPoint, system: LaserSystem,
     cav = np.asarray(cavity_detunings, float)
     kappa = system.cavity.kappa
     kernel = _GainKernel(op, families, system, calib)
-    g, n, ok = _solve_grid(kernel, pump[:, None], cav[None, :], kappa,
-                           calib.n_sat)
+    g, n, ok = kernel.solve(pump[:, None], cav[None, :], op.pump_power,
+                            op.total_atoms)
     total = np.zeros((pump.size, cav.size))
     fam_p, fam_las = {}, {}
     for name, g_k, n_k in zip(kernel.families, g, n):
@@ -661,7 +622,7 @@ def _argmax_power(op, system, calib, families, pump_lo, pump_hi,
     kappa = system.cavity.kappa
 
     def photons(dp, dc):
-        g, n, ok = _solve_grid(kernel, dp, dc, kappa, calib.n_sat)
+        g, n, ok = kernel.solve(dp, dc, op.pump_power, op.total_atoms)
         if not ok.all():
             raise SolverError("saturation fixed point not found")
         total = 0.0

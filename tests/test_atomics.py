@@ -9,7 +9,7 @@ from motlaser.atomics import (MASS_YB174, TransitionSpec, doppler_sigma,
                               saturation_parameter, zeeman_shift)
 
 GREEN = TransitionSpec.green_556()
-BLUE = TransitionSpec.blue_399()
+BLUE = TransitionSpec(399e-9, 2 * np.pi * 29e6, 1.0)
 
 
 def closed_form_isat(wavelength, linewidth):
@@ -60,6 +60,8 @@ class TestSaturationParameter:
     def test_invalid(self):
         with pytest.raises(ValueError):
             saturation_parameter(-1.0, 1e-3, 1.0)
+        with pytest.raises(ValueError, match=">= 0"):
+            saturation_parameter(np.array([1.0, -1.0]), 1e-3, 1.0)
         with pytest.raises(ValueError):
             saturation_parameter(1.0, 0.0, 1.0)
 
@@ -140,6 +142,11 @@ class TestExcitedPopulation:
         narrow = excited_population(1e6, 1.0, GREEN.linewidth, 0.0)
         broad = excited_population(1e6, 1.0, GREEN.linewidth, 0.55e6)
         assert broad > narrow
+
+    def test_negative_saturation_rejected(self):
+        for s in (-1.0, np.array([1.0, -1.0])):
+            with pytest.raises(ValueError, match=">= 0"):
+                excited_population(0.0, s, GREEN.linewidth)
 
 
 def test_atom_ensemble_validation():

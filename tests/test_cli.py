@@ -338,6 +338,44 @@ def test_negative_threshold_min_exit_code(workdir, vary, bounds):
     assert not (workdir / "threshold.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("threshold", "--vary", "pump", "--min", "1uW", "--max", "1mW",
+     "--points", "-1"),
+    ("threshold", "--vary", "pump", "--min", "1uW", "--max", "1mW",
+     "--points", "0"),
+    ("g2", "--regime", "below", "--duration", "1s", "--rate", "1000",
+     "--bin", "2.6us", "--max-lag", "13us", "--washout-g2", "3"),
+    ("polarization-table", "--extra-b", "a,b,c"),
+], ids=["negative-points", "zero-points", "washout-above-2", "extra-b-text"])
+def test_bad_option_value_exit_code(workdir, monkeypatch, argv):
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("options must be checked before synthesis")
+
+    monkeypatch.setattr("motlaser.cli.photonstats.simulate_intensity",
+                        no_synthesis)
+    calibrated(workdir)
+    assert run("--out", "out.txt", *argv) == 2
+    assert not (workdir / "out.txt").exists()
+    assert not (workdir / "out.txt.meta.txt").exists()
+
+
+@pytest.mark.parametrize("vary,bounds", [("pump", ("1uW", "1mW")),
+                                         ("atoms", ("0", "3e4"))])
+def test_threshold_scan_is_one_solve(workdir, monkeypatch, vary, bounds):
+    calibrated(workdir)
+    real = gain._saturation
+    calls = {"count": 0}
+
+    def counted(gains, kappa, n_sat):
+        calls["count"] += 1
+        return real(gains, kappa, n_sat)
+
+    monkeypatch.setattr(gain, "_saturation", counted)
+    assert run("threshold", "--vary", vary, "--min", bounds[0],
+               "--max", bounds[1]) == 0
+    assert calls["count"] == 1
+
+
 def test_every_hashed_key_changes_an_output():
     # a key sealed into the calibration hash must move the calibration or
     # the output at the default operating point; Doppler broadening is on

@@ -102,17 +102,25 @@ class TestModeGain:
         assert abs(res.x - center) < 1e3
 
     def test_kernel_at_new_pump_power_bit_for_bit(self, system, op, calib):
+        # one kernel takes the pump power as an argument: each power, alone
+        # or broadcast as an axis, equals a kernel built at that power
         pump = np.linspace(-10e6, 10e6, 21)[:, None]
         cavity = np.linspace(-60e6, 0.0, 31)[None, :]
+        powers = (0.0, 3e-6, 4e-3, 0.2)
         base = gain._GainKernel(op, (0, 37), system, calib)
-        for power in (0.0, 3e-6, 4e-3, 0.2):
-            fresh = gain._GainKernel(replace(op, pump_power=power), (0, 37),
-                                     system, calib)
-            reused = base.with_pump_power(power)
-            assert np.array_equal(reused.gains(pump, cavity),
-                                  fresh.gains(pump, cavity))
+        stacked = base.gains(pump[None], cavity[None],
+                             np.array(powers)[:, None, None], op.total_atoms)
+        for k, power in enumerate(powers):
+            at = replace(op, pump_power=power)
+            fresh = gain._GainKernel(at, (0, 37), system, calib)
+            want = fresh.gains(pump, cavity, at.pump_power, at.total_atoms)
+            assert np.array_equal(
+                base.gains(pump, cavity, power, op.total_atoms), want)
+            assert np.array_equal(stacked[:, k], want)
         with pytest.raises(ValueError):
-            base.with_pump_power(-1e-3)
+            base.gains(pump, cavity, -1e-3, op.total_atoms)
+        with pytest.raises(ValueError):
+            base.gains(pump, cavity, np.array([1e-3, -1e-3]), op.total_atoms)
 
     def test_gain_vanishes_far_from_resonance(self, system, op, calib):
         far = replace(op, cavity_detuning=op.cavity_detuning + 5e9)
@@ -275,30 +283,35 @@ def quadratic_oracle(g, kappa, n_sat):
     return (-b + np.sqrt(b * b - 4 * a * c)) / (2 * a)
 
 
+def solve(gains, n_sat):
+    """Shared saturation S and per-family photon numbers of one column of
+    family gains, from the package's solver."""
+    g = np.asarray(gains, float)
+    s = gain._saturation(g, KAPPA, n_sat)
+    return float(s), gain._photons(g, s, KAPPA)
+
+
 class TestSteadyState:
     def test_single_family_against_quadratic_oracle(self, calib):
         for g_over_k in (0.3, 0.9, 1.5, 2.0, 10.0, 500.0):
-            sol = gain._steady_state_from_gains({0: g_over_k * KAPPA}, KAPPA,
-                                                calib.n_sat)
+            _, n = solve([g_over_k * KAPPA], calib.n_sat)
             oracle = quadratic_oracle(g_over_k * KAPPA, KAPPA, calib.n_sat)
-            assert sol.photons[0] == pytest.approx(oracle, rel=1e-9)
+            assert n[0] == pytest.approx(oracle, rel=1e-9)
 
     def test_twice_threshold_reaches_saturation_number(self, calib):
-        sol = gain._steady_state_from_gains({0: 2 * KAPPA}, KAPPA, calib.n_sat)
-        assert sol.photons[0] == pytest.approx(calib.n_sat, rel=1e-3)
+        _, n = solve([2 * KAPPA], calib.n_sat)
+        assert n[0] == pytest.approx(calib.n_sat, rel=1e-3)
 
     def test_half_threshold_is_one_photon(self, calib):
-        sol = gain._steady_state_from_gains({0: KAPPA / 2}, KAPPA, calib.n_sat)
-        assert sol.photons[0] == pytest.approx(1.0, abs=1e-4)
+        _, n = solve([KAPPA / 2], calib.n_sat)
+        assert n[0] == pytest.approx(1.0, abs=1e-4)
 
     def test_multi_family_fixed_point_residuals(self, calib):
-        gains = {0: 4.0 * KAPPA, 37: 3.0 * KAPPA, 74: 1.2 * KAPPA,
-                 111: 0.4 * KAPPA}
-        sol = gain._steady_state_from_gains(gains, KAPPA, calib.n_sat)
-        s = sum(sol.photons.values()) / calib.n_sat
-        assert s == pytest.approx(sol.saturation, rel=1e-9)
-        for n, g in gains.items():
-            n_i = sol.photons[n]
+        gains = [4.0 * KAPPA, 3.0 * KAPPA, 1.2 * KAPPA, 0.4 * KAPPA]
+        s_root, n = solve(gains, calib.n_sat)
+        s = sum(n) / calib.n_sat
+        assert s == pytest.approx(s_root, rel=1e-9)
+        for g, n_i in zip(gains, n):
             residual = (g / (1 + s) - KAPPA) * n_i + g
             assert abs(residual) <= 1e-9 * max(KAPPA * n_i, g)
 
@@ -310,31 +323,46 @@ class TestSteadyState:
         for power in (0.5 * p0, 0.5 * (p0 + p37), 2.0 * p37):
             sol = steady_state(replace(op, pump_power=power), families,
                                system, calib)
-            sets.append(sol.lasing_families)
+            sets.append(tuple(n for n in families if sol.gains[n] >= KAPPA))
         assert sets == [(), (0,), (0, 37)]
 
-    def test_pump_power_steady_states_bit_for_bit(self, system, op, calib):
+    @staticmethod
+    def _scan_equals_steady_state(vary, field, xs, system, op, calib):
         families = (0, 37, 74)
-        powers = np.concatenate([np.linspace(1e-6, 1e-3, 5),
+        got = gain.threshold_scan(vary, xs, op, families, system, calib)
+        for i, x in enumerate(xs):
+            one = steady_state(replace(op, **{field: x}), families, system,
+                               calib)
+            for n in families:
+                assert got.photons[n][i] == one.photons[n]
+                assert got.gains[n][i] == one.gains[n]
+        with pytest.raises(ValueError):
+            gain.threshold_scan(vary, [1e-3, -1e-3], op, families, system,
+                                calib)
+
+    def test_pump_power_steady_states_bit_for_bit(self, system, op, calib):
+        powers = np.concatenate([np.linspace(0.0, 1e-3, 5),
                                  np.geomspace(2e-3, 50e-3, 4)])
-        got = gain.pump_power_steady_states(op, powers, families, system,
-                                            calib)
-        for power, sol in zip(powers, got):
-            assert sol == steady_state(replace(op, pump_power=power),
-                                       families, system, calib)
+        self._scan_equals_steady_state("pump_power", "pump_power", powers,
+                                       system, op, calib)
+
+    def test_atom_number_steady_states_bit_for_bit(self, system, op, calib):
+        atoms = np.concatenate([np.linspace(0.0, 3e4, 5),
+                                np.geomspace(1e2, 1e6, 4)])
+        self._scan_equals_steady_state("atoms", "total_atoms", atoms,
+                                       system, op, calib)
 
     def test_photon_number_monotone_in_atoms(self, system, op, calib):
         totals = []
         for atoms in np.linspace(2e3, 4e4, 8):
             sol = steady_state(replace(op, total_atoms=atoms), (0,), system,
                                calib)
-            totals.append(sol.total_photons)
+            totals.append(sum(sol.photons.values()))
         assert np.all(np.diff(totals) > 0)
 
     def test_threshold_kink(self, calib):
         def n_of(g_over_k):
-            return gain._steady_state_from_gains(
-                {0: g_over_k * KAPPA}, KAPPA, calib.n_sat).photons[0]
+            return solve([g_over_k * KAPPA], calib.n_sat)[1][0]
 
         below_slope = n_of(0.90) - n_of(0.88)
         above_slope = n_of(1.12) - n_of(1.10)
@@ -343,14 +371,22 @@ class TestSteadyState:
         assert abs(n_of(1.0001) - n_of(0.9999)) < 0.01 * calib.n_sat
 
     def test_negative_gain_rejected(self, calib):
-        with pytest.raises(ValueError):
-            gain._steady_state_from_gains({0: -1.0}, KAPPA, calib.n_sat)
+        # gains come from the kernel and are never negative; a lone
+        # negative gain gives a negative photon number, which fails the solve
+        s_tot = gain._saturation(np.array([[-1.0, KAPPA]]), KAPPA,
+                                 calib.n_sat)
+        assert np.isnan(s_tot[0]) and np.isfinite(s_tot[1])
 
-    def test_non_finite_gain_is_solver_error(self, calib):
+    def test_non_finite_gain_is_solver_error(self, system, op, calib,
+                                             monkeypatch):
         for bad in (np.inf, np.nan):
-            with pytest.raises(SolverError):
-                gain._steady_state_from_gains({0: KAPPA, 37: bad}, KAPPA,
-                                              calib.n_sat)
+            assert np.isnan(gain._saturation(np.array([KAPPA, bad]), KAPPA,
+                                             calib.n_sat))
+        monkeypatch.setattr(gain, "_saturation",
+                            lambda g, kappa, n_sat: np.full(g.shape[1:],
+                                                            np.nan))
+        with pytest.raises(SolverError):
+            steady_state(op, (0, 37), system, calib)
 
 
 EPS = np.finfo(float).eps
@@ -384,28 +420,21 @@ class TestSaturationSolver:
         g, n_sat = case
         batch = gain._saturation(g, KAPPA, n_sat)
         for b in range(g.shape[1]):
-            sol = gain._steady_state_from_gains(dict(enumerate(g[:, b])),
-                                                KAPPA, n_sat)
-            assert batch[b] == sol.saturation
-            assert float(gain._saturation(g[:, b], KAPPA, n_sat)) == \
-                sol.saturation
+            assert batch[b] == gain._saturation(g[:, b], KAPPA, n_sat)
 
     @settings(max_examples=150, deadline=None)
     @given(_gain_batches())
     def test_residual_bounds(self, case):
         g, n_sat = case
         for b in range(g.shape[1]):
-            sol = gain._steady_state_from_gains(dict(enumerate(g[:, b])),
-                                                KAPPA, n_sat)
-            s = sol.saturation
+            s, n = solve(g[:, b], n_sat)
             # each family's rate equation, to two roundings of G
-            for k, g_k in enumerate(g[:, b]):
-                n_k = sol.photons[k]
+            for g_k, n_k in zip(g[:, b], n):
                 residual = (g_k / (1.0 + s) - KAPPA) * n_k + g_k
                 assert abs(residual) <= 2.3e-16 * max(KAPPA * n_k, g_k)
             # S = sum(n)/n_sat: the Newton correction left at S is within
             # 8 roundings of 1 + S
-            f = s - sum(sol.photons.values()) / n_sat
+            f = s - sum(n) / n_sat
             slope = _fixed_point_slope(g[:, b], s, n_sat)
             assert abs(f) / slope <= 8.0 * EPS * (1.0 + s)
 
@@ -414,15 +443,14 @@ class TestSaturationSolver:
     def test_photon_number_monotone_in_each_gain(self, case, which, grow):
         g, n_sat = case
         k = which % g.shape[0]
-        base = dict(enumerate(g[:, 0]))
-        more = dict(base)
+        base = g[:, 0]
+        more = base.copy()
         more[k] = base[k] * (1.0 + grow)
-        before = gain._steady_state_from_gains(base, KAPPA, n_sat)
-        after = gain._steady_state_from_gains(more, KAPPA, n_sat)
-        assert after.photons[k] >= before.photons[k]
+        s0, n0 = solve(base, n_sat)
+        s1, n1 = solve(more, n_sat)
+        assert n1[k] >= n0[k]
         # the total n_sat * S, to the solver's precision
-        s0 = before.saturation
-        assert after.saturation >= s0 - 16.0 * EPS * (1.0 + s0)
+        assert s1 >= s0 - 16.0 * EPS * (1.0 + s0)
 
 
 class TestOutputPower:
@@ -512,11 +540,13 @@ class TestDetuningMap:
                 assert m.total_power[i, j] == sum(
                     output_power(n, cavity, wavelength)
                     for n in sol.photons.values())
-                assert m.lasing_any[i, j] == bool(sol.lasing_families)
+                assert m.lasing_any[i, j] == any(
+                    g >= KAPPA for g in sol.gains.values())
                 for n in families:
                     assert m.family_powers[n][i, j] == output_power(
                         sol.photons[n], cavity, wavelength)
-                    assert m.family_lasing[n][i, j] == sol.lasing[n]
+                    assert m.family_lasing[n][i, j] == \
+                        (sol.gains[n] >= KAPPA)
 
 
 class TestOptimumScan:
