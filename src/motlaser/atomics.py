@@ -15,13 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants as sc
+
+# SI constants: h, c and k are exact by definition; hbar, the atomic mass
+# unit and mu_B/h are CODATA 2022, as scipy.constants 1.17 gives them.
+PLANCK = 6.62607015e-34              # J s
+HBAR = 1.0545718176461565e-34        # J s
+SPEED_OF_LIGHT = 299792458.0         # m/s
+BOLTZMANN = 1.380649e-23             # J/K
+ATOMIC_MASS = 1.66053906892e-27      # kg
+_MU_B_HZ_PER_TESLA = 13996244917.1
 
 # Bohr magneton over Planck constant, in Hz per gauss.
-MU_B_HZ_PER_GAUSS = sc.physical_constants["Bohr magneton in Hz/T"][0] * 1e-4
+MU_B_HZ_PER_GAUSS = _MU_B_HZ_PER_TESLA * 1e-4
 
 # 174Yb atomic mass (no hyperfine structure, nuclear spin 0).
-MASS_YB174 = 173.9388664 * sc.atomic_mass  # kg
+MASS_YB174 = 173.9388664 * ATOMIC_MASS  # kg
 
 _GAUSSIAN_FWHM = 2.0 * np.sqrt(2.0 * np.log(2.0))
 
@@ -87,7 +95,7 @@ def saturation_intensity(transition: TransitionSpec) -> float:
     I_sat = 2 pi^2 hbar c Gamma / (3 lambda^3), evaluated from the
     transition's wavelength and natural linewidth.
     """
-    return (2.0 * np.pi**2 * sc.hbar * sc.c * transition.linewidth
+    return (2.0 * np.pi**2 * HBAR * SPEED_OF_LIGHT * transition.linewidth
             / (3.0 * transition.wavelength**3))
 
 
@@ -121,7 +129,7 @@ def doppler_sigma(temperature: float, mass: float, wavelength: float) -> float:
     """One-dimensional rms Doppler shift in Hz."""
     if temperature <= 0 or mass <= 0 or wavelength <= 0:
         raise ValueError("temperature, mass and wavelength must be positive")
-    return np.sqrt(sc.k * temperature / mass) / wavelength
+    return np.sqrt(BOLTZMANN * temperature / mass) / wavelength
 
 
 def excited_population(detuning: float, s: float, gamma: float,

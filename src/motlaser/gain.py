@@ -34,9 +34,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import constants as sc
-from scipy.ndimage import label as _ndlabel
-from scipy.optimize import minimize_scalar
 
 from . import atomics, geometry
 from .atomics import AtomEnsemble, TransitionSpec
@@ -377,7 +374,7 @@ def output_power(n_photons, cavity: CavityGeometry,
     if np.any(np.asarray(n_photons) < 0):
         raise ValueError("photon number must be >= 0")
     return (cavity.output_fraction * n_photons * cavity.kappa
-            * sc.h * sc.c / wavelength)
+            * atomics.PLANCK * atomics.SPEED_OF_LIGHT / wavelength)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +403,7 @@ def reference_operating_point(op: OperatingPoint, system: LaserSystem,
 def calibrate(system: LaserSystem, op: OperatingPoint | None = None,
               reference_atoms: float = 5000.0,
               reference_photons: float = 6e5,
-              reference_pump_power: float = 4e-3,
-              resonance_offset: float = 0.0) -> CalibrationConstants:
+              reference_pump_power: float = 4e-3) -> CalibrationConstants:
     """Anchor gain_scale and n_sat to the two documented reference points.
 
     gain_scale makes the fundamental-family gain equal the cavity loss at
@@ -422,7 +418,7 @@ def calibrate(system: LaserSystem, op: OperatingPoint | None = None,
     op = op or OperatingPoint()
     anchor = replace(reference_operating_point(op, system),
                      total_atoms=reference_atoms)
-    probe = CalibrationConstants(1.0, 1.0, resonance_offset)
+    probe = CalibrationConstants(1.0, 1.0)
     g_unit = mode_gain(anchor, 0, system, probe).total
     if not np.isfinite(g_unit) or g_unit <= 0.0:
         raise CalibrationError(
@@ -432,7 +428,7 @@ def calibrate(system: LaserSystem, op: OperatingPoint | None = None,
 
     photon_anchor = reference_operating_point(op, system,
                                               pump_power=reference_pump_power)
-    scaled = CalibrationConstants(gain_scale, 1.0, resonance_offset)
+    scaled = CalibrationConstants(gain_scale, 1.0)
     g_ref = mode_gain(photon_anchor, 0, system, scaled).total
     kappa = system.cavity.kappa
     if g_ref <= kappa:
@@ -442,14 +438,12 @@ def calibrate(system: LaserSystem, op: OperatingPoint | None = None,
     n_sat = n * (kappa * n - g_ref) / ((g_ref - kappa) * n + g_ref)
     if n_sat <= 0:
         raise CalibrationError("calibration failed: negative n_sat")
-    return CalibrationConstants(float(gain_scale), float(n_sat),
-                                float(resonance_offset))
+    return CalibrationConstants(float(gain_scale), float(n_sat))
 
 
 def threshold_solve(vary: str, op: OperatingPoint, system: LaserSystem,
                     calib: CalibrationConstants, family: int = 0,
-                    lo: float | None = None, hi: float | None = None,
-                    rtol: float = 1e-9) -> float:
+                    lo: float | None = None, hi: float | None = None) -> float:
     """Value of ``atoms`` or ``pump_power`` at which family gain meets loss.
 
     G is exactly linear in the atom number, so the atom threshold is
@@ -504,7 +498,7 @@ def threshold_solve(vary: str, op: OperatingPoint, system: LaserSystem,
             hi = mid
         else:
             lo = mid
-        if hi - lo <= rtol * hi:
+        if hi - lo <= 1e-9 * hi:
             break
     return 0.5 * (lo + hi)
 
@@ -531,7 +525,10 @@ class DetuningMap:
         Returns a list of (pump_center, cavity_center, peak_power), one
         per 4-connected region, sorted by descending peak power.
         """
-        labels, count = _ndlabel(self.lasing_any)
+        # imported here: no CLI command calls this, and none loads scipy
+        from scipy.ndimage import label
+
+        labels, count = label(self.lasing_any)
         out = []
         for k in range(1, count + 1):
             mask = labels == k
@@ -615,8 +612,84 @@ class OptimumScan:
         return [p for p in self.points if p.pump_opt is not None]
 
 
+_COARSE = 25          # pump points of the coarse grid; twice as many cavity
+
+
+def _fminbound(func, lo: float, hi: float, xatol: float) -> float:
+    """Minimizer of ``func`` on [lo, hi] by Brent's bounded search.
+
+    A port of scipy's ``minimize_scalar(method="bounded")`` (golden-section
+    steps with parabolic interpolation, Forsythe, Malcolm & Moler,
+    *Computer Methods for Mathematical Computations*, 1977) that keeps its
+    operation order, so it returns the same ``x`` after the same
+    evaluations, bit for bit.  Like scipy it stops after 500 evaluations.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:        # try a parabola through the three points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf
+
+
 def _argmax_power(op, system, calib, families, pump_lo, pump_hi,
-                  cavity_lo, cavity_hi, coarse=25):
+                  cavity_lo, cavity_hi):
     """Coarse grid argmax refined by alternating 1D Brent searches."""
     kernel = _GainKernel(op, families, system, calib)
     kappa = system.cavity.kappa
@@ -630,34 +703,27 @@ def _argmax_power(op, system, calib, families, pump_lo, pump_hi,
             total = total + n_k
         return g, total
 
-    dps = np.linspace(pump_lo, pump_hi, coarse)
-    dcs = np.linspace(cavity_lo, cavity_hi, 2 * coarse)
+    dps = np.linspace(pump_lo, pump_hi, _COARSE)
+    dcs = np.linspace(cavity_lo, cavity_hi, 2 * _COARSE)
     g, total = photons(dps[:, None], dcs[None, :])
     if not np.any(g >= kappa):
         return None, None
     i, j = np.unravel_index(np.argmax(total), total.shape)
     dp, dc = dps[i], dcs[j]
-    span_p = (pump_hi - pump_lo) / (coarse - 1)
-    span_c = (cavity_hi - cavity_lo) / (2 * coarse - 1)
+    span_p = (pump_hi - pump_lo) / (_COARSE - 1)
+    span_c = (cavity_hi - cavity_lo) / (2 * _COARSE - 1)
     for _ in range(3):
-        res = minimize_scalar(
-            lambda x: -float(photons(dp, x)[1]), method="bounded",
-            bounds=(max(cavity_lo, dc - 2 * span_c),
-                    min(cavity_hi, dc + 2 * span_c)),
-            options={"xatol": 1.0})
-        dc = float(res.x)
-        res = minimize_scalar(
-            lambda x: -float(photons(x, dc)[1]), method="bounded",
-            bounds=(max(pump_lo, dp - 2 * span_p),
-                    min(pump_hi, dp + 2 * span_p)),
-            options={"xatol": 1.0})
-        dp = float(res.x)
+        dc = float(_fminbound(lambda x: -float(photons(dp, x)[1]),
+                              max(cavity_lo, dc - 2 * span_c),
+                              min(cavity_hi, dc + 2 * span_c), xatol=1.0))
+        dp = float(_fminbound(lambda x: -float(photons(x, dc)[1]),
+                              max(pump_lo, dp - 2 * span_p),
+                              min(pump_hi, dp + 2 * span_p), xatol=1.0))
     return dp, dc
 
 
 def optimum_scan(vary: str, values, op: OperatingPoint, system: LaserSystem,
-                 calib: CalibrationConstants, families=(0,),
-                 pump_window=None, cavity_halfwidth: float = 25e6) -> OptimumScan:
+                 calib: CalibrationConstants, families=(0,)) -> OptimumScan:
     """Track the power optimum in (pump, cavity) detuning along a scan.
 
     ``vary`` is ``b_offset_magnitude`` (gauss, scaled along the operating
@@ -687,14 +753,10 @@ def optimum_scan(vary: str, values, op: OperatingPoint, system: LaserSystem,
         cell = make(float(x))
         b_mag = float(np.linalg.norm(np.asarray(cell.b_offset, float)))
         zeeman = atomics.zeeman_shift(g_upper, 1, b_mag)
-        if pump_window is None:
-            plo, phi = 0.25 * zeeman, 2.5 * zeeman + 2e6
-        else:
-            plo, phi = pump_window
         center = two_photon_resonance(zeeman, cell.mot_detuning)
-        dp, dc = _argmax_power(cell, system, calib, families, plo, phi,
-                               center - cavity_halfwidth,
-                               center + cavity_halfwidth)
+        dp, dc = _argmax_power(cell, system, calib, families,
+                               0.25 * zeeman, 2.5 * zeeman + 2e6,
+                               center - 25e6, center + 25e6)
         points.append(ScanOptimum(float(x), dp, dc))
 
     good = [p for p in points if p.pump_opt is not None]

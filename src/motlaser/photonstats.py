@@ -30,14 +30,16 @@ the same integer counts.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.signal import lfilter
+# numpy loads its random module on first use; import it here so that the
+# cost falls on start-up, not on the first command that synthesizes clicks
+from numpy.random import Generator, Philox
 
-from .errors import PhysicsError
+from .errors import ConfigError, PhysicsError
 
 # numba is not used; perfbench/worker.py still reports this flag.
 _HAVE_NUMBA = False
@@ -50,7 +52,7 @@ _HEADER = struct.Struct("<4sIIQQ")
 
 
 def _rng(seed):
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    return Generator(Philox(key=np.uint64(seed)))
 
 
 @dataclass(frozen=True)
@@ -156,9 +158,132 @@ def simulate_intensity(regime: str, mean_rate: float, coherence_time: float,
             * (sigma_field * np.sqrt((1.0 - a * a) / 2.0))
         start = (rng.standard_normal() + 1j * rng.standard_normal()) \
             * (sigma_field / np.sqrt(2.0))
-        alpha = lfilter([1.0], [1.0, -a], noise, zi=np.array([a * start]))[0]
+        alpha = _ar1(noise, a, start)
         samples = np.abs(alpha) ** 2
     return IntensityTrace(sample_period, samples, regime)
+
+
+# The blocked AR(1) recursion runs about this many blocks side by side and
+# transposes this many steps of them at a time.
+_AR1_BLOCKS = 4096
+_AR1_SLAB = 128
+
+
+def _ar1_layout(n: int, a: float) -> tuple:
+    """(warm, block length) of :func:`_ar1` for ``n`` samples and pole ``a``.
+
+    A warm-up of ``warm`` steps shrinks the state it starts from by
+    a**warm <= 2**-64, far below the rounding of the state it converges to.
+    """
+    warm = math.ceil(64.0 * math.log(2.0) / -math.log(a))
+    return warm, max(4 * warm, -(-n // _AR1_BLOCKS))
+
+
+def _ar1_serial(x, a, state, out):
+    """out[k] = x[k] + a * out[k - 1] from ``state`` = out[-1], one step
+    at a time; x and out are (m, 2) float64 views of complex samples."""
+    a = float(a)
+    re, im = map(float, state)
+    res = []
+    for xr, xi in x.tolist():
+        re = xr + a * re
+        im = xi + a * im
+        res.append((re, im))
+    if res:
+        out[...] = res
+
+
+def _same(u: float, v: float) -> bool:
+    # equal bit patterns, for the finite values the recursion produces
+    return u == v and math.copysign(1.0, u) == math.copysign(1.0, v)
+
+
+def _ar1_redo(x, y, a, state) -> bool:
+    """Recompute block ``y`` from its true entering ``state`` until the
+    result meets the stored values; whether the block's last value changed.
+    """
+    a = float(a)
+    re, im = map(float, state)
+    stored = y.tolist()
+    for k, (xr, xi) in enumerate(x.tolist()):
+        re = xr + a * re
+        im = xi + a * im
+        yr, yi = stored[k]
+        if _same(re, yr) and _same(im, yi):
+            if k:
+                y[:k] = stored[:k]
+            return False
+        stored[k] = (re, im)
+    y[...] = stored
+    return True
+
+
+def _ar1_advance(x2, a, state, out=None):
+    """The state after the steps of the complex (blocks, steps) array
+    ``x2``, from ``state``, the float64 view of one complex state per block
+    (not written to); the states after each step go to ``out`` if given.
+
+    Each slab of steps is transposed so that one step of every block is
+    one contiguous row; the recursion then runs in place over its float64
+    view.
+    """
+    tmp = np.empty_like(state)
+    for k0 in range(0, x2.shape[1], _AR1_SLAB):
+        # a copy even when the transpose is contiguous: x2 stays untouched
+        slab = x2[:, k0:k0 + _AR1_SLAB].T.copy()
+        for row in slab.view(np.float64):
+            np.multiply(state, a, out=tmp)
+            np.add(row, tmp, out=row)
+            state = row
+        state = state.copy()
+        if out is not None:
+            out[:, k0:k0 + _AR1_SLAB] = slab.T
+    return state
+
+
+def _ar1(x: np.ndarray, a: float, start: complex) -> np.ndarray:
+    """y[k] = x[k] + a * y[k - 1] with y[-1] = ``start``, per real
+    component, for a complex128 ``x``.
+
+    This is the recursion scipy.signal.lfilter([1], [1, -a], x,
+    zi=[a * start]) computes, with the same roundings, so the two agree bit
+    for bit.  The samples are split into blocks run side by side as one
+    vector.  Each block after the first starts from a warm-up run from
+    zero over the previous block's last ``warm`` samples (see
+    :func:`_ar1_layout`).  The blocks are then checked in order: a block
+    whose warm-up state differs in any bit from the true state leaving the
+    previous block is recomputed from that true state until the two
+    chains meet, after which they are identical, the state being first
+    order.  By induction every sample is exact.  Inputs shorter than two
+    blocks, and the samples after the last whole block, run serially.
+    """
+    n = x.size
+    y = np.empty_like(x)
+    xf = x.view(np.float64).reshape(n, 2)
+    yf = y.view(np.float64).reshape(n, 2)
+    warm, length = _ar1_layout(n, a)
+    blocks = n // length
+    if blocks < 2:
+        _ar1_serial(xf, a, (start.real, start.imag), yf)
+        return y
+    end = blocks * length
+    x2, y2 = x[:end].reshape(blocks, length), y[:end].reshape(blocks, length)
+    state = np.empty(blocks, complex)
+    state[0] = start
+    state.view(np.float64)[2:] = _ar1_advance(
+        x2[:-1, length - warm:], a, np.zeros(2 * (blocks - 1)))
+    guess = state[1:].view(np.uint64).reshape(-1, 2)
+    _ar1_advance(x2, a, state.view(np.float64), out=y2)
+    ends = yf[length - 1:end - 1:length].view(np.uint64)
+    bad = (guess != ends).any(axis=1).tolist()
+    changed = False
+    for j in range(1, blocks):
+        if changed or bad[j - 1]:
+            changed = _ar1_redo(xf[j * length:(j + 1) * length],
+                                yf[j * length:(j + 1) * length], a,
+                                yf[j * length - 1])
+    _ar1_serial(xf[end:], a, yf[end - 1], yf[end:])
+    return y
 
 
 def poissonize(trace: IntensityTrace, seed: int) -> tuple:
@@ -371,11 +496,26 @@ def binning_washout(coherence_time: float, bin_width: float) -> float:
 
 
 def invert_washout(target_g2: float, bin_width: float) -> float:
-    """Coherence time at which binning washes the thermal peak to target."""
+    """Coherence time at which binning washes the thermal peak to target.
+
+    The root is searched between 1e-6 and 1e6 bin widths; a target that
+    this range cannot reach raises :class:`ConfigError`.
+    """
     if not 1.0 < target_g2 < 2.0:
         raise ValueError("target g2(0) must be strictly between 1 and 2")
+    # imported here: only g2 --washout-g2 needs it, and no other command
+    # loads scipy
+    from scipy.optimize import brentq
+
+    lo, hi = bin_width * 1e-6, bin_width * 1e6
+    g_lo, g_hi = binning_washout(lo, bin_width), binning_washout(hi, bin_width)
+    if not g_lo <= target_g2 <= g_hi:
+        raise ConfigError(
+            f"target g2(0) = {target_g2!r} is out of reach at bin width "
+            f"{bin_width:g} s: coherence times from {lo:g} to {hi:g} s give "
+            f"g2(0) from {float(g_lo)!r} to {float(g_hi)!r}")
     return brentq(lambda tc: binning_washout(tc, bin_width) - target_g2,
-                  bin_width * 1e-6, bin_width * 1e6, rtol=1e-13)
+                  lo, hi, rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------

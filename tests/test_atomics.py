@@ -154,3 +154,16 @@ def test_atom_ensemble_validation():
         atomics.AtomEnsemble(0.0, 2e-3)
     with pytest.raises(ValueError):
         atomics.AtomEnsemble(1e-3, 0.0)
+
+
+def test_literal_constants_equal_scipy():
+    # the package writes its SI constants as literals so that it starts
+    # without scipy; scipy.constants stays the oracle
+    assert atomics.PLANCK == sc.h
+    assert atomics.HBAR == sc.hbar
+    assert atomics.SPEED_OF_LIGHT == sc.c
+    assert atomics.BOLTZMANN == sc.k
+    assert atomics.ATOMIC_MASS == sc.atomic_mass
+    assert atomics.MU_B_HZ_PER_GAUSS == \
+        sc.physical_constants["Bohr magneton in Hz/T"][0] * 1e-4
+    assert MASS_YB174 == 173.9388664 * sc.atomic_mass

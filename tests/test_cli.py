@@ -1,3 +1,10 @@
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -359,6 +366,18 @@ def test_bad_option_value_exit_code(workdir, monkeypatch, argv):
     assert not (workdir / "out.txt.meta.txt").exists()
 
 
+@pytest.mark.parametrize("target", ["1.0000001", "1.999999"],
+                         ids=["below-reach", "above-reach"])
+def test_washout_out_of_reach_exit_code(workdir, capsys, target):
+    # inside (1, 2), but no coherence time in [bin 1e-6, bin 1e6] gives it
+    assert run("--out", "out.csv", "g2", "--regime", "below",
+               "--washout-g2", target, "--bin", "1us", "--max-lag", "20us",
+               "--rate", "200kHz", "--duration", "0.05s") == 2
+    err = capsys.readouterr().err
+    assert "out of reach" in err and "give g2(0) from 1.00000" in err
+    assert not (workdir / "out.csv").exists()
+
+
 @pytest.mark.parametrize("vary,bounds", [("pump", ("1uW", "1mW")),
                                          ("atoms", ("0", "3e4"))])
 def test_threshold_scan_is_one_solve(workdir, monkeypatch, vary, bounds):
@@ -416,3 +435,81 @@ def test_render_table_stable_against_config(workdir):
     cfg = default_config().replace(mot_detuning=-28e6)
     assert render_polarization_table(cfg) == \
         render_polarization_table(default_config())
+
+
+# ---------------------------------------------------------------------------
+# Start-up without scipy
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_NO_SCIPY_RUNS = [
+    ["calibrate"],
+    ["map", "--pump-min=-2MHz", "--pump-max=2MHz", "--cavity-min=-32MHz",
+     "--cavity-max=-28MHz", "--cavity-step=2MHz"],
+    ["threshold", "--vary", "pump", "--min", "1uW", "--max", "1mW",
+     "--points", "5"],
+    ["shift-scan", "--vary", "b_offset", "--min", "1.5", "--max", "2.5",
+     "--step", "1"],
+    ["polarization-table"],
+    ["g2", "--regime", "above", "--duration", "0.1s", "--rate", "50kHz",
+     "--bin", "2.6us", "--max-lag", "13us"],
+    ["g2", "--regime", "below", "--tau-c", "3us", "--duration", "0.01s",
+     "--rate", "200kHz", "--bin", "1us", "--max-lag", "10us"],
+    ["clicks", "--regime", "thermal", "--rate", "100kHz",
+     "--duration", "0.05s"],
+]
+
+_NO_SCIPY_SCRIPT = r"""
+import json, sys
+import motlaser
+from motlaser.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_cli_commands_load_no_scipy(tmp_path):
+    # a fresh interpreter: a later top-level scipy import anywhere in the
+    # package would put ~1 s back on every command's start-up
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(_NO_SCIPY_RUNS)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [0] * len(_NO_SCIPY_RUNS)
+    assert result["scipy"] == []
+
+
+def _scipy_imports(path):
+    """(module, enclosing function or None) of each scipy import."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append((path.stem, where))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_scipy_imported_only_where_no_command_path_runs():
+    # DetuningMap.lobes has no CLI command; invert_washout runs only for
+    # g2 --washout-g2
+    found = [hit for path in sorted((SRC / "motlaser").glob("*.py"))
+             for hit in _scipy_imports(path)]
+    assert sorted(found) == [("gain", "lobes"),
+                             ("photonstats", "invert_washout")]

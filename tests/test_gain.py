@@ -574,3 +574,81 @@ class TestOptimumScan:
                             system, calib)
         assert all(p.pump_opt is None for p in scan.points)
         assert np.isnan(scan.slope)
+
+
+# ---------------------------------------------------------------------------
+# Bounded Brent search
+# ---------------------------------------------------------------------------
+
+def _bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+def _fminbound_counted(func, lo, hi, xatol, search=gain._fminbound):
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return func(x)
+
+    return _bits(search(counted, lo, hi, xatol)), calls[0]
+
+
+def _scipy_bounded(func, lo, hi, xatol):
+    res = minimize_scalar(func, method="bounded", bounds=(lo, hi),
+                          options={"xatol": xatol})
+    return _bits(res.x), res.nfev
+
+
+class TestFminbound:
+    """gain._fminbound against scipy's bounded minimizer as the oracle:
+    the same x, bit for bit, after the same number of evaluations."""
+
+    @pytest.mark.parametrize("vary,values", [
+        ("mot_detuning", np.arange(-40e6, -19e6, 4e6)),     # criterion 3
+        ("b_offset_magnitude", np.arange(1.5, 4.51, 0.5)),  # criterion 4
+    ], ids=["criterion-3", "criterion-4"])
+    def test_scan_objectives(self, system, op, calib, monkeypatch, vary,
+                             values):
+        searches = []
+
+        def checked(func, lo, hi, xatol):
+            got = _fminbound_counted(func, lo, hi, xatol)
+            searches.append((got, _scipy_bounded(func, lo, hi, xatol)))
+            return got[0].view(np.float64)
+
+        monkeypatch.setattr(gain, "_fminbound", checked)
+        optimum_scan(vary, values, op, system, calib)
+        # three rounds of one cavity and one pump search per point
+        assert len(searches) == 6 * len(values)
+        for got, want in searches:
+            assert got == want
+
+    @pytest.mark.parametrize("func,lo,hi,xatol", [
+        (lambda x: 0.0, 0.0, 1.0, 1e-5),                   # flat
+        (lambda x: x, -3.0, 2.0, 1e-5),                    # optimum at lo
+        (lambda x: -x, -3.0, 2.0, 1e-5),                   # optimum at hi
+        (lambda x: abs(x - 0.3), 0.0, 1.0, 1e-8),          # kink
+        (lambda x: np.cos(x), 0.0, 2 * np.pi, 1e-5),
+        (lambda x: (x - 2.0) * x * (x + 2.0) ** 2, -3.0, -1.0, 1e-5),
+        (lambda x: x * x, 5.0, 5.0, 1e-5),                 # empty interval
+    ], ids=["flat", "lower-bound", "upper-bound", "kink", "cosine", "quartic",
+            "point"])
+    def test_reference_functions(self, func, lo, hi, xatol):
+        assert _fminbound_counted(func, lo, hi, xatol) == \
+            _scipy_bounded(func, lo, hi, xatol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(curvature=st.floats(-1e3, 1e3).filter(lambda c: c != 0.0),
+           center=st.floats(-2.0, 3.0), offset=st.floats(-1e6, 1e6),
+           lo=st.floats(-1e7, 1e7), width=st.floats(1e-6, 1e7),
+           xatol=st.sampled_from([1e-8, 1e-5, 1.0]))
+    def test_quadratics(self, curvature, center, offset, lo, width, xatol):
+        hi = lo + width
+        c = lo + center * width    # inside or outside the bounds
+
+        def func(x):
+            return curvature * (x - c) ** 2 + offset
+
+        assert _fminbound_counted(func, lo, hi, xatol) == \
+            _scipy_bounded(func, lo, hi, xatol)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import lfilter
 
 from motlaser import photonstats as ps
 from motlaser.errors import PhysicsError
@@ -80,6 +81,86 @@ class TestSimulateIntensity:
             IntensityTrace(0.0, np.ones(3), "poisson")
         with pytest.raises(ValueError):
             IntensityTrace(1e-3, -np.ones(3), "poisson")
+
+
+def _lfilter_ar1(x, a, start):
+    # the oracle: scipy's direct-form filter with the stationary start
+    return lfilter([1.0], [1.0, -a], x, zi=np.array([a * start]))[0]
+
+
+def _noise(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+class TestAr1:
+    """The blocked recursion against scipy.signal.lfilter, bit for bit."""
+
+    @pytest.mark.parametrize("ratio", [0.01, 0.05, 0.1, 0.5])
+    def test_equals_lfilter(self, ratio):
+        a = np.exp(-ratio)
+        _, length = ps._ar1_layout(1, a)
+        # serial (n < 2L), two whole blocks, and a remainder after them
+        for n in (1, length + 3, 2 * length - 1, 2 * length,
+                  7 * length + 5):
+            x = _noise(n, n)
+            kept = x.copy()
+            got = ps._ar1(x, a, 0.7 - 1.3j)
+            want = _lfilter_ar1(x, a, 0.7 - 1.3j)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(x, kept)
+
+    def test_equals_lfilter_at_4096_blocks(self):
+        # long enough that the block length follows n, not the warm-up
+        a = np.exp(-0.5)
+        n = 1_500_007
+        warm, length = ps._ar1_layout(n, a)
+        assert length > 4 * warm and n // length == 4087
+        x = _noise(n, 11) * 1e3
+        got = ps._ar1(x, a, 1.0 + 2.0j)
+        want = _lfilter_ar1(x, a, 1.0 + 2.0j)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_redo_path(self, monkeypatch):
+        # a 1e25 spike early in block 4, then zeros up to early in block
+        # 7: the warm-up of block 5 sees only zeros and starts it from
+        # exactly 0, but the true state leaving block 4 is the spike's
+        # tail, ~1e-52 (it never underflows to 0: a > 1/2 keeps the
+        # smallest subnormals).  Blocks 5 and 6 are recomputed whole;
+        # block 7 until the noise resumes and swamps the tail.
+        a = np.exp(-0.1)
+        _, length = ps._ar1_layout(1, a)
+        n = 12 * length + 5
+        x = _noise(n, 4)
+        x[4 * length:7 * length + 10] = 0.0
+        x[4 * length + 5] = 1e25
+        redone = []
+        real = ps._ar1_redo
+
+        def counted(xb, yb, a_, state):
+            changed = real(xb, yb, a_, state)
+            redone.append(changed)
+            return changed
+
+        monkeypatch.setattr(ps, "_ar1_redo", counted)
+        got = ps._ar1(x, a, 0.5 + 0.5j)
+        want = _lfilter_ar1(x, a, 0.5 + 0.5j)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # whole blocks changed, then one met the stored chain part way
+        assert redone == [True, True, False]
+
+    def test_thermal_trace_unchanged(self):
+        # simulate_intensity's thermal branch, rebuilt on lfilter
+        n, a, mean_rate = 100_000, np.exp(-1e-5 / 1e-4), 1e5
+        rng = ps._rng(8)
+        noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
+            * (np.sqrt(mean_rate) * np.sqrt((1.0 - a * a) / 2.0))
+        start = (rng.standard_normal() + 1j * rng.standard_normal()) \
+            * (np.sqrt(mean_rate) / np.sqrt(2.0))
+        want = np.abs(_lfilter_ar1(noise, a, start)) ** 2
+        got = simulate_intensity("thermal", mean_rate, 1e-4, 1.0, 1e-5,
+                                 seed=8).samples
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
