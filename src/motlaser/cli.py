@@ -242,7 +242,7 @@ def cmd_shift_scan(args) -> int:
                           "(empty or degenerate range)")
     vary = "b_offset_magnitude" if args.vary == "b_offset" else "mot_detuning"
     scan = gain.optimum_scan(vary, xs, op, system, calib,
-                             families=(cfg.families() or (0,))[:1])
+                             family=(cfg.families() or (0,))[0])
     unit = "hz_per_gauss" if vary == "b_offset_magnitude" else "hz_per_hz"
     table = ScanResultTable([args.vary, "pump_opt_hz", "cavity_opt_hz"])
     for p in scan.points:
@@ -364,6 +364,9 @@ def cmd_g2(args) -> int:
     if args.duration - round(args.max_lag / args.bin) * args.bin <= 0:
         raise ConfigError("--max-lag (rounded to whole bins) must be "
                           "shorter than --duration")
+    if not args.duration / args.bin < photonstats.MAX_BIN_INDEX:
+        raise ConfigError(f"--duration spans {args.duration / args.bin:.3g} "
+                          f"bins, beyond the int64 bin index (2^63)")
     if args.washout_g2 is not None and not 1.0 < args.washout_g2 < 2.0:
         raise ConfigError("--washout-g2 must be strictly between 1 and 2")
     cfg = _load_cfg(args)

@@ -612,7 +612,7 @@ class OptimumScan:
         return [p for p in self.points if p.pump_opt is not None]
 
 
-_COARSE = 25          # pump points of the coarse grid; twice as many cavity
+_COARSE = 25          # pump points of the coarse search along the ridge
 
 
 def _fminbound(func, lo: float, hi: float, xatol: float) -> float:
@@ -688,42 +688,33 @@ def _fminbound(func, lo: float, hi: float, xatol: float) -> float:
     return xf
 
 
-def _argmax_power(op, system, calib, families, pump_lo, pump_hi,
-                  cavity_lo, cavity_hi):
-    """Coarse grid argmax refined by alternating 1D Brent searches."""
-    kernel = _GainKernel(op, families, system, calib)
-    kappa = system.cavity.kappa
+def _ridge_optimum(op, system, calib, family, pump_lo, pump_hi):
+    """Pump and cavity detunings of one family's gain maximum on the
+    two-photon ridge, or (None, None) when no coarse pump point lases."""
+    kernel = _GainKernel(op, (family,), system, calib)
+    offset = kernel._families[0][2]
 
-    def photons(dp, dc):
-        g, n, ok = kernel.solve(dp, dc, op.pump_power, op.total_atoms)
-        if not ok.all():
-            raise SolverError("saturation fixed point not found")
-        total = 0.0
-        for n_k in n:
-            total = total + n_k
-        return g, total
+    def ridge(dp):
+        return (two_photon_resonance(dp, op.mot_detuning)
+                + calib.resonance_offset - offset)
+
+    def gain_at(dp):
+        return kernel.gains(dp, ridge(dp), op.pump_power, op.total_atoms)[0]
 
     dps = np.linspace(pump_lo, pump_hi, _COARSE)
-    dcs = np.linspace(cavity_lo, cavity_hi, 2 * _COARSE)
-    g, total = photons(dps[:, None], dcs[None, :])
-    if not np.any(g >= kappa):
+    g = gain_at(dps)
+    if not np.any(g >= system.cavity.kappa):
         return None, None
-    i, j = np.unravel_index(np.argmax(total), total.shape)
-    dp, dc = dps[i], dcs[j]
-    span_p = (pump_hi - pump_lo) / (_COARSE - 1)
-    span_c = (cavity_hi - cavity_lo) / (2 * _COARSE - 1)
-    for _ in range(3):
-        dc = float(_fminbound(lambda x: -float(photons(dp, x)[1]),
-                              max(cavity_lo, dc - 2 * span_c),
-                              min(cavity_hi, dc + 2 * span_c), xatol=1.0))
-        dp = float(_fminbound(lambda x: -float(photons(x, dc)[1]),
-                              max(pump_lo, dp - 2 * span_p),
-                              min(pump_hi, dp + 2 * span_p), xatol=1.0))
-    return dp, dc
+    dp = dps[np.argmax(g)]
+    span = (pump_hi - pump_lo) / (_COARSE - 1)
+    dp = float(_fminbound(lambda x: -float(gain_at(x)),
+                          max(pump_lo, dp - 2 * span),
+                          min(pump_hi, dp + 2 * span), xatol=1.0))
+    return dp, float(ridge(dp))
 
 
 def optimum_scan(vary: str, values, op: OperatingPoint, system: LaserSystem,
-                 calib: CalibrationConstants, families=(0,)) -> OptimumScan:
+                 calib: CalibrationConstants, family: int = 0) -> OptimumScan:
     """Track the power optimum in (pump, cavity) detuning along a scan.
 
     ``vary`` is ``b_offset_magnitude`` (gauss, scaled along the operating
@@ -731,6 +722,15 @@ def optimum_scan(vary: str, values, op: OperatingPoint, system: LaserSystem,
     ``mot_detuning`` (Hz).  Points where nothing lases are kept with None
     optima.  The fitted slope/intercept describe pump_opt(B) for the field
     scan and cavity_opt(mot detuning) for the trap-detuning scan.
+
+    The cavity detuning enters G only through the unit-peak two-photon
+    Lorentzian, so at any pump detuning G peaks on the ridge delta_c =
+    delta_p + delta_mot + resonance_offset - offset_N; and one family's
+    photon number rises with G (dn/dG > 0 from (G/(1 + n/n_sat) - kappa) n
+    + G = 0).  So each point evaluates G on the ridge at ``_COARSE`` pumps
+    in [Zeeman/4, 5 Zeeman/2 + 2 MHz], lases if any reaches kappa, and
+    refines the best by one bounded Brent search of -G; no photon number
+    is solved.
     """
     b0 = np.asarray(op.b_offset, float)
     if vary == "b_offset_magnitude":
@@ -753,10 +753,8 @@ def optimum_scan(vary: str, values, op: OperatingPoint, system: LaserSystem,
         cell = make(float(x))
         b_mag = float(np.linalg.norm(np.asarray(cell.b_offset, float)))
         zeeman = atomics.zeeman_shift(g_upper, 1, b_mag)
-        center = two_photon_resonance(zeeman, cell.mot_detuning)
-        dp, dc = _argmax_power(cell, system, calib, families,
-                               0.25 * zeeman, 2.5 * zeeman + 2e6,
-                               center - 25e6, center + 25e6)
+        dp, dc = _ridge_optimum(cell, system, calib, family,
+                                0.25 * zeeman, 2.5 * zeeman + 2e6)
         points.append(ScanOptimum(float(x), dp, dc))
 
     good = [p for p in points if p.pump_opt is not None]

@@ -111,6 +111,14 @@ class CorrelationResult:
     total_pairs: int
 
 
+# Thermal synthesis peaks at about 42 bytes per sample (the complex noise
+# and field arrays and the intensity), so this many samples need about
+# 2 GB.  The largest trace of the benchmark workloads and the tests is
+# 6.7e6 samples (g2 at 2 s with tau_c = 3 us).  A longer one is refused
+# before anything is allocated.
+MAX_SAMPLES = 50_000_000
+
+
 def simulate_intensity(regime: str, mean_rate: float, coherence_time: float,
                        duration: float, sample_period: float, seed: int,
                        laser_ripple: float = 1e-2) -> IntensityTrace:
@@ -121,7 +129,9 @@ def simulate_intensity(regime: str, mean_rate: float, coherence_time: float,
     (ideal g2(0) = 2).  laser: constant rate with a relative rms ripple.
     poisson: constant rate.  The thermal regime insists on
     sample_period <= coherence_time / 10 and duration >= 100 * coherence
-    times so the process is neither undersampled nor unconverged.
+    times so the process is neither undersampled nor unconverged.  A
+    trace of more than :data:`MAX_SAMPLES` samples raises
+    :class:`PhysicsError`.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
@@ -129,7 +139,12 @@ def simulate_intensity(regime: str, mean_rate: float, coherence_time: float,
         raise PhysicsError("mean_rate must be positive")
     if sample_period <= 0 or duration <= 0:
         raise PhysicsError("sample_period and duration must be positive")
-    n = int(round(duration / sample_period))
+    count = duration / sample_period
+    if count > MAX_SAMPLES:
+        raise PhysicsError(
+            f"{count:.3g} samples of {sample_period:g} s exceed the cap of "
+            f"{MAX_SAMPLES:g} samples per trace")
+    n = int(round(count))
     if n < 1:
         raise PhysicsError("duration shorter than one sample period")
 
@@ -416,6 +431,10 @@ def _pair_histogram(fa, fb, kmax, shards=1):
     return out
 
 
+# Bin indices are int64: a stream may span fewer than 2^63 bins.
+MAX_BIN_INDEX = 2.0 ** 63
+
+
 def g2_cross(a: ClickStream, b: ClickStream, bin_width: float,
              max_lag: float, shards: int = 1,
              _exclude_self: bool = False) -> CorrelationResult:
@@ -442,19 +461,21 @@ def g2_cross(a: ClickStream, b: ClickStream, bin_width: float,
         raise ValueError("bin_width must be positive")
     if max_lag < bin_width:
         raise ValueError("max_lag must be at least one bin")
-
+    if not max(a.duration, b.duration) / bin_width < MAX_BIN_INDEX:
+        raise ValueError("duration / bin_width overflows the int64 bin index")
+    duration = min(a.duration, b.duration)
     kmax = int(round(max_lag / bin_width))
+    if duration - kmax * bin_width <= 0:
+        raise ValueError("max_lag exceeds the stream duration")
+
     fa = np.floor(a.timestamps / bin_width).astype(np.int64)
     fb = np.floor(b.timestamps / bin_width).astype(np.int64)
     hist = _pair_histogram(fa, fb, kmax, shards=shards)
     if _exclude_self:
         hist[kmax] -= a.timestamps.size
 
-    duration = min(a.duration, b.duration)
     k = np.arange(-kmax, kmax + 1)
     t_eff = duration - np.abs(k) * bin_width
-    if np.any(t_eff <= 0):
-        raise ValueError("max_lag exceeds the stream duration")
     rate_a = a.timestamps.size / duration
     rate_b = b.timestamps.size / duration
     norm = rate_a * rate_b * bin_width * t_eff
@@ -492,7 +513,8 @@ def binning_washout(coherence_time: float, bin_width: float) -> float:
     x = 2.0 * bin_width / coherence_time
     if x < 1e-6:
         return 2.0 - x / 3.0
-    return 1.0 + 2.0 * (x - 1.0 + np.exp(-x)) / (x * x)
+    # expm1 keeps the digits that x - 1 + e^-x cancels for small x
+    return 1.0 + 2.0 * (np.expm1(-x) + x) / (x * x)
 
 
 def invert_washout(target_g2: float, bin_width: float) -> float:
@@ -514,8 +536,9 @@ def invert_washout(target_g2: float, bin_width: float) -> float:
             f"target g2(0) = {target_g2!r} is out of reach at bin width "
             f"{bin_width:g} s: coherence times from {lo:g} to {hi:g} s give "
             f"g2(0) from {float(g_lo)!r} to {float(g_hi)!r}")
+    # brentq's default xtol of 2e-12 s would dwarf a nanosecond tau_c
     return brentq(lambda tc: binning_washout(tc, bin_width) - target_g2,
-                  lo, hi, rtol=1e-13)
+                  lo, hi, xtol=1e-15 * bin_width, rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------

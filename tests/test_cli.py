@@ -317,7 +317,9 @@ class TestClicksCommand:
     ("--bin", "0", "--max-lag", "13us", "--duration", "1s"),
     ("--bin", "2.6us", "--max-lag", "1us", "--duration", "1s"),
     ("--bin", "2.6us", "--max-lag", "2s", "--duration", "1s"),
-], ids=["zero-bin", "max-lag-below-bin", "max-lag-beyond-duration"])
+    ("--bin", "1e-19s", "--max-lag", "1e-18s", "--duration", "1s"),
+], ids=["zero-bin", "max-lag-below-bin", "max-lag-beyond-duration",
+        "bin-index-overflow"])
 def test_bad_g2_window_is_usage_error(workdir, monkeypatch, window):
     def no_synthesis(*args, **kwargs):
         raise AssertionError("the window must be checked before synthesis")
@@ -366,7 +368,7 @@ def test_bad_option_value_exit_code(workdir, monkeypatch, argv):
     assert not (workdir / "out.txt.meta.txt").exists()
 
 
-@pytest.mark.parametrize("target", ["1.0000001", "1.999999"],
+@pytest.mark.parametrize("target", ["1.0000001", "1.9999999"],
                          ids=["below-reach", "above-reach"])
 def test_washout_out_of_reach_exit_code(workdir, capsys, target):
     # inside (1, 2), but no coherence time in [bin 1e-6, bin 1e6] gives it
@@ -376,6 +378,31 @@ def test_washout_out_of_reach_exit_code(workdir, capsys, target):
     err = capsys.readouterr().err
     assert "out of reach" in err and "give g2(0) from 1.00000" in err
     assert not (workdir / "out.csv").exists()
+
+
+def test_washout_near_two_is_reachable(workdir):
+    # the top of the reach at 1 us bins is 2 - x/3 = 1.99999933 (x = 2e-6);
+    # 1.9999985 needs tau_c = 0.44 s, so at least 44 s of clicks
+    assert run("g2", "--regime", "below", "--washout-g2", "1.9999985",
+               "--bin", "1us", "--max-lag", "20us", "--rate", "1kHz",
+               "--duration", "50s") == 0
+    meta = parse_metadata((workdir / "g2.csv.meta.txt").read_text())
+    assert float(meta["run"]["tau_c"]) == pytest.approx(0.444, rel=1e-3)
+
+
+def test_oversized_trace_is_refused_before_allocation(workdir, monkeypatch,
+                                                      capsys):
+    # --washout-g2 1.000002 inverts to tau_c = 2e-12 s: 2.5e11 samples
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("the sample count must be checked first")
+
+    monkeypatch.setattr("motlaser.photonstats._rng", no_synthesis)
+    assert run("g2", "--regime", "below", "--washout-g2", "1.000002",
+               "--bin", "1us", "--max-lag", "20us", "--rate", "200kHz",
+               "--duration", "0.05s") == 3
+    err = capsys.readouterr().err
+    assert "2.5e+11 samples" in err and "cap of 5e+07 samples" in err
+    assert not (workdir / "g2.csv").exists()
 
 
 @pytest.mark.parametrize("vary,bounds", [("pump", ("1uW", "1mW")),

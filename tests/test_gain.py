@@ -549,6 +549,26 @@ class TestDetuningMap:
                         (sol.gains[n] >= KAPPA)
 
 
+CRITERION_SCANS = [
+    ("mot_detuning", np.arange(-40e6, -19e6, 4e6)),      # criterion 3
+    ("b_offset_magnitude", np.arange(1.5, 4.51, 0.5)),   # criterion 4
+]
+
+
+def _scan_cell(op, vary, x):
+    if vary == "mot_detuning":
+        return replace(op, mot_detuning=x)
+    b = np.asarray(op.b_offset, float)
+    return replace(op, b_offset=tuple(b / np.linalg.norm(b) * x))
+
+
+def _zeeman_and_center(system, cell):
+    """The sigma+ Zeeman shift and the two-photon resonance there, Hz."""
+    zeeman = gain.atomics.zeeman_shift(system.green.lande_g_upper, 1,
+                                       np.linalg.norm(cell.b_offset))
+    return zeeman, two_photon_resonance(zeeman, cell.mot_detuning)
+
+
 class TestOptimumScan:
     def test_trap_detuning_slope_unity(self, system, op, calib):
         scan = optimum_scan("mot_detuning", np.array([-40e6, -30e6, -20e6]),
@@ -574,6 +594,76 @@ class TestOptimumScan:
                             system, calib)
         assert all(p.pump_opt is None for p in scan.points)
         assert np.isnan(scan.slope)
+
+    @pytest.mark.parametrize("vary,values", CRITERION_SCANS,
+                             ids=["criterion-3", "criterion-4"])
+    def test_optimum_beats_brute_force_grid(self, system, op, calib, vary,
+                                            values):
+        # the oracle searches the whole (pump, cavity) box the scan used
+        # to grid, with no knowledge of the ridge: a 201 x 201 grid, then
+        # 201 x 201 again over the cells around its best point.  Brent
+        # stops within xatol = 1 Hz of the ridge maximum, on a pump peak
+        # megahertz wide, which costs G about 1e-12; the bound allows 1e-9.
+        scan = optimum_scan(vary, values, op, system, calib)
+        assert len(scan.valid_points) == len(values)
+        for p in scan.points:
+            cell = _scan_cell(op, vary, p.x)
+            zeeman, center = _zeeman_and_center(system, cell)
+            kernel = gain._GainKernel(cell, (0,), system, calib)
+
+            def grid_max(pumps, cavities):
+                g = kernel.gains(pumps[:, None], cavities[None, :],
+                                 cell.pump_power, cell.total_atoms)[0]
+                i, j = np.unravel_index(np.argmax(g), g.shape)
+                return g[i, j], pumps[i], cavities[j]
+
+            pumps = np.linspace(0.25 * zeeman, 2.5 * zeeman + 2e6, 201)
+            cavities = np.linspace(center - 25e6, center + 25e6, 201)
+            coarse, dp, dc = grid_max(pumps, cavities)
+            dp_step, dc_step = pumps[1] - pumps[0], cavities[1] - cavities[0]
+            fine, _, _ = grid_max(
+                np.linspace(dp - dp_step, dp + dp_step, 201),
+                np.linspace(dc - dc_step, dc + dc_step, 201))
+            found = kernel.gains(p.pump_opt, p.cavity_opt, cell.pump_power,
+                                 cell.total_atoms)[0]
+            assert found >= max(coarse, fine) * (1.0 - 1e-9)
+
+    @pytest.mark.parametrize("family,offset", [(0, 0.0), (37, 0.0),
+                                               (37, 1.5e6)])
+    def test_cavity_optimum_on_two_photon_ridge(self, system, op, calib,
+                                                family, offset):
+        shifted = replace(calib, resonance_offset=offset)
+        scan = optimum_scan("mot_detuning", np.array([-40e6, -30e6]), op,
+                            system, shifted, family=family)
+        family_offset = geometry.transverse_mode_frequency(
+            family, system.cavity.family_spacing, system.cavity.family_step)
+        for p in scan.points:
+            ridge = (two_photon_resonance(p.pump_opt, p.x) + offset
+                     - family_offset)
+            assert p.cavity_opt == ridge
+            # and the gain does fall off the ridge on either side
+            cell = replace(op, mot_detuning=p.x)
+            kernel = gain._GainKernel(cell, (family,), system, shifted)
+            g = kernel.gains(p.pump_opt, ridge + np.array([-1e3, 0.0, 1e3]),
+                             cell.pump_power, cell.total_atoms)[0]
+            assert g[1] > g[0] and g[1] > g[2]
+
+    def test_no_photon_solve(self, system, op, calib, monkeypatch):
+        calls = {"saturation": 0}
+        real = gain._saturation
+
+        def counted(*args):
+            calls["saturation"] += 1
+            return real(*args)
+
+        def no_solve(*args):
+            raise AssertionError("optimum_scan must not solve photon numbers")
+
+        monkeypatch.setattr(gain, "_saturation", counted)
+        monkeypatch.setattr(gain._GainKernel, "solve", no_solve)
+        scan = optimum_scan(*CRITERION_SCANS[1], op, system, calib)
+        assert len(scan.valid_points) == len(CRITERION_SCANS[1][1])
+        assert calls["saturation"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +694,8 @@ class TestFminbound:
     """gain._fminbound against scipy's bounded minimizer as the oracle:
     the same x, bit for bit, after the same number of evaluations."""
 
-    @pytest.mark.parametrize("vary,values", [
-        ("mot_detuning", np.arange(-40e6, -19e6, 4e6)),     # criterion 3
-        ("b_offset_magnitude", np.arange(1.5, 4.51, 0.5)),  # criterion 4
-    ], ids=["criterion-3", "criterion-4"])
+    @pytest.mark.parametrize("vary,values", CRITERION_SCANS,
+                             ids=["criterion-3", "criterion-4"])
     def test_scan_objectives(self, system, op, calib, monkeypatch, vary,
                              values):
         searches = []
@@ -619,8 +707,8 @@ class TestFminbound:
 
         monkeypatch.setattr(gain, "_fminbound", checked)
         optimum_scan(vary, values, op, system, calib)
-        # three rounds of one cavity and one pump search per point
-        assert len(searches) == 6 * len(values)
+        # one pump search along the two-photon ridge per point
+        assert len(searches) == len(values)
         for got, want in searches:
             assert got == want
 

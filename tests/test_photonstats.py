@@ -63,6 +63,20 @@ class TestSimulateIntensity:
         with pytest.raises(PhysicsError):
             simulate_intensity("thermal", 1e5, 1e-2, 0.5, 1e-3, seed=0)
 
+    @pytest.mark.parametrize("regime", ["thermal", "laser", "poisson"])
+    def test_sample_cap(self, regime, monkeypatch):
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("the sample count must be checked first")
+
+        monkeypatch.setattr(ps, "_rng", no_synthesis)
+        monkeypatch.setattr(ps.np, "full", no_synthesis)
+        period = 1e-9
+        with pytest.raises(PhysicsError, match="cap of 5e\\+07"):
+            simulate_intensity(regime, 1e5, 1e-8, 1.000001 * ps.MAX_SAMPLES
+                               * period, period, seed=0)
+        with pytest.raises(PhysicsError, match="cap"):
+            simulate_intensity(regime, 1e5, 1e-8, 1.0, 5e-324, seed=0)
+
     def test_bad_regime_and_rate(self):
         with pytest.raises(ValueError):
             simulate_intensity("chaos", 1e5, 1e-4, 1.0, 1e-5, seed=0)
@@ -321,6 +335,10 @@ class TestG2Cross:
             g2_cross(a, b, 0.0, 1e-5)
         with pytest.raises(ValueError):
             g2_cross(a, b, 1e-5, 1e-6)
+        with pytest.raises(ValueError, match="stream duration"):
+            g2_cross(a, b, 1e-9, 1e3)    # 2e12 lags: refused, not allocated
+        with pytest.raises(ValueError, match="int64"):
+            g2_cross(a, b, a.duration / 2.0**64, 1e-17)
 
     def test_total_pairs_counted(self, poisson_pair):
         a, b = poisson_pair
@@ -390,11 +408,28 @@ class TestBinningWashout:
         b = binning_washout(tau_c, width * 1.5)
         assert 1.0 <= b <= a <= 2.0
 
+    def test_small_bins_match_series(self):
+        # g2_bin(0) = 1 + 2 sum_{k>=2} (-x)^(k-2) / k!; terms past k = 12
+        # are below 1e-25 for x <= 1e-2
+        for x in np.geomspace(2e-6, 1e-2, 41):
+            series = 1.0 + 2.0 * math.fsum(
+                (-x) ** (k - 2) / math.factorial(k) for k in range(2, 13))
+            assert binning_washout(2.0 / x, 1.0) == \
+                pytest.approx(series, rel=1e-9)
+
     def test_inversion_round_trip(self):
         for target in (1.2, 1.6, 1.9):
             tau_c = invert_washout(target, 2.6e-6)
             assert binning_washout(tau_c, 2.6e-6) == \
                 pytest.approx(target, abs=1e-6)
+
+    @pytest.mark.parametrize("width", [1e-10, 1e-9, 2.6e-6, 1e-3])
+    def test_inversion_exact_at_any_bin_width(self, width):
+        # the root tolerance scales with the bin, not a fixed 2e-12 s
+        for target in (1.2, 1.6, 1.9, 1.9999985):
+            tau_c = invert_washout(target, width)
+            assert binning_washout(tau_c, width) == \
+                pytest.approx(target, abs=1e-12)
 
     def test_washout_consistency_with_correlator(self):
         # the full chain: invert the washout prediction for a 1.6 peak,
