@@ -350,9 +350,12 @@ def _resolve_tau_c(args, cfg: RunConfig, calib) -> float:
     if g0 >= kappa:
         raise PhysicsError(
             "operating point is above threshold: the below-threshold "
-            "coherence time 1/(kappa - G) is undefined; lower the pump or "
+            "coherence time 2/(kappa - G) is undefined; lower the pump or "
             "atom number, or pass --tau-c / --washout-g2")
-    return float(1.0 / (kappa - g0))
+    # kappa is the energy decay rate: the amplified field decays at
+    # (kappa - G)/2, so g2 = 1 + exp(-(kappa - G)|tau|), which is
+    # 1 + exp(-2|tau|/tau_c) at tau_c = 2/(kappa - G)
+    return float(2.0 / (kappa - g0))
 
 
 def cmd_g2(args) -> int:

@@ -17,10 +17,12 @@ light.  The histogram h[k] counts the pairs whose bin indices differ by k,
 
 - dense: the cross-correlation h[k] = sum_t c_a[t] c_b[t + k] of per-bin
   count vectors (the time-tag correlator of Wahl et al., Opt. Express 11,
-  3583 (2003) and Laurence et al., Opt. Lett. 31, 829 (2006)), as float64
-  dot products over blocks of bins.  Every product and partial sum is an
-  integer no larger than Na * Nb, so the result is exact in any summation
-  order while Na * Nb < 2**53.  Cost O(bins x lags).
+  3583 (2003) and Laurence et al., Opt. Lett. 31, 829 (2006)).  Per block
+  of bins and tile of lags it is one float64 matrix product of a's counts,
+  laid out as rows, with b's counts in overlapping rows, and h is the sum
+  of the product's diagonals (see :func:`_pair_hist_dense`).  Every product
+  and partial sum is an integer no larger than Na * Nb, so the result is
+  exact in any summation order while Na * Nb < 2**53.  Cost O(bins x lags).
 - sweep: a search of each a-click's lag window in the sorted b-stream,
   cost O(Na + Nb + pairs in the window).
 
@@ -35,6 +37,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 # numpy loads its random module on first use; import it here so that the
 # cost falls on start-up, not on the first command that synthesizes clicks
 from numpy.random import Generator, Philox
@@ -330,58 +333,86 @@ def poissonize(trace: IntensityTrace, seed: int) -> tuple:
 # Correlator
 # ---------------------------------------------------------------------------
 
-# Unit costs of the two kernels on laser-light streams at 500 kHz (2-vCPU
-# x86-64 VM, one BLAS thread, numpy 2.4 with OpenBLAS 0.3): where pairs
-# dominate, the sweep spends 10.8-13.4 ns per pair, the dense path
-# 0.29-0.42 ns per bin x lag.  The sweep also pays per click, so the rule
-# leans to the sweep near the boundary.
+# Unit costs of the two kernels, fitted on laser-light streams at 100 and
+# 500 kHz with 2.6 us bins over 3-4001 lags (2-vCPU x86-64 VM, one BLAS
+# thread, numpy 2.4 with OpenBLAS 0.3): the sweep spends 124 ns per
+# a-click (the window searches) and 9.8 ns per pair; the dense path
+# 11.6 ns per bin (counting and copies) and 0.056 ns per bin x lag (the
+# matrix products).
+_SWEEP_NS_PER_CLICK = 120.0
 _SWEEP_NS_PER_PAIR = 12.0
-_DENSE_NS_PER_BIN_LAG = 0.33
-# Bins per dense block: the two count vectors of a block stay in L2.
-_DENSE_BLOCK = 32_768
+_DENSE_NS_PER_BIN = 12.0
+_DENSE_NS_PER_BIN_LAG = 0.056
+# Dense blocks of 65536 bins as rows of at most 128 bins, and tiles of at
+# most 1024 lags: the overlapping b rows and the product of one tile stay
+# below 6 MB however wide the lag window.
+_DENSE_BLOCK = 65_536
+_DENSE_WIDTH = 128
+_DENSE_LAG_TILE = 1024
 
 
 def _use_dense(na: int, nb: int, nbins: int, lags: int) -> bool:
     """Whether the dense path is exact and expected to beat the sweep.
 
-    The sweep finds about Na * Nb * lags / nbins pairs, the dense path
-    fills nbins * lags cells; with the unit costs above the dense path
-    wins when nbins < sqrt(12 / 0.33 * Na * Nb), about 6.0 sqrt(Na * Nb).
-    Exactness needs every float64 partial sum, at most Na * Nb, below
-    2**53.
+    The sweep searches Na windows and finds about Na * Nb * lags / nbins
+    pairs; the dense path counts nbins bins and fills nbins * lags cells.
+    With the unit costs above the dense path wins up to nbins of about
+    10 (3 lags) to 14 (771 lags) times sqrt(Na * Nb) for streams of equal
+    size.  Exactness needs every float64 partial sum, at most Na * Nb,
+    below 2**53.
     """
     if na * nb >= 2**53:
         return False
     pairs = na * nb * lags / nbins
-    return nbins * lags * _DENSE_NS_PER_BIN_LAG < pairs * _SWEEP_NS_PER_PAIR
+    dense = nbins * (_DENSE_NS_PER_BIN + _DENSE_NS_PER_BIN_LAG * lags)
+    return dense < na * _SWEEP_NS_PER_CLICK + pairs * _SWEEP_NS_PER_PAIR
 
 
-def _pair_hist_dense(fa, fb, kmax, hist, block=_DENSE_BLOCK):
+def _pair_hist_dense(fa, fb, kmax, hist, block=_DENSE_BLOCK,
+                     lag_tile=_DENSE_LAG_TILE):
     """Add the delay histogram of ``fa`` against ``fb`` into ``hist`` from
-    per-bin counts.
+    per-bin counts, as one matrix product per block and lag tile.
 
     a's bin range is walked in blocks of ``block`` bins.  Per block, a's
     counts c_a and b's counts c_b over the block widened by +-kmax give
-    h[j] += c_a . c_b[j:j + m] for lag index j = k + kmax.  The caller
-    guarantees Na * Nb < 2**53, which makes the float64 sums exact.
+    h[j] = sum_t c_a[t] c_b[t + j] for lag index j = k + kmax.  With the
+    block's bins t = s W + r laid out as an (S, W) array A (zero-padded
+    to whole rows), and for the lags j0 <= j < j0 + T of one tile the
+    overlapping rows B[s] = c_b[s W + j0 : s W + j0 + W + T - 1] as a
+    contiguous (S, W + T - 1) array, the product M = A^T B holds
+    M[r, r + d] = sum_s c_a[s W + r] c_b[s W + r + j0 + d], so h[j0 + d]
+    is the sum of M's d-th diagonal.  A tile computes W - 1 columns beyond
+    its lags, so W = min(128, lags); tiling the lags by ``lag_tile``
+    keeps B and M at a few MB whatever the window.  Every product and
+    partial sum is an integer no larger than Na * Nb, so the float64
+    result is exact in any summation order the BLAS takes; the caller
+    guarantees Na * Nb < 2**53.
     """
+    lags = hist.size
+    width = min(_DENSE_WIDTH, lags)
     first, stop = int(fa[0]), int(fa[-1]) + 1
     edges = np.append(np.arange(first, stop, block), stop)
     ia = np.searchsorted(fa, edges)
     ib_lo = np.searchsorted(fb, edges[:-1] - kmax)
     ib_hi = np.searchsorted(fb, edges[1:] + kmax)
-    acc = np.zeros(hist.size)
+    acc = np.zeros(lags)
     for s in range(edges.size - 1):
         if ia[s] == ia[s + 1]:
             continue
         t0 = edges[s]
-        m = int(edges[s + 1] - t0)
-        ca = np.bincount(fa[ia[s]:ia[s + 1]] - t0,
-                         minlength=m).astype(np.float64)
+        rows = -(-int(edges[s + 1] - t0) // width)
+        ca = np.bincount(fa[ia[s]:ia[s + 1]] - t0, minlength=rows * width)
+        ca = ca.astype(np.float64).reshape(rows, width)
         cb = np.bincount(fb[ib_lo[s]:ib_hi[s]] - (t0 - kmax),
-                         minlength=m + 2 * kmax).astype(np.float64)
-        for j in range(hist.size):
-            acc[j] += ca @ cb[j:j + m]
+                         minlength=rows * width + lags - 1).astype(np.float64)
+        for j0 in range(0, lags, lag_tile):
+            tile = min(lag_tile, lags - j0)
+            cols = width + tile - 1
+            rows_b = sliding_window_view(cb[j0:], cols)[::width][:rows]
+            m = (ca.T @ rows_b.copy()).ravel()
+            # diag[r, d] = M[r, r + d]: rows of the flat M, cols + 1 apart
+            diag = sliding_window_view(m, tile)[::cols + 1]
+            acc[j0:j0 + tile] += diag.sum(axis=0)
     hist += acc.astype(np.int64)
 
 

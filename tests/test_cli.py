@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from motlaser import gain
-from motlaser.cli import main, render_polarization_table
+from motlaser.cli import load_calibration, main, render_polarization_table
 from motlaser.config import (_HASH_EXCLUDED, ConfigError, default_config,
                              load_config, parse_config_text, parse_quantity)
 from motlaser.photonstats import read_clickstream
@@ -277,6 +277,40 @@ class TestG2Command:
         code = run("g2", "--regime", "below", "--duration", "1s",
                    "--rate", "1000", "--bin", "2.6us", "--max-lag", "13us")
         assert code == 3
+
+    def test_below_coherence_time_from_rate_equation(self, workdir):
+        # Below threshold the model's photon number relaxes at the rate
+        # -d/dn of dn/dt = (G/(1 + n/n_sat) - kappa) n + G at its fixed
+        # point.  The synthesized thermal intensity |alpha|^2 relaxes in
+        # mean at 2/tau_c (its autocovariance is exp(-2|tau|/tau_c), see
+        # test_photonstats::test_thermal_correlation_time), so the
+        # coherence time the CLI derives must make the two rates equal.
+        calibrated(workdir)
+        cfg_path = workdir / "weak.cfg"
+        cfg_path.write_text("pump_power = 10 uW\n")  # not hashed
+        assert run("--config", str(cfg_path), "g2", "--regime", "below",
+                   "--duration", "0.1s", "--rate", "10000", "--bin", "2.6us",
+                   "--max-lag", "13us") == 0
+        meta = parse_metadata((workdir / "g2.csv.meta.txt").read_text())
+        tau_c = float(meta["run"]["tau_c"])
+
+        cfg = load_config(str(cfg_path))
+        system, op = cfg.system(), cfg.operating_point()
+        calib = load_calibration("calibration.txt", cfg)
+        kappa, n_sat = system.cavity.kappa, calib.n_sat
+        g = gain.mode_gain(op, 0, system, calib).total
+        n = float(gain.steady_state(op, (0,), system, calib).photons[0])
+        assert 0.2 < g / kappa < 0.8
+
+        def dndt(x):
+            return (g / (1.0 + x / n_sat) - kappa) * x + g
+
+        assert abs(dndt(n)) < 1e-9 * g          # the model's fixed point
+        h = 1e-3 * n
+        relax = -(dndt(n + h) - dndt(n - h)) / (2.0 * h)
+        # n is about two photons against n_sat = 2e5: saturation moves the
+        # rate from kappa - G by about 4e-5 relative
+        assert 2.0 / tau_c == pytest.approx(relax, rel=1e-4)
 
     def test_emit_clicks(self, workdir):
         code = run("g2", "--regime", "above", "--duration", "1s",

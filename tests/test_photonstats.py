@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,6 +304,51 @@ class TestG2Cross:
         assert np.array_equal(g2_cross(a, b, width, kmax * width).counts,
                               sweep)
 
+    def test_dense_matches_per_lag_dot_oracle(self):
+        # criterion-9 shape (500 kHz laser light, 2.6 us bins, +-1 ms or
+        # 771 lags) over 1 s: the matrix-product kernel against one dot
+        # product per lag of the whole streams' per-bin counts
+        tr = simulate_intensity("laser", 5e5, 0.0, 1.0, 1e-3, seed=6)
+        a, b = poissonize(tr, seed=7)
+        width, kmax = 2.6e-6, 385
+        fa = np.floor(a.timestamps / width).astype(np.int64)
+        fb = np.floor(b.timestamps / width).astype(np.int64)
+        lo, hi = min(fa[0], fb[0]), max(fa[-1], fb[-1]) + 1
+        nbins = int(hi - lo)
+        assert ps._use_dense(fa.size, fb.size, nbins, 2 * kmax + 1)
+        ca = np.bincount(fa - lo, minlength=nbins).astype(np.float64)
+        cb = np.zeros(nbins + 2 * kmax)
+        cb[kmax:kmax + nbins] = np.bincount(fb - lo, minlength=nbins)
+        oracle = np.array([np.dot(ca, cb[j:j + nbins])
+                           for j in range(2 * kmax + 1)]).astype(np.int64)
+        hist = np.zeros(2 * kmax + 1, np.int64)
+        ps._pair_hist_dense(fa, fb, kmax, hist)
+        assert oracle.sum() > 10**8
+        assert np.array_equal(hist, oracle)
+
+    def test_dense_scratch_memory_is_bounded(self):
+        # 52001 lags on 1e4 clicks per detector: an untiled lag axis would
+        # hold 512 x 52128 overlapping b rows and a 128 x 52128 product
+        # (267 MB); tiles of 1024 lags hold 5.9 MB of them
+        rng = np.random.default_rng(3)
+        fa, fb = (np.sort(rng.choice(200_000, 10_000, replace=False))
+                  for _ in range(2))
+        kmax = 26_000
+        hist = np.zeros(2 * kmax + 1, np.int64)
+        tracemalloc.start()
+        try:
+            ps._pair_hist_dense(fa, fb, kmax, hist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block's count vectors, a's and b's, as int64 and as float64,
+        # and the float64 histogram accumulator
+        counts = 2 * 8 * (2 * ps._DENSE_BLOCK + 2 * kmax) + 8 * hist.size
+        assert peak < counts + 8 * 2**20
+        sweep = np.zeros_like(hist)
+        ps._pair_hist_numpy(fa, fb, kmax, sweep)
+        assert np.array_equal(hist, sweep)
+
     def test_path_choice_from_sizes(self):
         # the rule sees sizes only; nothing here is allocated
         # g2-sparse shape: 2e5 clicks per detector, 1 ns bins over 2 s,
@@ -311,6 +357,12 @@ class TestG2Cross:
         # criterion-9 shape: 5.5e6 clicks per detector, 2.6 us bins over
         # 22 s, 771 lags
         assert ps._use_dense(5_500_000, 5_500_000, 8_461_539, 771)
+        # 100 kHz per detector over 2 s at 2.6 us bins: measured 8 ms dense
+        # against an 11 ms sweep at 3 lags (39 against 106 ms at 771); at
+        # 87 ns bins, 30 times sparser, 0.23 s dense against a 9 ms sweep
+        for lags in (3, 771):
+            assert ps._use_dense(100_485, 100_485, 769_228, lags)
+        assert not ps._use_dense(100_485, 100_485, 30 * 769_228, 3)
         # from Na * Nb = 2**53 on, float64 sums may round: the sweep runs,
         # however dense the clicks
         assert not ps._use_dense(2**27, 2**26, 1_000, 771)
@@ -355,37 +407,55 @@ class TestG2Cross:
         a = ClickStream(0, np.sort(np.array(ta)), 1.0)
         b = ClickStream(1, np.sort(np.array(tb)), 1.0)
         # brute-force oracle: every (a, b) pair whose quantized delay
-        # lies within the +-5 bin window; the default path and both
+        # lies within the +-kmax bin window; the default path and both
         # histogram kernels must meet it
-        width, kmax = 0.01, 5
-        oracle = np.zeros(2 * kmax + 1, np.int64)
-        for t_a in ta:
-            for t_b in tb:
-                k = math.floor(t_b / width) - math.floor(t_a / width)
-                if abs(k) <= kmax:
-                    oracle[k + kmax] += 1
+        width = 0.01
+
+        def oracle(kmax):
+            hist = np.zeros(2 * kmax + 1, np.int64)
+            for t_a in ta:
+                for t_b in tb:
+                    k = math.floor(t_b / width) - math.floor(t_a / width)
+                    if abs(k) <= kmax:
+                        hist[k + kmax] += 1
+            return hist
+
+        kmax = 5
+        expected = oracle(kmax)
         r_ab = g2_cross(a, b, width, 0.05)
         r_ba = g2_cross(b, a, width, 0.05)
-        assert np.array_equal(r_ab.counts, oracle)
+        assert np.array_equal(r_ab.counts, expected)
         fa = np.floor(a.timestamps / width).astype(np.int64)
         fb = np.floor(b.timestamps / width).astype(np.int64)
         for kernel in (ps._pair_hist_dense, ps._pair_hist_numpy):
             hist = np.zeros(2 * kmax + 1, np.int64)
             kernel(fa, fb, kmax, hist)
-            assert np.array_equal(hist, oracle), kernel.__name__
-        # a dense block narrower than the lag window and than the stream
-        hist = np.zeros(2 * kmax + 1, np.int64)
-        ps._pair_hist_dense(fa, fb, kmax, hist, block=3)
-        assert np.array_equal(hist, oracle)
+            assert np.array_equal(hist, expected), kernel.__name__
         # sweep chunks smaller than one click's pairs, and a few pairs wide
         for chunk in (1, 7):
             hist = np.zeros(2 * kmax + 1, np.int64)
             ps._pair_hist_numpy(fa, fb, kmax, hist, chunk=chunk)
-            assert np.array_equal(hist, oracle), chunk
+            assert np.array_equal(hist, expected), chunk
         assert np.array_equal(r_ab.counts, r_ba.counts[::-1])
         # invariance under bin-preserving sharding
         r_sh = g2_cross(a, b, width, 0.05, shards=3)
         assert np.array_equal(r_ab.counts, r_sh.counts)
+        # dense tilings: a block narrower than the lag window and than the
+        # stream (3 bins); lag tiles narrower than the window, of one lag
+        # and of lag counts that do not divide it (4 of 11, 64 of 141);
+        # and at kmax = 70 rows of 128 bins, longer than the whole 100-bin
+        # stream, with more lags than bins in a row
+        block, tile = ps._DENSE_BLOCK, ps._DENSE_LAG_TILE
+        for kmax, layouts in ((5, ((3, tile), (block, 1), (block, 4),
+                                   (3, 4))),
+                              (70, ((block, tile), (3, tile), (block, 64),
+                                    (3, 64)))):
+            expected = oracle(kmax)
+            for blk, lag_tile in layouts:
+                hist = np.zeros(2 * kmax + 1, np.int64)
+                ps._pair_hist_dense(fa, fb, kmax, hist, block=blk,
+                                    lag_tile=lag_tile)
+                assert np.array_equal(hist, expected), (kmax, blk, lag_tile)
 
 
 # ---------------------------------------------------------------------------
