@@ -389,6 +389,12 @@ def cmd_g2(args) -> int:
             "laser", args.rate, 0.0, args.duration, sample_period=period,
             seed=seed, laser_ripple=cfg["laser_ripple"])
     det_a, det_b = photonstats.poissonize(trace, seed + 1)
+    for stream in (det_a, det_b):
+        if stream.timestamps.size == 0:
+            raise PhysicsError(
+                f"detector {stream.detector_id} recorded no clicks in "
+                f"{args.duration:g} s at {args.rate:g} clicks/s: no pairs to "
+                f"correlate; raise --rate or --duration")
     if args.emit_clicks:
         for stream, tag in ((det_a, "det0"), (det_b, "det1")):
             photonstats.write_clickstream(stream,
@@ -396,9 +402,8 @@ def cmd_g2(args) -> int:
     result = photonstats.g2_cross(det_a, det_b, args.bin, args.max_lag,
                                   shards=max(1, args.threads))
     table = ScanResultTable(["lag_s", "g2", "sigma", "pairs"])
-    for lag, g2v, sig, cnt in zip(result.lags, result.g2, result.sigma,
-                                  result.counts):
-        table.add_row(float(lag), float(g2v), float(sig), int(cnt))
+    table.rows.extend(zip(result.lags.tolist(), result.g2.tolist(),
+                          result.sigma.tolist(), result.counts.tolist()))
     meta = _base_metadata(cfg, "g2", {
         "regime": args.regime, "duration": repr(args.duration),
         "rate": repr(args.rate), "bin": repr(args.bin),

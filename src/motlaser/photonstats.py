@@ -114,9 +114,9 @@ class CorrelationResult:
     total_pairs: int
 
 
-# Thermal synthesis peaks at about 42 bytes per sample (the complex noise
-# and field arrays and the intensity), so this many samples need about
-# 2 GB.  The largest trace of the benchmark workloads and the tests is
+# Thermal synthesis peaks at about 28 bytes per sample (the complex noise,
+# the intensity and the recursion's slabs), so this many samples need about
+# 1.4 GB.  The largest trace of the benchmark workloads and the tests is
 # 6.7e6 samples (g2 at 2 s with tau_c = 3 us).  A longer one is refused
 # before anything is allocated.
 MAX_SAMPLES = 50_000_000
@@ -171,13 +171,19 @@ def simulate_intensity(regime: str, mean_rate: float, coherence_time: float,
         rng = _rng(seed)
         a = np.exp(-sample_period / coherence_time)
         sigma_field = np.sqrt(mean_rate)
-        # exact AR(1) update of the complex field, stationary start
-        noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
-            * (sigma_field * np.sqrt((1.0 - a * a) / 2.0))
+        # exact AR(1) update of the complex field, stationary start; the
+        # noise is (g_re + 1j g_im) * scale, built in place component by
+        # component with the same bits
+        scale = sigma_field * np.sqrt((1.0 - a * a) / 2.0)
+        noise = np.empty(n, complex)
+        g = rng.standard_normal(n)
+        np.multiply(g, scale, out=noise.real)
+        rng.standard_normal(out=g)
+        np.multiply(g, scale, out=noise.imag)
+        del g
         start = (rng.standard_normal() + 1j * rng.standard_normal()) \
             * (sigma_field / np.sqrt(2.0))
-        alpha = _ar1(noise, a, start)
-        samples = np.abs(alpha) ** 2
+        samples = _ar1_power(noise, a, start)
     return IntensityTrace(sample_period, samples, regime)
 
 
@@ -197,18 +203,24 @@ def _ar1_layout(n: int, a: float) -> tuple:
     return warm, max(4 * warm, -(-n // _AR1_BLOCKS))
 
 
-def _ar1_serial(x, a, state, out):
-    """out[k] = x[k] + a * out[k - 1] from ``state`` = out[-1], one step
-    at a time; x and out are (m, 2) float64 views of complex samples."""
+def _ar1_serial(x, a, state) -> np.ndarray:
+    """y[k] = x[k] + a * y[k - 1] from the complex ``state`` = y[-1], one
+    step at a time, for a contiguous complex ``x``; returns y."""
     a = float(a)
-    re, im = map(float, state)
+    re, im = state.real, state.imag
     res = []
-    for xr, xi in x.tolist():
+    for xr, xi in x.view(np.float64).reshape(-1, 2).tolist():
         re = xr + a * re
         im = xi + a * im
-        res.append((re, im))
-    if res:
-        out[...] = res
+        res.append(complex(re, im))
+    return np.array(res, complex)
+
+
+def _power(y, out) -> None:
+    # |y|^2 as np.abs(y) ** 2 rounds it; np.abs gives the same bits for
+    # any memory layout, np.hypot(re, im) does not
+    np.abs(y, out=out)
+    np.multiply(out, out, out=out)
 
 
 def _same(u: float, v: float) -> bool:
@@ -216,34 +228,40 @@ def _same(u: float, v: float) -> bool:
     return u == v and math.copysign(1.0, u) == math.copysign(1.0, v)
 
 
-def _ar1_redo(x, y, a, state) -> bool:
-    """Recompute block ``y`` from its true entering ``state`` until the
-    result meets the stored values; whether the block's last value changed.
+def _ar1_redo(x, p, a, guess, state):
+    """Recompute block ``x`` from its true entering ``state`` next to the
+    chain the main pass ran from ``guess``, until the two meet, and
+    rewrite |y|^2 in ``p`` over the prefix where they differ.
+
+    Returns the true state leaving the block if the chains never meet, and
+    None if they do: the main pass's values from there on are exact.
     """
     a = float(a)
-    re, im = map(float, state)
-    stored = y.tolist()
-    for k, (xr, xi) in enumerate(x.tolist()):
+    re, im = state.real, state.imag
+    gr, gi = guess.real, guess.imag
+    res = []
+    for xr, xi in x.view(np.float64).reshape(-1, 2).tolist():
         re = xr + a * re
         im = xi + a * im
-        yr, yi = stored[k]
-        if _same(re, yr) and _same(im, yi):
-            if k:
-                y[:k] = stored[:k]
-            return False
-        stored[k] = (re, im)
-    y[...] = stored
-    return True
+        gr = xr + a * gr
+        gi = xi + a * gi
+        if _same(re, gr) and _same(im, gi):
+            break
+        res.append(complex(re, im))
+    if res:
+        _power(np.array(res, complex), p[:len(res)])
+    return complex(re, im) if len(res) == x.size else None
 
 
-def _ar1_advance(x2, a, state, out=None):
+def _ar1_advance(x2, a, state, power=None):
     """The state after the steps of the complex (blocks, steps) array
     ``x2``, from ``state``, the float64 view of one complex state per block
-    (not written to); the states after each step go to ``out`` if given.
+    (not written to); |y|^2 after each step goes to ``power`` if given.
 
     Each slab of steps is transposed so that one step of every block is
     one contiguous row; the recursion then runs in place over its float64
-    view.
+    view, and the slab's |y|^2, taken while it is in cache, is written
+    back transposed.
     """
     tmp = np.empty_like(state)
     for k0 in range(0, x2.shape[1], _AR1_SLAB):
@@ -254,54 +272,62 @@ def _ar1_advance(x2, a, state, out=None):
             np.add(row, tmp, out=row)
             state = row
         state = state.copy()
-        if out is not None:
-            out[:, k0:k0 + _AR1_SLAB] = slab.T
+        if power is not None:
+            mag = np.empty(slab.shape)
+            _power(slab, mag)
+            power[:, k0:k0 + _AR1_SLAB] = mag.T
     return state
 
 
-def _ar1(x: np.ndarray, a: float, start: complex) -> np.ndarray:
-    """y[k] = x[k] + a * y[k - 1] with y[-1] = ``start``, per real
-    component, for a complex128 ``x``.
+def _ar1_power(x: np.ndarray, a: float, start: complex) -> np.ndarray:
+    """|y|^2 for y[k] = x[k] + a * y[k - 1] with y[-1] = ``start``, per
+    real component, for a contiguous complex128 ``x``; y is never stored.
 
-    This is the recursion scipy.signal.lfilter([1], [1, -a], x,
-    zi=[a * start]) computes, with the same roundings, so the two agree bit
-    for bit.  The samples are split into blocks run side by side as one
-    vector.  Each block after the first starts from a warm-up run from
-    zero over the previous block's last ``warm`` samples (see
-    :func:`_ar1_layout`).  The blocks are then checked in order: a block
-    whose warm-up state differs in any bit from the true state leaving the
-    previous block is recomputed from that true state until the two
-    chains meet, after which they are identical, the state being first
-    order.  By induction every sample is exact.  Inputs shorter than two
-    blocks, and the samples after the last whole block, run serially.
+    y is the recursion scipy.signal.lfilter([1], [1, -a], x,
+    zi=[a * start]) computes, with the same roundings, so the result equals
+    np.abs(lfilter(...)) ** 2 bit for bit.  The samples are split into
+    blocks run side by side as one vector.  Each block after the first
+    starts from a warm-up run from zero over the previous block's last
+    ``warm`` samples (see :func:`_ar1_layout`).  The blocks are then checked
+    in order: a block whose warm-up state differs in any bit from the true
+    state leaving the previous block is recomputed from that true state,
+    next to the chain from its warm-up state, until the two chains meet,
+    after which they are identical, the state being first order.  By
+    induction every sample is exact.  Inputs shorter than two blocks, and
+    the samples after the last whole block, run serially.
     """
     n = x.size
-    y = np.empty_like(x)
-    xf = x.view(np.float64).reshape(n, 2)
-    yf = y.view(np.float64).reshape(n, 2)
+    p = np.empty(n)
     warm, length = _ar1_layout(n, a)
     blocks = n // length
     if blocks < 2:
-        _ar1_serial(xf, a, (start.real, start.imag), yf)
-        return y
+        _power(_ar1_serial(x, a, complex(start)), p)
+        return p
     end = blocks * length
-    x2, y2 = x[:end].reshape(blocks, length), y[:end].reshape(blocks, length)
-    state = np.empty(blocks, complex)
-    state[0] = start
-    state.view(np.float64)[2:] = _ar1_advance(
+    x2, p2 = x[:end].reshape(blocks, length), p[:end].reshape(blocks, length)
+    starts = np.empty(blocks, complex)
+    starts[0] = start
+    starts.view(np.float64)[2:] = _ar1_advance(
         x2[:-1, length - warm:], a, np.zeros(2 * (blocks - 1)))
-    guess = state[1:].view(np.uint64).reshape(-1, 2)
-    _ar1_advance(x2, a, state.view(np.float64), out=y2)
-    ends = yf[length - 1:end - 1:length].view(np.uint64)
-    bad = (guess != ends).any(axis=1).tolist()
-    changed = False
+    ends = _ar1_advance(x2, a, starts.view(np.float64), power=p2)
+    bad = (starts[1:].view(np.uint64) != ends[:-2].view(np.uint64)) \
+        .reshape(-1, 2).any(axis=1).tolist()
+    ends = ends.view(complex).tolist()
+    starts = starts.tolist()
+    state, changed = ends[0], False
     for j in range(1, blocks):
         if changed or bad[j - 1]:
-            changed = _ar1_redo(xf[j * length:(j + 1) * length],
-                                yf[j * length:(j + 1) * length], a,
-                                yf[j * length - 1])
-    _ar1_serial(xf[end:], a, yf[end - 1], yf[end:])
-    return y
+            lo = j * length
+            true_end = _ar1_redo(x[lo:lo + length], p[lo:lo + length], a,
+                                 starts[j], state)
+            changed = true_end is not None
+        state = true_end if changed else ends[j]
+    _power(_ar1_serial(x[end:], a, state), p[end:])
+    return p
+
+
+# poissonize draws the counts of this many samples at a time
+_POISSON_CHUNK = 1 << 20
 
 
 def poissonize(trace: IntensityTrace, seed: int) -> tuple:
@@ -314,11 +340,19 @@ def poissonize(trace: IntensityTrace, seed: int) -> tuple:
     """
     rng = _rng(seed)
     p = trace.sample_period
-    counts = rng.poisson(trace.samples * p)
-    total = int(counts.sum())
-    starts = np.repeat(np.arange(trace.samples.size, dtype=np.float64) * p,
-                       counts)
-    times = np.sort(starts + rng.random(total) * p)
+    # the generator draws in sequence, so chunked calls give the stream of
+    # one call; only the slots with clicks are kept
+    slots, counts = [], []
+    for i0 in range(0, trace.samples.size, _POISSON_CHUNK):
+        c = rng.poisson(trace.samples[i0:i0 + _POISSON_CHUNK] * p)
+        nz = np.flatnonzero(c)
+        slots.append(nz + i0)
+        counts.append(c[nz])
+    counts = np.concatenate(counts)
+    times = rng.random(int(counts.sum()))
+    times *= p
+    times += np.repeat(np.concatenate(slots), counts) * p
+    times.sort()
     keep = np.empty(times.size, bool)
     if times.size:
         keep[0] = True
@@ -616,10 +650,9 @@ def read_clickstream(path) -> ClickStream:
 
 
 def write_clickstream_text(stream: ClickStream, path) -> None:
-    """Plain-text format: one timestamp in seconds per line."""
+    """Plain-text format: one timestamp in seconds per line, as repr."""
     with open(path, "w") as fh:
-        for t in stream.timestamps:
-            fh.write(f"{float(t)!r}\n")
+        fh.write("".join(map("{!r}\n".format, stream.timestamps.tolist())))
 
 
 def read_clickstream_text(path, detector_id: int = 0, *,

@@ -38,8 +38,7 @@ class ScanResultTable:
 
     def csv_text(self) -> str:
         lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(format_cell(v) for v in row))
+        lines.extend(",".join(map(format_cell, row)) for row in self.rows)
         return "\n".join(lines) + "\n"
 
     def metadata_text(self) -> str:

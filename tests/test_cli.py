@@ -364,6 +364,17 @@ def test_bad_g2_window_is_usage_error(workdir, monkeypatch, window):
     assert not (workdir / "g2.csv").exists()
 
 
+@pytest.mark.parametrize("regime", [("above",), ("below", "--tau-c", "1us")],
+                         ids=["above", "below"])
+def test_empty_click_stream_exit_code(workdir, capsys, regime):
+    # about 0.01 expected clicks: a detector records none
+    assert run("g2", "--regime", *regime, "--rate", "1Hz", "--bin", "1us",
+               "--max-lag", "2us", "--duration", "0.01s",
+               "--emit-clicks", "run") == 3
+    assert "recorded no clicks" in capsys.readouterr().err
+    assert list(workdir.iterdir()) == []
+
+
 @pytest.mark.parametrize("line", ["pump_power = -1mW", "cloud_radius = 0",
                                   "total_atoms = -10", "pump_waist = 0",
                                   "families = 0,-37"])

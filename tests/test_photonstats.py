@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -98,9 +99,11 @@ class TestSimulateIntensity:
             IntensityTrace(1e-3, -np.ones(3), "poisson")
 
 
-def _lfilter_ar1(x, a, start):
-    # the oracle: scipy's direct-form filter with the stationary start
-    return lfilter([1.0], [1.0, -a], x, zi=np.array([a * start]))[0]
+def _lfilter_power(x, a, start):
+    # the oracle: |y|^2 of scipy's direct-form filter with the stationary
+    # start
+    y = lfilter([1.0], [1.0, -a], x, zi=np.array([a * start]))[0]
+    return np.abs(y) ** 2
 
 
 def _noise(n, seed):
@@ -109,7 +112,8 @@ def _noise(n, seed):
 
 
 class TestAr1:
-    """The blocked recursion against scipy.signal.lfilter, bit for bit."""
+    """|y|^2 of the blocked recursion against scipy.signal.lfilter, bit
+    for bit."""
 
     @pytest.mark.parametrize("ratio", [0.01, 0.05, 0.1, 0.5])
     def test_equals_lfilter(self, ratio):
@@ -120,8 +124,8 @@ class TestAr1:
                   7 * length + 5):
             x = _noise(n, n)
             kept = x.copy()
-            got = ps._ar1(x, a, 0.7 - 1.3j)
-            want = _lfilter_ar1(x, a, 0.7 - 1.3j)
+            got = ps._ar1_power(x, a, 0.7 - 1.3j)
+            want = _lfilter_power(x, a, 0.7 - 1.3j)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
             assert np.array_equal(x, kept)
 
@@ -132,8 +136,8 @@ class TestAr1:
         warm, length = ps._ar1_layout(n, a)
         assert length > 4 * warm and n // length == 4087
         x = _noise(n, 11) * 1e3
-        got = ps._ar1(x, a, 1.0 + 2.0j)
-        want = _lfilter_ar1(x, a, 1.0 + 2.0j)
+        got = ps._ar1_power(x, a, 1.0 + 2.0j)
+        want = _lfilter_power(x, a, 1.0 + 2.0j)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_redo_path(self, monkeypatch):
@@ -152,14 +156,14 @@ class TestAr1:
         redone = []
         real = ps._ar1_redo
 
-        def counted(xb, yb, a_, state):
-            changed = real(xb, yb, a_, state)
-            redone.append(changed)
-            return changed
+        def counted(*args):
+            true_end = real(*args)
+            redone.append(true_end is not None)
+            return true_end
 
         monkeypatch.setattr(ps, "_ar1_redo", counted)
-        got = ps._ar1(x, a, 0.5 + 0.5j)
-        want = _lfilter_ar1(x, a, 0.5 + 0.5j)
+        got = ps._ar1_power(x, a, 0.5 + 0.5j)
+        want = _lfilter_power(x, a, 0.5 + 0.5j)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         # whole blocks changed, then one met the stored chain part way
         assert redone == [True, True, False]
@@ -172,10 +176,53 @@ class TestAr1:
             * (np.sqrt(mean_rate) * np.sqrt((1.0 - a * a) / 2.0))
         start = (rng.standard_normal() + 1j * rng.standard_normal()) \
             * (np.sqrt(mean_rate) / np.sqrt(2.0))
-        want = np.abs(_lfilter_ar1(noise, a, start)) ** 2
+        want = _lfilter_power(noise, a, start)
         got = simulate_intensity("thermal", mean_rate, 1e-4, 1.0, 1e-5,
                                  seed=8).samples
         assert np.array_equal(got, want)
+
+
+# sha256 of the samples and of both detectors' timestamps, recorded before
+# the thermal synthesis and poissonize were rewritten without full-length
+# temporaries.  Both traces are longer than one poissonize chunk and not a
+# multiple of it.
+_PINNED = {
+    ("thermal", 2e5, 1e-5, 2.3, 12): (
+        "31d6d4995decb9331c587afc163ba4237823a219da140e1314d7e37a29d13971",
+        "cf8d580712feb0ba21fe3ce99142183cdf948ee0add15341280b4c06e61ae3ff",
+        "c22427fdb3f80015cc53c22c8eb893709f4bc573b03354239144dcfaa1b46c08"),
+    ("laser", 1e5, 0.0, 1.3, 14): (
+        "41dd4b426885e5f5c33b3ef76d9bc9b32d6b087a216fdc41680dd0cf2b4d1f17",
+        "9475bd7882579c6a7e587dfc2d032f350a4a39c231b6736863d7157fe0ab9c32",
+        "bbdd45093a9a08b24a3c81e13413d2ee748f0962bd64face25717dd1bafe4609"),
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED), ids=["thermal", "laser"])
+def test_traces_and_clicks_match_pinned_digests(case):
+    regime, rate, tau_c, duration, seed = case
+    tr = simulate_intensity(regime, rate, tau_c, duration, 1e-6, seed=seed)
+    assert tr.samples.size > ps._POISSON_CHUNK
+    assert tr.samples.size % ps._POISSON_CHUNK
+    a, b = poissonize(tr, seed=seed + 1)
+    got = tuple(hashlib.sha256(x.tobytes()).hexdigest()
+                for x in (tr.samples, a.timestamps, b.timestamps))
+    assert got == _PINNED[case]
+
+
+def test_thermal_synthesis_peak_memory_per_sample():
+    # the stored noise (16 B/sample) and the intensity (8 B/sample) plus
+    # the recursion's slabs; full-length complex temporaries took 41
+    n = 2_000_000
+    tracemalloc.start()
+    try:
+        tr = simulate_intensity("thermal", 2e5, 3e-6, n * 3e-7, 3e-7, seed=1)
+        poissonize(tr, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.samples.size == n
+    assert peak / n < 30.0
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +622,14 @@ class TestClickFiles:
         back = read_clickstream_text(path, detector_id=stream.detector_id,
                                      duration=stream.duration)
         assert np.array_equal(back.timestamps, stream.timestamps)
+
+    @pytest.mark.parametrize("clicks", [0, 1, 2500])
+    def test_text_bytes_are_per_line_repr(self, tmp_path, clicks):
+        stream = ClickStream(0, self.make_stream().timestamps[:clicks], 1.0)
+        path = tmp_path / "det.txt"
+        write_clickstream_text(stream, path)
+        want = "".join(f"{float(t)!r}\n" for t in stream.timestamps)
+        assert path.read_bytes() == want.encode()
 
 
 def test_clickstream_validation():
