@@ -17,8 +17,9 @@ from .gain import (CalibrationConstants, GainBreakdown, LaserSolution,
                    mode_gain, optimum_scan, output_power, steady_state,
                    threshold_solve, two_photon_resonance)
 from .geometry import (BeamGeometry, CavityGeometry, PolarizationLabel,
-                       cavity_emission_jones, mode_overlap_fraction,
-                       pump_excitation_weights, transverse_mode_frequency)
+                       cavity_emission_jones, family_coupling,
+                       mode_overlap_fraction, pump_excitation_weights,
+                       transverse_mode_frequency)
 from .photonstats import (ClickStream, CorrelationResult, IntensityTrace,
                           binning_washout, g2_auto, g2_cross, invert_washout,
                           poissonize, read_clickstream, simulate_intensity,

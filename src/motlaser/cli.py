@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__, gain, geometry, photonstats
 from .config import (RunConfig, default_config, describe_keys, load_config,
-                     parse_quantity)
+                     parse_quantity, parse_seed)
 from .errors import (ConfigError, IntegrityError, MotlaserError, PhysicsError,
                      QuantizationAxisError)
 from .gain import CalibrationConstants
@@ -111,9 +111,11 @@ def _attach_calibration(meta: dict, calib: CalibrationConstants,
 def _range_values(lo, hi, step):
     if step <= 0:
         raise ConfigError("step must be positive")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ConfigError("range bounds must be finite")
+    if hi < lo:
+        raise ConfigError(f"reversed range: max {hi!r} is below min {lo!r}")
     n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    if n < 1:
-        return np.array([])
     return lo + step * np.arange(n)
 
 
@@ -388,7 +390,7 @@ def cmd_g2(args) -> int:
         trace = photonstats.simulate_intensity(
             "laser", args.rate, 0.0, args.duration, sample_period=period,
             seed=seed, laser_ripple=cfg["laser_ripple"])
-    det_a, det_b = photonstats.poissonize(trace, seed + 1)
+    det_a, det_b = photonstats.poissonize(trace, (seed + 1) % 2**64)
     for stream in (det_a, det_b):
         if stream.timestamps.size == 0:
             raise PhysicsError(
@@ -429,7 +431,7 @@ def cmd_clicks(args) -> int:
     trace = photonstats.simulate_intensity(
         args.regime, args.rate, tau_c, args.duration, sample_period=period,
         seed=seed, laser_ripple=cfg["laser_ripple"])
-    det_a, det_b = photonstats.poissonize(trace, seed + 1)
+    det_a, det_b = photonstats.poissonize(trace, (seed + 1) % 2**64)
     stored = []
     for stream, tag in ((det_a, "det0"), (det_b, "det1")):
         if args.format == "bin":
@@ -459,11 +461,17 @@ def cmd_clicks(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _quantity(text):
-    try:
-        return parse_quantity(text)
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _option(parse):
+    """argparse type from a config parser: its ConfigError is a usage error."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return convert
+
+
+_quantity = _option(parse_quantity)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Configuration keys:\n" + describe_keys(),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", help="configuration file (key = value)")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_option(parse_seed), default=None,
                         help="override the configured seed")
     parser.add_argument("--out", help="output path (per-command default)")
     parser.add_argument("--calibration", default="calibration.txt",

@@ -49,6 +49,17 @@ def parse_quantity(text: str) -> float:
     return float(number) * _UNIT_SCALE[unit]
 
 
+def parse_seed(text: str) -> int:
+    """Parse an integer seed in [0, 2^64), the key range of the generator."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ConfigError(f"seed must be an integer, got {text!r}") from None
+    if not 0 <= value < 2**64:
+        raise ConfigError(f"seed {value} is outside [0, 2^64)")
+    return value
+
+
 def _parse_bool(text: str) -> bool:
     t = str(text).strip().lower()
     if t in ("on", "true", "yes", "1"):
@@ -131,7 +142,7 @@ _KEYS = {
     "lande_g": (parse_quantity, "1.5", "upper-level Lande factor"),
     "laser_ripple": (parse_quantity, "0.01",
                      "relative rms intensity ripple of the laser regime"),
-    "seed": (lambda t: int(t), "1", "master seed for all stochastic output"),
+    "seed": (parse_seed, "1", "master seed for all stochastic output"),
 }
 
 # The calibration hash covers exactly the keys the calibration constants
@@ -259,8 +270,13 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read configuration {path}: {exc}") \
+            from exc
+    return parse_config_text(text)
 
 
 def describe_keys() -> str:

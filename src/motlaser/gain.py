@@ -8,19 +8,21 @@ ground state with a short-lived virtual level, and a cavity photon is
 emitted in a two-photon step that deposits the atom there.  The per-family
 gain rate is a factorized effective model,
 
-    G_m(N) = gain_scale * N_atoms * f_N * g_N^2
+    G_m(N) = gain_scale * N_atoms * C_N * g^2
              * rho_ee(delta_p - delta_z(m), w_m * s_pump)
              * E_m * s_mot * L(delta_c,N - delta_p - delta_mot) / Gamma_green
 
-with f_N the coupled-atom fraction of TEM family N, g_N the family
-antinode coupling, w_m the pump polarization weight of channel m (driving
-the channel with its share of the saturation parameter), E_m the relative
-dipole emission strength along the cavity axis, and L a unit-peak
-Lorentzian whose FWHM is the broad-line width: the virtual level inherits
-the width of the level that creates it.  delta_c,N includes the transverse
-family frequency offset.  One fitted gain_scale anchors the absolute rate
-to the observed atom-number threshold; photon numbers saturate against a
-fitted n_sat anchored to the observed intracavity photon number.
+with C_N the cloud-averaged intensity of TEM family N in units of the
+fundamental's antinode (:func:`geometry.family_coupling`), g the
+single-atom coupling at that antinode, w_m the pump polarization weight of
+channel m (driving the channel with its share of the saturation
+parameter), E_m the relative dipole emission strength along the cavity
+axis, and L a unit-peak Lorentzian whose FWHM is the broad-line width: the
+virtual level inherits the width of the level that creates it.
+delta_c,N includes the transverse family frequency offset.  One fitted
+gain_scale anchors the absolute rate to the observed atom-number
+threshold; photon numbers saturate against a fitted n_sat anchored to the
+observed intracavity photon number.
 
 Putting the polarization weight inside the saturation argument (rather
 than as a prefactor) makes pump-power thresholds scale exactly inversely
@@ -164,7 +166,7 @@ class _GainKernel:
     cavity detunings, the pump power and the atom number.
 
     The factors that depend on none of them are computed once here: per
-    family the overlap, g_N^2 and frequency offset, per channel the
+    family the coupling C_N and frequency offset, per channel the
     polarization weight w_m, the Zeeman shift and E_m.  :meth:`channel_gains`
     then broadcasts the drive w_m * s_pump, rho_ee, the atom-number
     prefactor and the two-photon Lorentzian over any arrays of the four.
@@ -191,14 +193,11 @@ class _GainKernel:
             self._channels.append((shift, strength))
         self._families = []
         for n in self.families:
-            fraction = geometry.mode_overlap_fraction(system.ensemble,
-                                                      system.cavity, n)
-            peak_ratio = geometry.family_peak_ratio(system.ensemble,
-                                                    system.cavity, n)
-            g_family_sq = system.cavity.single_atom_coupling**2 * peak_ratio
+            coupling = geometry.family_coupling(system.ensemble,
+                                                system.cavity, n)
             offset = geometry.transverse_mode_frequency(
                 n, system.cavity.family_spacing, system.cavity.family_step)
-            self._families.append((fraction, g_family_sq, offset))
+            self._families.append((coupling, offset))
         self._doppler = system.pump_doppler_sigma()
 
     def channel_gains(self, pump, cavity, pump_power, atoms) -> list:
@@ -212,8 +211,9 @@ class _GainKernel:
                                           linewidth, self._doppler)
                for w, (shift, _) in zip(self._weights, self._channels)]
         out = []
-        for fraction, g_family_sq, offset in self._families:
-            prefactor = calib.gain_scale * atoms * fraction * g_family_sq
+        g_sq = system.cavity.single_atom_coupling**2
+        for coupling, offset in self._families:
+            prefactor = calib.gain_scale * atoms * coupling * g_sq
             delta_two_photon = (cavity + offset - pump - op.mot_detuning
                                 - calib.resonance_offset)
             lorentz = _lorentzian(delta_two_photon, system.broad_linewidth)
@@ -692,7 +692,7 @@ def _ridge_optimum(op, system, calib, family, pump_lo, pump_hi):
     """Pump and cavity detunings of one family's gain maximum on the
     two-photon ridge, or (None, None) when no coarse pump point lases."""
     kernel = _GainKernel(op, (family,), system, calib)
-    offset = kernel._families[0][2]
+    offset = kernel._families[0][1]
 
     def ridge(dp):
         return (two_photon_resonance(dp, op.mot_detuning)

@@ -261,36 +261,61 @@ def _hermite_functions(n_max: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _family_profile(n_family: int, waist: float, cloud_sigma: float):
-    """(mean intensity over cloud, family peak intensity, fundamental peak).
+def _mehler_integrals(n_max: int, c: float) -> list:
+    """I_k = integral of h_k(xi)^2 exp(-c xi^2) over the line, k = 0..n_max.
+
+    Mehler's kernel gives I_0 = (1+c)^(-1/2), I_1 = (1+c)^(-3/2) and
+    (1+c)(k+1) I_(k+1) = (2k+1) I_k - (1-c) k I_(k-1).
+    """
+    out = [(1.0 + c) ** -0.5, (1.0 + c) ** -1.5]
+    for k in range(1, n_max):
+        out.append(((2 * k + 1) * out[k] - (1.0 - c) * k * out[k - 1])
+                   / ((1.0 + c) * (k + 1)))
+    return out[:n_max + 1]
+
+
+def family_coupling(ensemble: AtomEnsemble, cavity: CavityGeometry,
+                    n_family: int = 0) -> float:
+    """Cloud-averaged intensity of TEM family N in units of the
+    fundamental's antinode intensity.
 
     The family intensity is the average of |u_n(y) u_m(z)|^2 over the
-    N + 1 degenerate Hermite-Gauss modes with n + m = N (each mode
-    L2-normalized in 2D).  That sum is exactly radially symmetric, so the
-    peak is found on a 1D radial cut; the cloud average factorizes into
-    1D integrals against the Gaussian density.
+    N + 1 degenerate Hermite-Gauss modes with n + m = N; the cloud is the
+    Gaussian of :class:`AtomEnsemble`.  The average factorizes into 1D
+    integrals I_k against the density (:func:`_mehler_integrals`), so with
+    c = w^2 / (4 sigma^2) it is c * sum_k I_k I_(N-k) / (N + 1), in O(N)
+    work.  N = 0 gives w^2 / (w^2 + 4 sigma^2).  The collective gain of
+    family N is proportional to this quantity times g^2.
+    """
+    if n_family < 0:
+        raise ValueError("family index must be >= 0")
+    n = int(n_family)
+    c = cavity.waist_radius**2 / (4.0 * ensemble.cloud_radius_rms**2)
+    i = _mehler_integrals(n, c)
+    return c * sum(i[k] * i[n - k] for k in range(n + 1)) / (n + 1)
+
+
+@lru_cache(maxsize=None)
+def _family_profile(n_family: int) -> float:
+    """Antinode intensity of family N relative to the fundamental's.
+
+    The family intensity is exactly radially symmetric, so its peak lies
+    on a radial cut; in xi = sqrt(2) r / w it depends on N alone.  The
+    maximum over a grid spanning the mode (r up to 1.8 w sqrt(N + 1)) is
+    refined by zooming onto the neighbours of the best point.
     """
     n = n_family
-    extent = max(6.0 * cloud_sigma, 1.8 * waist * np.sqrt(n + 1.0))
-    npts = 4001
-    y = np.linspace(-extent, extent, 2 * npts - 1)
-    h = _hermite_functions(n, np.sqrt(2.0) * y / waist)
-    scale = np.sqrt(2.0 / np.pi) / waist  # 1D intensity normalization
-    intens = scale * h**2
+    weights = _hermite_functions(n, np.zeros(1))[::-1, 0] ** 2
 
-    pdf = np.exp(-y**2 / (2.0 * cloud_sigma**2)) \
-        / np.sqrt(2.0 * np.pi * cloud_sigma**2)
-    one_d = np.trapezoid(pdf * intens, y, axis=1)
-    mean = sum(one_d[k] * one_d[n - k] for k in range(n + 1)) / (n + 1)
+    def profile(xi):
+        return np.pi * (weights @ _hermite_functions(n, xi) ** 2) / (n + 1)
 
-    r = y[npts - 1:]
-    h0 = intens[:, npts - 1]          # values at the origin
-    radial = intens[:, npts - 1:]
-    profile = sum(radial[k] * h0[n - k] for k in range(n + 1)) / (n + 1)
-    peak = float(profile.max())
-    fundamental_peak = (scale * np.pi**-0.5) ** 2  # |u_0(0)|^4 scaled
-    return float(mean), peak, fundamental_peak
+    xi = np.linspace(0.0, 1.8 * np.sqrt(2.0 * (n + 1)), 4001)
+    for _ in range(4):
+        p = profile(xi)
+        i = int(np.argmax(p))
+        xi = np.linspace(xi[max(i - 1, 0)], xi[min(i + 1, xi.size - 1)], 65)
+    return float(profile(xi).max())
 
 
 def mode_overlap_fraction(ensemble: AtomEnsemble, cavity: CavityGeometry,
@@ -298,26 +323,22 @@ def mode_overlap_fraction(ensemble: AtomEnsemble, cavity: CavityGeometry,
     """Fraction of trapped atoms effectively coupled to TEM family N.
 
     Each atom is weighted by the transverse family intensity at its
-    position, normalized to the family's own antinode; the cloud is the
-    Gaussian of :class:`AtomEnsemble`.  Tends to 1 when the waist dwarfs
-    the cloud and to (w/2 sigma)^2-scale values in the opposite limit.
+    position, normalized to the family's own antinode: the ratio of
+    :func:`family_coupling` to :func:`family_peak_ratio`.  Tends to 1 when
+    the waist dwarfs the cloud and to (w/2 sigma)^2-scale values in the
+    opposite limit.
     """
-    if n_family < 0:
-        raise ValueError("family index must be >= 0")
-    mean, peak, _ = _family_profile(int(n_family), cavity.waist_radius,
-                                    ensemble.cloud_radius_rms)
-    return mean / peak
+    return (family_coupling(ensemble, cavity, n_family)
+            / _family_profile(int(n_family)))
 
 
 def family_peak_ratio(ensemble: AtomEnsemble, cavity: CavityGeometry,
                       n_family: int) -> float:
     """Antinode intensity of family N relative to the fundamental's.
 
-    Scales the single-photon coupling: g_N = g * sqrt(ratio).  The product
-    with :func:`mode_overlap_fraction` is the cloud-averaged family
-    intensity in units of the fundamental antinode, which is the quantity
-    the collective gain is proportional to.
+    Its product with :func:`mode_overlap_fraction` is
+    :func:`family_coupling`.
     """
-    mean, peak, fundamental_peak = _family_profile(
-        int(n_family), cavity.waist_radius, ensemble.cloud_radius_rms)
-    return peak / fundamental_peak
+    if n_family < 0:
+        raise ValueError("family index must be >= 0")
+    return _family_profile(int(n_family))

@@ -128,11 +128,11 @@ class TestMapCommand:
         assert meta["run"]["command"] == "map"
         assert "config" in meta and "calibration" in meta
 
-    def test_zero_area_range_empty_table(self, workdir):
+    def test_reversed_range_usage_error(self, workdir):
         calibrated(workdir)
-        code = run("map", "--pump-min", "5MHz", "--pump-max", "3MHz")
-        assert code == 0
-        assert len((workdir / "map.csv").read_text().splitlines()) == 1
+        assert run("map", "--pump-min", "5MHz", "--pump-max", "3MHz") == 2
+        assert run("map", "--cavity-min=-10MHz", "--cavity-max=-30MHz") == 2
+        assert not (workdir / "map.csv").exists()
 
     def test_deterministic_rerun(self, workdir):
         calibrated(workdir)
@@ -377,11 +377,34 @@ def test_empty_click_stream_exit_code(workdir, capsys, regime):
 
 @pytest.mark.parametrize("line", ["pump_power = -1mW", "cloud_radius = 0",
                                   "total_atoms = -10", "pump_waist = 0",
-                                  "families = 0,-37"])
+                                  "families = 0,-37", "seed = -1"])
 def test_out_of_range_config_value_exit_code(workdir, line):
     bad = workdir / "bad.cfg"
     bad.write_text(line + "\n")
     assert run("--config", str(bad), "calibrate") == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)], ids=["negative", "2^64"])
+def test_seed_out_of_range_exit_code(workdir, seed):
+    with pytest.raises(SystemExit) as exc:
+        run("--seed", seed, "g2", "--regime", "above", "--rate", "1000",
+            "--bin", "1us", "--max-lag", "2us", "--duration", "0.01s")
+    assert exc.value.code == 2
+    assert list(workdir.iterdir()) == []
+
+
+def test_largest_seed_runs(workdir):
+    assert run("--seed", str(2**64 - 1), "clicks", "--regime", "poisson",
+               "--rate", "1000", "--duration", "0.1s") == 0
+
+
+@pytest.mark.parametrize("config", ["missing.cfg", ".", "latin1.cfg"],
+                         ids=["missing", "directory", "not-utf8"])
+def test_unreadable_config_exit_code(workdir, capsys, config):
+    (workdir / "latin1.cfg").write_bytes(b"# \xb5m in Latin-1\nseed = 3\n")
+    assert run("--config", config, "calibrate") == 2
+    assert "cannot read configuration" in capsys.readouterr().err
+    assert not (workdir / "calibration.txt").exists()
 
 
 @pytest.mark.parametrize("vary,bounds", [("pump", ("--min=-1mW", "--max=10mW")),
@@ -400,7 +423,9 @@ def test_negative_threshold_min_exit_code(workdir, vary, bounds):
     ("g2", "--regime", "below", "--duration", "1s", "--rate", "1000",
      "--bin", "2.6us", "--max-lag", "13us", "--washout-g2", "3"),
     ("polarization-table", "--extra-b", "a,b,c"),
-], ids=["negative-points", "zero-points", "washout-above-2", "extra-b-text"])
+    ("map", "--cavity-max", "1e400"),
+], ids=["negative-points", "zero-points", "washout-above-2", "extra-b-text",
+        "infinite-range"])
 def test_bad_option_value_exit_code(workdir, monkeypatch, argv):
     def no_synthesis(*args, **kwargs):
         raise AssertionError("options must be checked before synthesis")

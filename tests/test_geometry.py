@@ -6,8 +6,11 @@ from scipy.integrate import quad
 from motlaser import geometry
 from motlaser.atomics import AtomEnsemble
 from motlaser.errors import QuantizationAxisError
+from motlaser.gain import (UNIT_CALIBRATION, LaserSystem, OperatingPoint,
+                           detuning_map)
 from motlaser.geometry import (BeamGeometry, CavityGeometry,
                                cavity_emission_jones, classify_jones,
+                               family_coupling, family_peak_ratio,
                                jones_circular, jones_linear,
                                mode_overlap_fraction, pump_excitation_weights,
                                transverse_mode_frequency)
@@ -178,6 +181,95 @@ class TestModeOverlap:
     def test_negative_family_rejected(self):
         with pytest.raises(ValueError):
             mode_overlap_fraction(self.ensemble, self.cavity, -1)
+
+
+def _hermite_rows(n_max, xi):
+    """Yields h_0(xi) .. h_n_max(xi), L2-normalized Hermite functions."""
+    a = np.pi ** -0.25 * np.exp(-0.5 * xi**2)
+    yield a
+    b = np.sqrt(2.0) * xi * a
+    for k in range(1, n_max + 1):
+        yield b
+        a, b = b, xi * np.sqrt(2.0 / (k + 1)) * b - np.sqrt(k / (k + 1)) * a
+
+
+def trapezoid_coupling(n_family, c):
+    """c * sum_k I_k I_(N-k) / (N + 1) with each I_k = int h_k^2 e^(-c xi^2)
+    by the trapezoid rule on a grid that resolves both factors."""
+    extent = np.sqrt(2.0 * n_family + 1.0) + 12.0
+    xi = np.linspace(-extent, extent, int(2 * extent / 0.01) + 1)
+    density = np.exp(-c * xi**2)
+    i = [np.trapezoid(h**2 * density, xi)
+         for h in _hermite_rows(n_family, xi)]
+    return c * sum(i[k] * i[n_family - k]
+                   for k in range(n_family + 1)) / (n_family + 1)
+
+
+def dense_grid_peak(n_family, npts=200_001):
+    """Maximum of the radial family profile, in units of the fundamental's
+    antinode, over a dense grid; never above the true peak."""
+    xi = np.linspace(0.0, 1.8 * np.sqrt(2.0 * (n_family + 1)), npts)
+    at_origin = [h[0] for h in _hermite_rows(n_family, np.zeros(1))]
+    profile = np.zeros_like(xi)
+    for k, h in enumerate(_hermite_rows(n_family, xi)):
+        profile += at_origin[n_family - k] ** 2 * h**2
+    return np.pi * profile.max() / (n_family + 1)
+
+
+def with_coupling_parameter(c):
+    """Ensemble and cavity with w^2 / (4 sigma^2) = c."""
+    cavity = CavityGeometry()
+    sigma = cavity.waist_radius / (2.0 * np.sqrt(c))
+    return AtomEnsemble(sigma, 2e-3), cavity
+
+
+class TestFamilyCoupling:
+    ensemble = AtomEnsemble(1e-3, 2e-3)
+    cavity = CavityGeometry()
+
+    # c > 1 makes the recurrence's (1 - c) term change sign
+    @pytest.mark.parametrize("c", [1e-4, 1e-2, 0.3, 1.0, 3.0, 20.25, 81.0,
+                                   1e2])
+    @pytest.mark.parametrize("n_family", [0, 1, 5, 37, 111, 500])
+    def test_matches_trapezoid_oracle(self, c, n_family):
+        ensemble, cavity = with_coupling_parameter(c)
+        got = family_coupling(ensemble, cavity, n_family)
+        assert got == pytest.approx(trapezoid_coupling(n_family, c),
+                                    rel=1e-10)
+
+    @pytest.mark.parametrize("sigma", [10e-6, 90e-6, 1e-3, 5e-3])
+    def test_fundamental_closed_form(self, sigma):
+        w = self.cavity.waist_radius
+        got = family_coupling(AtomEnsemble(sigma, 2e-3), self.cavity, 0)
+        assert got == pytest.approx(w**2 / (w**2 + 4 * sigma**2), rel=1e-14)
+
+    @pytest.mark.parametrize("n_family", [0, 1, 5, 37, 74, 111])
+    def test_is_overlap_fraction_times_peak_ratio(self, n_family):
+        product = (mode_overlap_fraction(self.ensemble, self.cavity, n_family)
+                   * family_peak_ratio(self.ensemble, self.cavity, n_family))
+        assert product == pytest.approx(
+            family_coupling(self.ensemble, self.cavity, n_family), rel=1e-12)
+
+    @pytest.mark.parametrize("n_family", [37, 111])
+    def test_peak_matches_dense_grid(self, n_family):
+        oracle = dense_grid_peak(n_family)
+        got = family_peak_ratio(self.ensemble, self.cavity, n_family)
+        # the dense grid reads at most ~3e-7 low at N = 111
+        assert oracle * (1 - 1e-12) <= got <= oracle * (1 + 1e-6)
+
+    def test_negative_family_rejected(self):
+        for func in (family_coupling, family_peak_ratio):
+            with pytest.raises(ValueError):
+                func(self.ensemble, self.cavity, -1)
+
+    def test_gain_kernel_builds_no_peak(self, monkeypatch):
+        def no_profile(*args):
+            raise AssertionError("the gain needs no family peak")
+
+        monkeypatch.setattr(geometry, "_family_profile", no_profile)
+        m = detuning_map(OperatingPoint(), LaserSystem(), UNIT_CALIBRATION,
+                         [0.0, 1e6], [-30e6], families=(0, 37, 74, 111))
+        assert m.ok.shape == (2, 1)
 
 
 class TestFamilyLadder:
