@@ -9,7 +9,9 @@ configuration error, 3 physics/solver error, 4 integrity error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -53,6 +55,9 @@ def load_calibration(path, cfg: RunConfig) -> CalibrationConstants:
     except FileNotFoundError:
         raise IntegrityError(
             f"no calibration file at {path}; run 'motlaser calibrate' first")
+    except OSError as exc:
+        raise IntegrityError(
+            f"cannot read calibration file {path}: {exc.strerror or exc}")
     except ValueError as exc:
         raise IntegrityError(f"unreadable calibration file {path}: {exc}")
     try:
@@ -108,6 +113,21 @@ def _attach_calibration(meta: dict, calib: CalibrationConstants,
     }
 
 
+@contextmanager
+def _output(path):
+    """A failed output write is a usage error (exit 2), not a crash."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or path}: "
+                          f"{exc.strerror or exc}") from None
+
+
+def _write_table(table: ScanResultTable, out) -> None:
+    with _output(out):
+        table.write(out, out + ".meta.txt")
+
+
 def _range_values(lo, hi, step):
     if step <= 0:
         raise ConfigError("step must be positive")
@@ -133,10 +153,42 @@ def cmd_calibrate(args) -> int:
                            reference_photons=anchors["reference_photons"],
                            reference_pump_power=anchors["reference_pump_power"])
     out = args.out or "calibration.txt"
-    write_calibration(out, calib, cfg, anchors)
+    with _output(out):
+        write_calibration(out, calib, cfg, anchors)
     print(f"calibration written to {out}: gain_scale={calib.gain_scale:.6g} "
           f"n_sat={calib.n_sat:.6g}")
     return 0
+
+
+def _map_power_columns(result, families) -> list:
+    """Total and per-family power, row-major; None where a cell failed."""
+    failed = np.flatnonzero(~result.ok).tolist()
+    columns = []
+    for power in [result.total_power] + [result.family_powers[n]
+                                         for n in families]:
+        column = power.ravel().tolist()
+        for k in failed:
+            column[k] = None
+        columns.append(column)
+    return columns
+
+
+def _lasing_labels(result, families) -> list:
+    """Each cell's lasing families joined by ';', "" where a cell failed.
+
+    The per-family masks become one bit code per cell, and each code that
+    occurs is labelled once.
+    """
+    dtype = np.int64 if len(families) < 63 else object
+    code = np.zeros(result.ok.size, dtype)
+    for bit, n in enumerate(families):
+        code |= (result.family_lasing[n] & result.ok).ravel().astype(dtype) \
+            << bit
+    codes, index = np.unique(code, return_inverse=True)
+    labels = np.array([";".join(str(n) for bit, n in enumerate(families)
+                                if int(c) >> bit & 1) for c in codes],
+                      dtype=object)
+    return labels[index].tolist()
 
 
 def cmd_map(args) -> int:
@@ -152,20 +204,11 @@ def cmd_map(args) -> int:
     if pump.size and cav.size:
         result = gain.detuning_map(cfg.operating_point(), system, calib,
                                    pump, cav, families)
-        for i, dp in enumerate(pump):
-            for j, dc in enumerate(cav):
-                if not result.ok[i, j]:
-                    row = [float(dp), float(dc), None] \
-                        + [None] * len(families) + [""]
-                else:
-                    lasing = ";".join(str(n) for n in families
-                                      if result.family_lasing[n][i, j])
-                    row = ([float(dp), float(dc),
-                            float(result.total_power[i, j])]
-                           + [float(result.family_powers[n][i, j])
-                              for n in families]
-                           + [lasing])
-                table.add_row(*row)
+        # row-major columns: pump outer, cavity inner
+        table.rows.extend(zip(np.repeat(pump, cav.size).tolist(),
+                              np.tile(cav, pump.size).tolist(),
+                              *_map_power_columns(result, families),
+                              _lasing_labels(result, families)))
     meta = _base_metadata(cfg, "map", {
         "pump_min": repr(args.pump_min), "pump_max": repr(args.pump_max),
         "pump_step": repr(args.pump_step),
@@ -175,7 +218,7 @@ def cmd_map(args) -> int:
     _attach_calibration(meta, calib, cfg)
     table.metadata = meta
     out = args.out or "map.csv"
-    table.write(out, out + ".meta.txt")
+    _write_table(table, out)
     print(f"map written to {out} ({len(table.rows)} cells)")
     return 0
 
@@ -220,7 +263,7 @@ def cmd_threshold(args) -> int:
         for n, v in thresholds.items()}
     table.metadata = meta
     out = args.out or "threshold.csv"
-    table.write(out, out + ".meta.txt")
+    _write_table(table, out)
     found = {n: v for n, v in thresholds.items() if v is not None}
     print(f"threshold scan written to {out}; detected thresholds: "
           + (", ".join(f"TEM{n}: {v:.6g}" for n, v in found.items())
@@ -261,7 +304,7 @@ def cmd_shift_scan(args) -> int:
     table.metadata = meta
     meta["fit"] = fit
     out = args.out or "shift_scan.csv"
-    table.write(out, out + ".meta.txt")
+    _write_table(table, out)
     print(f"shift scan written to {out}; slope = {scan.slope:.6g} {unit}")
     if vary == "b_offset_magnitude":
         print(f"  measured reference slope: "
@@ -327,13 +370,17 @@ def cmd_polarization_table(args) -> int:
         except ValueError:
             raise ConfigError(
                 f"--extra-b expects X,Y,Z, got {field_text!r}") from None
+        if not all(map(math.isfinite, parts)):
+            raise ConfigError(
+                f"--extra-b components must be finite, got {field_text!r}")
         if not any(parts):
             raise QuantizationAxisError(
                 "quantization axis undefined: --extra-b field is zero")
         extra.append(parts)
     text = render_polarization_table(cfg, extra)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        with _output(args.out), \
+                open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         print(f"selection-rule table written to {args.out}")
     else:
@@ -399,8 +446,9 @@ def cmd_g2(args) -> int:
                 f"correlate; raise --rate or --duration")
     if args.emit_clicks:
         for stream, tag in ((det_a, "det0"), (det_b, "det1")):
-            photonstats.write_clickstream(stream,
-                                          f"{args.emit_clicks}_{tag}.clks")
+            path = f"{args.emit_clicks}_{tag}.clks"
+            with _output(path):
+                photonstats.write_clickstream(stream, path)
     result = photonstats.g2_cross(det_a, det_b, args.bin, args.max_lag,
                                   shards=max(1, args.threads))
     table = ScanResultTable(["lag_s", "g2", "sigma", "pairs"])
@@ -416,7 +464,7 @@ def cmd_g2(args) -> int:
                       "counts_det1": det_b.timestamps.size}
     table.metadata = meta
     out = args.out or "g2.csv"
-    table.write(out, out + ".meta.txt")
+    _write_table(table, out)
     print(f"g2 written to {out}; zero-lag g2 = "
           f"{result.g2[result.lags.size // 2]:.4f}")
     return 0
@@ -436,10 +484,12 @@ def cmd_clicks(args) -> int:
     for stream, tag in ((det_a, "det0"), (det_b, "det1")):
         if args.format == "bin":
             path = f"{args.prefix}_{tag}.clks"
-            count = photonstats.write_clickstream(stream, path)
+            with _output(path):
+                count = photonstats.write_clickstream(stream, path)
         else:
             path = f"{args.prefix}_{tag}.txt"
-            photonstats.write_clickstream_text(stream, path)
+            with _output(path):
+                photonstats.write_clickstream_text(stream, path)
             count = stream.timestamps.size
         stored.append((path, count))
     table = ScanResultTable(["detector", "path", "clicks"])
@@ -451,7 +501,7 @@ def cmd_clicks(args) -> int:
         "format": args.format})
     table.metadata = meta
     out = args.out or "clicks_summary.csv"
-    table.write(out, out + ".meta.txt")
+    _write_table(table, out)
     print(f"click streams written: "
           + ", ".join(f"{p} ({c})" for p, c in stored))
     return 0

@@ -90,7 +90,7 @@ class ClickStream:
     def __post_init__(self):
         t = self.timestamps
         if t.size:
-            if np.any(np.diff(t) <= 0):
+            if np.any(t[1:] <= t[:-1]):
                 raise ValueError("timestamps must be strictly increasing")
             if t[0] < 0 or t[-1] > self.duration:
                 raise ValueError("timestamps must lie within [0, duration]")
@@ -356,11 +356,12 @@ def poissonize(trace: IntensityTrace, seed: int) -> tuple:
     keep = np.empty(times.size, bool)
     if times.size:
         keep[0] = True
-        keep[1:] = np.diff(times) > 0.0
+        keep[1:] = times[1:] > times[:-1]
     times = times[keep]
     to_b = rng.random(times.size) < 0.5
     dur = trace.duration
-    return (ClickStream(0, times[~to_b], dur), ClickStream(1, times[to_b], dur))
+    return (ClickStream(0, np.compress(~to_b, times), dur),
+            ClickStream(1, np.compress(to_b, times), dur))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +521,8 @@ def g2_cross(a: ClickStream, b: ClickStream, bin_width: float,
     if a.timestamps.size == 0 or b.timestamps.size == 0:
         raise ValueError("empty click stream")
     for s in (a, b):
-        if np.any(np.diff(s.timestamps) <= 0):
+        t = s.timestamps
+        if np.any(t[1:] <= t[:-1]):
             raise ValueError("unsorted click stream (refusing to sort silently)")
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
@@ -622,7 +624,7 @@ def write_clickstream(stream: ClickStream, path) -> int:
     if ns.size:
         keep = np.empty(ns.size, bool)
         keep[0] = True
-        keep[1:] = np.diff(ns.astype(np.int64)) > 0
+        keep[1:] = ns[1:] > ns[:-1]
         ns = ns[keep]
     duration_ns = int(round(stream.duration * 1e9))
     with open(path, "wb") as fh:

@@ -13,7 +13,7 @@ from motlaser.cli import load_calibration, main, render_polarization_table
 from motlaser.config import (_HASH_EXCLUDED, ConfigError, default_config,
                              load_config, parse_config_text, parse_quantity)
 from motlaser.photonstats import read_clickstream
-from motlaser.results import parse_metadata
+from motlaser.results import ScanResultTable, parse_metadata
 
 FIXTURE = "tests/data/polarization_table.txt"
 
@@ -127,6 +127,53 @@ class TestMapCommand:
         meta = parse_metadata((workdir / "map.csv.meta.txt").read_text())
         assert meta["run"]["command"] == "map"
         assert "config" in meta and "calibration" in meta
+
+    def test_failed_cells_leave_empty_fields(self, workdir, monkeypatch):
+        # the columnar rows must match the per-cell row loop they replaced,
+        # also where cells failed (None power, "" lasing families)
+        solve, solved = gain.detuning_map, {}
+
+        def with_failures(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            # row 1 fails as the solver marks it (NaN power); column 2
+            # keeps finite powers, so only the ok mask empties its fields
+            result.ok[1, :] = False
+            result.ok[:, 2] = False
+            for power in [result.total_power, *result.family_powers.values()]:
+                power[1, :] = np.nan
+            solved["map"] = result
+            return result
+
+        monkeypatch.setattr("motlaser.cli.gain.detuning_map", with_failures)
+        calibrated(workdir)
+        assert run("map", "--pump-min", "3MHz", "--pump-max", "6MHz",
+                   "--cavity-min=-34MHz", "--cavity-max=-30MHz") == 0
+        result = solved["map"]
+        families = default_config().families()
+        table = ScanResultTable(
+            ["pump_detuning_hz", "cavity_detuning_hz", "power_w"]
+            + [f"power_tem{n}_w" for n in families] + ["lasing_families"])
+        for i, dp in enumerate(result.pump_detunings):
+            for j, dc in enumerate(result.cavity_detunings):
+                if not result.ok[i, j]:
+                    row = [float(dp), float(dc), None] \
+                        + [None] * len(families) + [""]
+                else:
+                    lasing = ";".join(str(n) for n in families
+                                      if result.family_lasing[n][i, j])
+                    row = ([float(dp), float(dc),
+                            float(result.total_power[i, j])]
+                           + [float(result.family_powers[n][i, j])
+                              for n in families] + [lasing])
+                table.add_row(*row)
+        want = table.csv_text()
+        assert (workdir / "map.csv").read_text() == want
+        rows = want.splitlines()[1:]
+        assert len(rows) == 4 * 5 and not result.ok.all()
+        assert any(row.rsplit(",", 1)[1] for row in rows)
+        for row, ok in zip(rows, result.ok.ravel()):
+            if not ok:
+                assert row.split(",", 2)[2] == "," * (len(families) + 1)
 
     def test_reversed_range_usage_error(self, workdir):
         calibrated(workdir)
@@ -436,6 +483,44 @@ def test_bad_option_value_exit_code(workdir, monkeypatch, argv):
     assert run("--out", "out.txt", *argv) == 2
     assert not (workdir / "out.txt").exists()
     assert not (workdir / "out.txt.meta.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--out", "missing/map.csv", "map", "--pump-min=0", "--pump-max=0",
+     "--cavity-min=-1MHz", "--cavity-max=0"),
+    ("--out", "taken", "map", "--pump-min=0", "--pump-max=0",
+     "--cavity-min=-1MHz", "--cavity-max=0"),
+    ("--out", "missing/g2.csv", "g2", "--regime", "above", "--rate", "50kHz",
+     "--bin", "2.6us", "--max-lag", "20us", "--duration", "0.05s"),
+    ("g2", "--regime", "above", "--rate", "50kHz", "--bin", "2.6us",
+     "--max-lag", "20us", "--duration", "0.05s",
+     "--emit-clicks", "missing/clicks"),
+    ("--out", "taken", "polarization-table"),
+], ids=["map-missing-dir", "map-onto-dir", "g2-missing-dir",
+        "g2-emit-clicks", "polarization-table-onto-dir"])
+def test_unwritable_output_exit_code(workdir, capsys, argv):
+    calibrated(workdir)
+    (workdir / "taken").mkdir()
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert "missing/" in err or "taken" in err
+    assert not (workdir / "g2.csv").exists()
+
+
+@pytest.mark.parametrize("field", ["1,nan,0", "inf,0,0", "0,-inf,1"])
+def test_non_finite_extra_b_exit_code(workdir, capsys, field):
+    assert run("--out", "table.txt", "polarization-table",
+               "--extra-b", field) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (workdir / "table.txt").exists()
+
+
+def test_unreadable_calibration_exit_code(workdir, capsys):
+    (workdir / "cal").mkdir()
+    assert run("--calibration", "cal", "map") == 4
+    assert "cannot read calibration file cal" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("target", ["1.0000001", "1.9999999"],
