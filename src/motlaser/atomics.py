@@ -81,6 +81,8 @@ class AtomEnsemble:
             raise ValueError("cloud_radius_rms must be positive")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
+        if self.species_mass <= 0:
+            raise ValueError("species_mass must be positive")
 
 
 def _any_negative(x) -> bool:

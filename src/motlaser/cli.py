@@ -9,20 +9,29 @@ configuration error, 3 physics/solver error, 4 integrity error.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, gain, geometry, photonstats
+# photonstats stays eager: g2 and clicks need it anyway, and importing it
+# here keeps its import (and numpy.random's) out of their timed work.  The
+# gain layer, with geometry and atomics, loads inside the commands that
+# call it.
+from . import __version__, photonstats
 from .config import (RunConfig, default_config, describe_keys, load_config,
                      parse_quantity, parse_seed)
 from .errors import (ConfigError, IntegrityError, MotlaserError, PhysicsError,
                      QuantizationAxisError)
-from .gain import CalibrationConstants
 from .results import ScanResultTable, parse_metadata
+
+if TYPE_CHECKING:
+    from .gain import CalibrationConstants
 
 _CHANNEL_NAMES = {-1: "sigma-", 0: "pi", 1: "sigma+"}
 
@@ -49,6 +58,7 @@ def write_calibration(path, calib: CalibrationConstants, cfg: RunConfig,
 
 
 def load_calibration(path, cfg: RunConfig) -> CalibrationConstants:
+    from .gain import CalibrationConstants
     try:
         with open(path, encoding="utf-8") as fh:
             sections = parse_metadata(fh.read())
@@ -80,16 +90,11 @@ def load_calibration(path, cfg: RunConfig) -> CalibrationConstants:
 # ---------------------------------------------------------------------------
 
 def _load_cfg(args) -> RunConfig:
+    # config parsing checks every key's domain bound, so a bad value is a
+    # configuration error before any command builds a domain object
     cfg = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
         cfg = cfg.replace(seed=args.seed)
-    # the domain objects check their own ranges; a value they reject is a
-    # configuration error, not a crash
-    try:
-        cfg.system()
-        cfg.operating_point()
-    except ValueError as exc:
-        raise ConfigError(f"invalid configuration: {exc}") from exc
     return cfg
 
 
@@ -128,15 +133,47 @@ def _write_table(table: ScanResultTable, out) -> None:
         table.write(out, out + ".meta.txt")
 
 
-def _range_values(lo, hi, step):
+def _check_writable(*paths) -> None:
+    """Refuse, before any work, output paths whose directory is missing or
+    that name a directory; creates nothing."""
+    for path in paths:
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            code = errno.ENOENT
+        elif os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.access(directory, os.W_OK | os.X_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
+
+
+# The most cells of a map, or points of a threshold or shift scan: each
+# becomes a Python row of the table, about a kilobyte with its CSV text.
+MAX_POINTS = 10**6
+
+
+def _check_points(what: str, count: float) -> None:
+    if not count <= MAX_POINTS:
+        raise ConfigError(f"too many {what}: {count:.3g}, above the cap of "
+                          f"{MAX_POINTS:.0e}")
+
+
+def _range_size(lo, hi, step) -> float:
+    """Points in lo, lo + step, ... <= hi, as a float: a huge count is
+    checked against the cap before anything is allocated."""
     if step <= 0:
         raise ConfigError("step must be positive")
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ConfigError("range bounds must be finite")
     if hi < lo:
         raise ConfigError(f"reversed range: max {hi!r} is below min {lo!r}")
-    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+    return float(np.floor((hi - lo) / step + 1e-9)) + 1
+
+
+def _range_values(lo, step, size: float):
+    return lo + step * np.arange(int(size))
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +181,7 @@ def _range_values(lo, hi, step):
 # ---------------------------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
+    from . import gain
     cfg = _load_cfg(args)
     system = cfg.system()
     anchors = {"reference_atoms": 5000.0, "reference_photons": 6e5,
@@ -192,11 +230,15 @@ def _lasing_labels(result, families) -> list:
 
 
 def cmd_map(args) -> int:
+    from . import gain
     cfg = _load_cfg(args)
     system = cfg.system()
     calib = load_calibration(args.calibration, cfg)
-    pump = _range_values(args.pump_min, args.pump_max, args.pump_step)
-    cav = _range_values(args.cavity_min, args.cavity_max, args.cavity_step)
+    n_pump = _range_size(args.pump_min, args.pump_max, args.pump_step)
+    n_cav = _range_size(args.cavity_min, args.cavity_max, args.cavity_step)
+    _check_points("map cells", n_pump * n_cav)
+    pump = _range_values(args.pump_min, args.pump_step, n_pump)
+    cav = _range_values(args.cavity_min, args.cavity_step, n_cav)
     families = cfg.families()
     table = ScanResultTable(
         ["pump_detuning_hz", "cavity_detuning_hz", "power_w"]
@@ -224,12 +266,14 @@ def cmd_map(args) -> int:
 
 
 def cmd_threshold(args) -> int:
+    from . import gain
     if args.min < 0:
         raise ConfigError("threshold scan needs min >= 0")
     if args.max <= args.min:
         raise ConfigError("threshold scan needs max > min")
     if args.points < 1:
         raise ConfigError("threshold scan needs --points >= 1")
+    _check_points("threshold scan points", args.points)
     cfg = _load_cfg(args)
     system = cfg.system()
     calib = load_calibration(args.calibration, cfg)
@@ -277,14 +321,17 @@ MEASURED_ZEEMAN_SLOPE_HZ_PER_G = 1.6e6
 
 
 def cmd_shift_scan(args) -> int:
+    from . import gain
     cfg = _load_cfg(args)
     system = cfg.system()
     calib = load_calibration(args.calibration, cfg)
     op = cfg.operating_point()
-    xs = _range_values(args.min, args.max, args.step)
-    if xs.size < 2:
+    size = _range_size(args.min, args.max, args.step)
+    if size < 2:
         raise ConfigError("shift scan needs at least two points "
                           "(empty or degenerate range)")
+    _check_points("shift scan points", size)
+    xs = _range_values(args.min, args.step, size)
     vary = "b_offset_magnitude" if args.vary == "b_offset" else "mot_detuning"
     scan = gain.optimum_scan(vary, xs, op, system, calib,
                              family=(cfg.families() or (0,))[0])
@@ -323,6 +370,7 @@ _TABLE_ROWS = (
 
 
 def render_polarization_table(cfg: RunConfig, extra_b=()) -> str:
+    from . import gain, geometry
     system = cfg.system()
     op = cfg.operating_point()
     rows = list(_TABLE_ROWS)
@@ -393,6 +441,7 @@ def _resolve_tau_c(args, cfg: RunConfig, calib) -> float:
         return args.tau_c
     if args.washout_g2 is not None:
         return photonstats.invert_washout(args.washout_g2, args.bin)
+    from . import gain
     system = cfg.system()
     g0 = gain.mode_gain(cfg.operating_point(), 0, system, calib).total
     kappa = system.cavity.kappa
@@ -422,6 +471,11 @@ def cmd_g2(args) -> int:
     if args.washout_g2 is not None and not 1.0 < args.washout_g2 < 2.0:
         raise ConfigError("--washout-g2 must be strictly between 1 and 2")
     cfg = _load_cfg(args)
+    out = args.out or "g2.csv"
+    clicks_paths = ([f"{args.emit_clicks}_{tag}.clks"
+                     for tag in ("det0", "det1")] if args.emit_clicks else [])
+    # fail before the synthesis, not after it
+    _check_writable(out, out + ".meta.txt", *clicks_paths)
     seed = cfg.seed()
     if args.regime == "below":
         calib = None
@@ -444,11 +498,9 @@ def cmd_g2(args) -> int:
                 f"detector {stream.detector_id} recorded no clicks in "
                 f"{args.duration:g} s at {args.rate:g} clicks/s: no pairs to "
                 f"correlate; raise --rate or --duration")
-    if args.emit_clicks:
-        for stream, tag in ((det_a, "det0"), (det_b, "det1")):
-            path = f"{args.emit_clicks}_{tag}.clks"
-            with _output(path):
-                photonstats.write_clickstream(stream, path)
+    for stream, path in zip((det_a, det_b), clicks_paths):
+        with _output(path):
+            photonstats.write_clickstream(stream, path)
     result = photonstats.g2_cross(det_a, det_b, args.bin, args.max_lag,
                                   shards=max(1, args.threads))
     table = ScanResultTable(["lag_s", "g2", "sigma", "pairs"])
@@ -463,7 +515,6 @@ def cmd_g2(args) -> int:
                       "counts_det0": det_a.timestamps.size,
                       "counts_det1": det_b.timestamps.size}
     table.metadata = meta
-    out = args.out or "g2.csv"
     _write_table(table, out)
     print(f"g2 written to {out}; zero-lag g2 = "
           f"{result.g2[result.lags.size // 2]:.4f}")

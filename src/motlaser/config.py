@@ -13,14 +13,16 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import geometry
-from .atomics import MASS_YB174, AtomEnsemble, TransitionSpec
 from .errors import ConfigError
-from .gain import LaserSystem, OperatingPoint
-from .geometry import CavityGeometry
+
+if TYPE_CHECKING:
+    from .atomics import AtomEnsemble, TransitionSpec
+    from .gain import LaserSystem, OperatingPoint
+    from .geometry import CavityGeometry
 
 _UNIT_SCALE = {
     "": 1.0,
@@ -60,6 +62,24 @@ def parse_seed(text: str) -> int:
     return value
 
 
+def _bounded(accepts, bound: str):
+    """parse_quantity plus a domain bound, checked when the config is read
+    so that no command has to build the domain objects to validate it."""
+    def parse(text: str) -> float:
+        value = parse_quantity(text)
+        if not accepts(value):
+            raise ConfigError(f"must be {bound}, got {text!r}")
+        return value
+    return parse
+
+
+# the same bounds as the constructors of the domain objects the factories
+# below build (tests/test_cli.py checks that the two agree)
+_positive = _bounded(lambda v: v > 0, "positive")
+_non_negative = _bounded(lambda v: v >= 0, ">= 0")
+_fraction = _bounded(lambda v: 0 < v <= 1, "in (0, 1]")
+
+
 def _parse_bool(text: str) -> bool:
     t = str(text).strip().lower()
     if t in ("on", "true", "yes", "1"):
@@ -79,17 +99,31 @@ def _parse_families(text: str) -> tuple:
     return values
 
 
+def jones_linear(angle_deg: float):
+    """Jones pair for linear polarization at a given angle from e1 of the
+    beam's transverse basis (see geometry.beam_transverse_basis)."""
+    a = np.deg2rad(angle_deg)
+    return (complex(np.cos(a)), complex(np.sin(a)))
+
+
+def jones_circular(handedness: int):
+    """Jones pair (1, +-i)/sqrt(2); handedness is the sign of s3."""
+    if handedness not in (-1, 1):
+        raise ValueError("handedness must be +1 or -1")
+    return (complex(1 / np.sqrt(2)), handedness * 1j / np.sqrt(2))
+
+
 def _parse_polarization(text: str):
     """'linear:ANGLE' (degrees from the cavity axis) or 'circular:left/right'."""
     t = str(text).strip().lower()
     if t.startswith("linear:"):
-        return geometry.jones_linear(parse_quantity(t.split(":", 1)[1]))
+        return jones_linear(parse_quantity(t.split(":", 1)[1]))
     if t.startswith("circular:"):
         hand = t.split(":", 1)[1].strip()
         if hand in ("left", "l", "+"):
-            return geometry.jones_circular(1)
+            return jones_circular(1)
         if hand in ("right", "r", "-"):
-            return geometry.jones_circular(-1)
+            return jones_circular(-1)
     raise ConfigError(f"malformed polarization {text!r} "
                       "(use linear:ANGLEdeg or circular:left|right)")
 
@@ -104,40 +138,43 @@ def _fmt_polarization(jones) -> str:
 
 # key -> (parser, default-as-text, help)
 _KEYS = {
-    "total_atoms": (parse_quantity, "20e3",
+    "total_atoms": (_non_negative, "20e3",
                     "trapped atoms at the operating point (trap holds up to 1e7)"),
-    "cloud_radius": (parse_quantity, "1 mm", "rms cloud radius per axis"),
-    "temperature": (parse_quantity, "2 mK", "cloud temperature"),
-    "atom_mass": (parse_quantity, repr(MASS_YB174), "species mass, kg"),
+    "cloud_radius": (_positive, "1 mm", "rms cloud radius per axis"),
+    "temperature": (_positive, "2 mK", "cloud temperature"),
+    # repr of atomics.MASS_YB174, spelled out so that reading a config
+    # does not load the atomic layer (a test pins the two together)
+    "atom_mass": (_positive, "2.8883228326085627e-25",
+                  "species mass, kg"),
     "mot_detuning": (parse_quantity, "-35 MHz", "trap beam detuning"),
-    "mot_saturation": (parse_quantity, "3.0",
+    "mot_saturation": (_non_negative, "3.0",
                        "total trap drive, six beams x 0.5 I_sat"),
-    "pump_power": (parse_quantity, "7 mW", "pump beam power"),
-    "pump_waist": (parse_quantity, "2.4 mm", "pump 1/e^2 radius"),
+    "pump_power": (_non_negative, "7 mW", "pump beam power"),
+    "pump_waist": (_positive, "2.4 mm", "pump 1/e^2 radius"),
     "pump_detuning": (parse_quantity, "5 MHz", "pump detuning"),
     "pump_polarization": (_parse_polarization, "linear:90deg",
                           "Jones state in the pump transverse basis"),
     "pump_doppler": (_parse_bool, "off",
                      "include Doppler broadening in the pump response"),
     "cavity_detuning": (parse_quantity, "-30 MHz", "cavity detuning"),
-    "cavity_linewidth": (parse_quantity, "70 kHz",
+    "cavity_linewidth": (_positive, "70 kHz",
                          "energy decay linewidth (ordinary frequency)"),
-    "cavity_waist": (parse_quantity, "90 um", "TEM0 waist radius"),
-    "cavity_coupling": (parse_quantity, "30 kHz",
+    "cavity_waist": (_positive, "90 um", "TEM0 waist radius"),
+    "cavity_coupling": (_positive, "30 kHz",
                         "single-atom coupling (ordinary frequency)"),
-    "cavity_output_fraction": (parse_quantity, "0.05",
+    "cavity_output_fraction": (_fraction, "0.05",
                                "output power fraction per mirror"),
-    "family_spacing": (parse_quantity, "6.9 MHz",
+    "family_spacing": (_positive, "6.9 MHz",
                        "frequency spacing of co-resonant TEM families"),
     "families": (_parse_families, "0,37,74,111",
                  "TEM families included in steady-state solves"),
     "b_offset_x": (parse_quantity, "2.38 G", "offset field, cavity axis"),
     "b_offset_y": (parse_quantity, "0 G", "offset field, y"),
     "b_offset_z": (parse_quantity, "0 G", "offset field, vertical"),
-    "green_wavelength": (parse_quantity, "556 nm", "narrow-line wavelength"),
-    "green_linewidth": (parse_quantity, "182 kHz",
+    "green_wavelength": (_positive, "556 nm", "narrow-line wavelength"),
+    "green_linewidth": (_positive, "182 kHz",
                         "narrow-line natural width (ordinary frequency)"),
-    "blue_linewidth": (parse_quantity, "29 MHz",
+    "blue_linewidth": (_positive, "29 MHz",
                        "broad-line natural width (ordinary frequency)"),
     "lande_g": (parse_quantity, "1.5", "upper-level Lande factor"),
     "laser_ripple": (parse_quantity, "0.01",
@@ -166,17 +203,22 @@ class RunConfig:
         return dict(self.values)
 
     # -- factories for domain objects ------------------------------------
+    # Each imports its layer when called, so that g2 and clicks, which
+    # build none of them, never load gain, geometry or atomics.
 
     def green(self) -> TransitionSpec:
+        from .atomics import TransitionSpec
         return TransitionSpec.green_556(self["green_wavelength"],
                                         2 * np.pi * self["green_linewidth"],
                                         self["lande_g"])
 
     def ensemble(self) -> AtomEnsemble:
+        from .atomics import AtomEnsemble
         return AtomEnsemble(self["cloud_radius"], self["temperature"],
                             self["atom_mass"])
 
     def cavity(self) -> CavityGeometry:
+        from .geometry import CavityGeometry
         return CavityGeometry(
             waist_radius=self["cavity_waist"],
             kappa=2 * np.pi * self["cavity_linewidth"],
@@ -185,6 +227,7 @@ class RunConfig:
             family_spacing=self["family_spacing"])
 
     def system(self) -> LaserSystem:
+        from .gain import LaserSystem
         return LaserSystem(green=self.green(),
                            broad_linewidth=2 * np.pi * self["blue_linewidth"],
                            ensemble=self.ensemble(), cavity=self.cavity(),
@@ -192,6 +235,7 @@ class RunConfig:
                            include_pump_doppler=self["pump_doppler"])
 
     def operating_point(self) -> OperatingPoint:
+        from .gain import OperatingPoint
         return OperatingPoint(
             pump_detuning=self["pump_detuning"],
             cavity_detuning=self["cavity_detuning"],
@@ -261,8 +305,6 @@ def parse_config_text(text: str) -> RunConfig:
         parser = _KEYS[key][0]
         try:
             vals[key] = parser(value)
-        except ConfigError:
-            raise
         except Exception as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") \
                 from exc

@@ -25,11 +25,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .atomics import AtomEnsemble
+# the Jones constructors live beside the config parser that reads them
+from .config import jones_circular, jones_linear  # noqa: F401
 from .errors import QuantizationAxisError
+
+if TYPE_CHECKING:
+    from .atomics import AtomEnsemble
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -128,19 +133,6 @@ def beam_transverse_basis(propagation):
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(n, e1)
     return e1, e2
-
-
-def jones_linear(angle_deg: float):
-    """Jones pair for linear polarization at a given angle from e1."""
-    a = np.deg2rad(angle_deg)
-    return (complex(np.cos(a)), complex(np.sin(a)))
-
-
-def jones_circular(handedness: int):
-    """Jones pair (1, +-i)/sqrt(2); handedness is the sign of s3."""
-    if handedness not in (-1, 1):
-        raise ValueError("handedness must be +1 or -1")
-    return (complex(1 / np.sqrt(2)), handedness * 1j / np.sqrt(2))
 
 
 def _spherical_basis(b_dir):

@@ -502,8 +502,7 @@ MAX_BIN_INDEX = 2.0 ** 63
 
 
 def g2_cross(a: ClickStream, b: ClickStream, bin_width: float,
-             max_lag: float, shards: int = 1,
-             _exclude_self: bool = False) -> CorrelationResult:
+             max_lag: float, shards: int = 1) -> CorrelationResult:
     """Cross-correlation g2(tau) between two click streams.
 
     Delays t_b - t_a are histogrammed over bins centered at k*bin_width,
@@ -538,8 +537,6 @@ def g2_cross(a: ClickStream, b: ClickStream, bin_width: float,
     fa = np.floor(a.timestamps / bin_width).astype(np.int64)
     fb = np.floor(b.timestamps / bin_width).astype(np.int64)
     hist = _pair_histogram(fa, fb, kmax, shards=shards)
-    if _exclude_self:
-        hist[kmax] -= a.timestamps.size
 
     k = np.arange(-kmax, kmax + 1)
     t_eff = duration - np.abs(k) * bin_width
@@ -550,17 +547,6 @@ def g2_cross(a: ClickStream, b: ClickStream, bin_width: float,
     sigma = np.sqrt(np.maximum(hist, 1)) / norm
     return CorrelationResult(k * bin_width, g2, sigma, hist.copy(),
                              bin_width, int(hist.sum()))
-
-
-def g2_auto(a: ClickStream, bin_width: float, max_lag: float,
-            shards: int = 1) -> CorrelationResult:
-    """Autocorrelation of one stream, zero-lag self-pairs excluded.
-
-    The counts are those of :func:`g2_cross` of the stream with itself,
-    less one self-pair per click at zero lag.
-    """
-    return g2_cross(a, a, bin_width, max_lag, shards=shards,
-                    _exclude_self=True)
 
 
 def binning_washout(coherence_time: float, bin_width: float) -> float:

@@ -15,7 +15,9 @@ the template only saves time and never changes a byte.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass, field
 
 FLOAT_FORMAT = "{:.17e}"
@@ -76,10 +78,33 @@ class ScanResultTable:
         return "\n".join(lines)
 
     def write(self, csv_path, metadata_path) -> None:
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.csv_text())
-        with open(metadata_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.metadata_text())
+        """Write the table and its sidecar as a pair.
+
+        Both go to temporary names beside their targets and are renamed
+        only after both writes succeed.  On any failure neither file of
+        the pair stays: the temporaries and a target already renamed into
+        place are removed.
+        """
+        paths = (csv_path, metadata_path)
+        temporaries = [f"{path}.{os.getpid()}.tmp" for path in paths]
+        placed = []
+        try:
+            for target, tmp, text in zip(
+                    paths, temporaries,
+                    (self.csv_text(), self.metadata_text())):
+                with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+            for target, tmp in zip(paths, temporaries):
+                os.replace(tmp, target)
+                placed.append(target)
+        except BaseException as exc:
+            for path in temporaries + placed:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(path)
+            if isinstance(exc, OSError):
+                # name the file that failed, not its temporary
+                exc.filename, exc.filename2 = target, None
+            raise
 
 
 def parse_metadata(text: str) -> dict:

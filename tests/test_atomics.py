@@ -154,6 +154,9 @@ def test_atom_ensemble_validation():
         atomics.AtomEnsemble(0.0, 2e-3)
     with pytest.raises(ValueError):
         atomics.AtomEnsemble(1e-3, 0.0)
+    # a non-positive mass would fail only later, in doppler_sigma
+    with pytest.raises(ValueError, match="species_mass"):
+        atomics.AtomEnsemble(1e-3, 2e-3, 0.0)
 
 
 def test_literal_constants_equal_scipy():

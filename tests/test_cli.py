@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 from motlaser import gain
-from motlaser.cli import load_calibration, main, render_polarization_table
-from motlaser.config import (_HASH_EXCLUDED, ConfigError, default_config,
-                             load_config, parse_config_text, parse_quantity)
+from motlaser.atomics import MASS_YB174
+from motlaser.cli import (MAX_POINTS, load_calibration, main,
+                          render_polarization_table)
+from motlaser.config import (_HASH_EXCLUDED, _KEYS, ConfigError,
+                             default_config, load_config, parse_config_text,
+                             parse_quantity)
 from motlaser.photonstats import read_clickstream
 from motlaser.results import ScanResultTable, parse_metadata
 
@@ -144,7 +147,7 @@ class TestMapCommand:
             solved["map"] = result
             return result
 
-        monkeypatch.setattr("motlaser.cli.gain.detuning_map", with_failures)
+        monkeypatch.setattr("motlaser.gain.detuning_map", with_failures)
         calibrated(workdir)
         assert run("map", "--pump-min", "3MHz", "--pump-max", "6MHz",
                    "--cavity-min=-34MHz", "--cavity-max=-30MHz") == 0
@@ -424,11 +427,62 @@ def test_empty_click_stream_exit_code(workdir, capsys, regime):
 
 @pytest.mark.parametrize("line", ["pump_power = -1mW", "cloud_radius = 0",
                                   "total_atoms = -10", "pump_waist = 0",
-                                  "families = 0,-37", "seed = -1"])
-def test_out_of_range_config_value_exit_code(workdir, line):
+                                  "families = 0,-37", "seed = -1",
+                                  "atom_mass = -1"])
+def test_out_of_range_config_value_exit_code(workdir, monkeypatch, capsys,
+                                             line):
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("the config must be checked before synthesis")
+
+    monkeypatch.setattr("motlaser.cli.photonstats.simulate_intensity",
+                        no_synthesis)
     bad = workdir / "bad.cfg"
     bad.write_text(line + "\n")
-    assert run("--config", str(bad), "calibrate") == 2
+    key = line.split(" = ")[0]
+    # g2 and clicks build no domain object: config parsing alone must
+    # reject the value, and the message must name the key
+    for argv in (("calibrate",),
+                 ("g2", "--regime", "above", "--rate", "1000", "--bin", "1us",
+                  "--max-lag", "2us", "--duration", "0.01s"),
+                 ("clicks", "--regime", "poisson", "--rate", "1000",
+                  "--duration", "0.1s")):
+        assert run("--config", str(bad), *argv) == 2
+        assert key in capsys.readouterr().err
+    assert list(workdir.iterdir()) == [bad]
+
+
+def _constructors_accept(cfg) -> bool:
+    try:
+        cfg.system()
+        cfg.operating_point()
+    except ValueError:
+        return False
+    return True
+
+
+def test_config_bounds_match_domain_constructors():
+    # the bounds config parsing enforces must be exactly those of the domain
+    # objects the config builds: a value a constructor rejects fails to
+    # parse, and one it accepts parses to the same number
+    base = default_config()
+    drift = []
+    for key, value in base.as_dict().items():
+        if not isinstance(value, float):
+            continue
+        for number in (-1.0, -1e-300, 0.0, 1e-300, 0.5, 1.0, 1.5, 1e300):
+            accepted = _constructors_accept(base.replace(**{key: number}))
+            try:
+                parsed = parse_config_text(f"{key} = {number!r}\n")
+            except ConfigError as exc:
+                assert key in str(exc)
+                parsed = None
+            if accepted != (parsed is not None) or \
+                    (parsed is not None and parsed[key] != number):
+                drift.append((key, number, accepted))
+    assert drift == []
+    # the spelled-out atom_mass default is the atomic layer's constant
+    assert base["atom_mass"] == MASS_YB174
+    assert _KEYS["atom_mass"][1] == repr(MASS_YB174)
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)], ids=["negative", "2^64"])
@@ -495,18 +549,65 @@ def test_bad_option_value_exit_code(workdir, monkeypatch, argv):
     ("g2", "--regime", "above", "--rate", "50kHz", "--bin", "2.6us",
      "--max-lag", "20us", "--duration", "0.05s",
      "--emit-clicks", "missing/clicks"),
+    ("--out", "taken", "g2", "--regime", "above", "--rate", "50kHz",
+     "--bin", "2.6us", "--max-lag", "20us", "--duration", "0.05s"),
     ("--out", "taken", "polarization-table"),
 ], ids=["map-missing-dir", "map-onto-dir", "g2-missing-dir",
-        "g2-emit-clicks", "polarization-table-onto-dir"])
-def test_unwritable_output_exit_code(workdir, capsys, argv):
+        "g2-emit-clicks", "g2-onto-dir", "polarization-table-onto-dir"])
+def test_unwritable_output_exit_code(workdir, monkeypatch, capsys, argv):
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("g2 must check its outputs before synthesis")
+
+    monkeypatch.setattr("motlaser.cli.photonstats.simulate_intensity",
+                        no_synthesis)
     calibrated(workdir)
     (workdir / "taken").mkdir()
+    before = sorted(workdir.iterdir())
     capsys.readouterr()
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
     assert "missing/" in err or "taken" in err
-    assert not (workdir / "g2.csv").exists()
+    # no output, no temporary and no probe file is left behind
+    assert sorted(workdir.iterdir()) == before
+
+
+def test_table_and_sidecar_land_as_a_pair(workdir, capsys):
+    # the sidecar cannot be written: the table must not land without it
+    calibrated(workdir)
+    (workdir / "map.csv.meta.txt").mkdir()
+    before = sorted(workdir.iterdir())
+    capsys.readouterr()
+    assert run("map", "--pump-min=0", "--pump-max=0", "--cavity-min=-1MHz",
+               "--cavity-max=0") == 2
+    assert capsys.readouterr().err == \
+        "error: cannot write map.csv.meta.txt: Is a directory\n"
+    assert sorted(workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ("map", "--cavity-step", "1e-9Hz"),
+    ("map", "--pump-min=-1GHz", "--pump-max=1GHz", "--pump-step=1kHz",
+     "--cavity-min=-1GHz", "--cavity-max=1GHz", "--cavity-step=1kHz"),
+    ("threshold", "--vary", "pump", "--min", "1uW", "--max", "1mW",
+     "--points", str(10**15)),
+    ("shift-scan", "--vary", "b_offset", "--min", "1.5", "--max", "4.5",
+     "--step", "1e-15"),
+], ids=["map-axis", "map-cells", "threshold-points", "shift-scan-points"])
+def test_oversized_scan_exit_code(workdir, monkeypatch, capsys, argv):
+    # each size is refused from the range arithmetic; without the cap the
+    # first three grids would be petabytes, which numpy refuses with a
+    # traceback, and the last a 4e12-cell map
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the size must be checked before any solve")
+
+    for name in ("detuning_map", "threshold_scan", "optimum_scan"):
+        monkeypatch.setattr(gain, name, no_solve)
+    calibrated(workdir)
+    capsys.readouterr()
+    assert run("--out", "out.csv", *argv) == 2
+    assert f"above the cap of {MAX_POINTS:.0e}" in capsys.readouterr().err
+    assert not (workdir / "out.csv").exists()
 
 
 @pytest.mark.parametrize("field", ["1,nan,0", "inf,0,0", "0,-inf,1"])
@@ -620,12 +721,21 @@ def test_render_table_stable_against_config(workdir):
 
 
 # ---------------------------------------------------------------------------
-# Start-up without scipy
+# Start-up: no scipy, and no gain layer for the photon-statistics commands
 # ---------------------------------------------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-_NO_SCIPY_RUNS = [
+# g2 and clicks run first, so that what they load shows on its own
+_PHOTON_RUNS = [
+    ["g2", "--regime", "above", "--duration", "0.1s", "--rate", "50kHz",
+     "--bin", "2.6us", "--max-lag", "13us"],
+    ["g2", "--regime", "below", "--tau-c", "3us", "--duration", "0.01s",
+     "--rate", "200kHz", "--bin", "1us", "--max-lag", "10us"],
+    ["clicks", "--regime", "thermal", "--rate", "100kHz",
+     "--duration", "0.05s"],
+]
+_MODEL_RUNS = [
     ["calibrate"],
     ["map", "--pump-min=-2MHz", "--pump-max=2MHz", "--cavity-min=-32MHz",
      "--cavity-max=-28MHz", "--cavity-step=2MHz"],
@@ -634,37 +744,46 @@ _NO_SCIPY_RUNS = [
     ["shift-scan", "--vary", "b_offset", "--min", "1.5", "--max", "2.5",
      "--step", "1"],
     ["polarization-table"],
-    ["g2", "--regime", "above", "--duration", "0.1s", "--rate", "50kHz",
-     "--bin", "2.6us", "--max-lag", "13us"],
-    ["g2", "--regime", "below", "--tau-c", "3us", "--duration", "0.01s",
-     "--rate", "200kHz", "--bin", "1us", "--max-lag", "10us"],
-    ["clicks", "--regime", "thermal", "--rate", "100kHz",
-     "--duration", "0.05s"],
 ]
 
 _NO_SCIPY_SCRIPT = r"""
 import json, sys
 import motlaser
+numpy_on_import = "numpy" in sys.modules
 from motlaser.cli import main
-codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "scipy": sorted(
+photon_runs, model_runs = json.loads(sys.argv[1])
+codes = [main(argv) for argv in photon_runs]
+layers = ("motlaser.gain", "motlaser.geometry", "motlaser.atomics")
+after_photon = [m for m in layers if m in sys.modules]
+codes += [main(argv) for argv in model_runs]
+exports = {name: getattr(motlaser, name) for name in motlaser.__all__}
+not_same = sorted(name for name, obj in exports.items()
+                  if getattr(sys.modules[obj.__module__], name) is not obj)
+print(json.dumps({"codes": codes, "numpy_on_import": numpy_on_import,
+                  "layers_after_photon": after_photon, "exports": len(exports),
+                  "exports_not_same": not_same, "scipy": sorted(
     m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
 def test_cli_commands_load_no_scipy(tmp_path):
     # a fresh interpreter: a later top-level scipy import anywhere in the
-    # package would put ~1 s back on every command's start-up
+    # package would put ~1 s back on every command's start-up, and a
+    # top-level gain import in cli or config ~30 ms on g2's and clicks'
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(_NO_SCIPY_RUNS)],
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT,
+         json.dumps([_PHOTON_RUNS, _MODEL_RUNS])],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["codes"] == [0] * len(_NO_SCIPY_RUNS)
+    assert result["codes"] == [0] * (len(_PHOTON_RUNS) + len(_MODEL_RUNS))
     assert result["scipy"] == []
+    assert result["numpy_on_import"] is False
+    assert result["layers_after_photon"] == []
+    assert result["exports"] > 0 and result["exports_not_same"] == []
 
 
 def _scipy_imports(path):

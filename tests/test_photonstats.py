@@ -10,7 +10,7 @@ from scipy.signal import lfilter
 from motlaser import photonstats as ps
 from motlaser.errors import PhysicsError
 from motlaser.photonstats import (ClickStream, IntensityTrace,
-                                  binning_washout, g2_auto, g2_cross,
+                                  binning_washout, g2_cross,
                                   invert_washout, poissonize,
                                   read_clickstream, read_clickstream_text,
                                   simulate_intensity, write_clickstream,
@@ -312,17 +312,6 @@ class TestG2Cross:
         r_ba = g2_cross(b, a, 2.6e-6, 40e-6)
         assert np.array_equal(r_ab.counts, r_ba.counts[::-1])
         assert np.array_equal(r_ab.g2, r_ba.g2[::-1])
-
-    def test_auto_matches_cross_within_noise(self):
-        tr = simulate_intensity("thermal", 2e5, 1e-4, 4.0, 1e-5, seed=21)
-        a, b = poissonize(tr, seed=22)
-        merged = ClickStream(0, np.sort(np.concatenate(
-            [a.timestamps, b.timestamps])), a.duration)
-        r_auto = g2_auto(merged, 1e-5, 30e-5)
-        r_cross = g2_cross(a, b, 1e-5, 30e-5)
-        z = np.abs(r_auto.g2 - r_cross.g2) \
-            / np.sqrt(r_auto.sigma**2 + r_cross.sigma**2)
-        assert z.max() < 4.0
 
     def test_sharded_runs_bit_identical(self, poisson_pair):
         a, b = poisson_pair
