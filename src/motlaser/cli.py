@@ -267,6 +267,8 @@ def cmd_map(args) -> int:
 
 def cmd_threshold(args) -> int:
     from . import gain
+    if not (math.isfinite(args.min) and math.isfinite(args.max)):
+        raise ConfigError("threshold scan bounds must be finite")
     if args.min < 0:
         raise ConfigError("threshold scan needs min >= 0")
     if args.max <= args.min:
@@ -457,17 +459,6 @@ def _resolve_tau_c(args, cfg: RunConfig, calib) -> float:
 
 
 def cmd_g2(args) -> int:
-    # the correlator's own conditions, checked before any synthesis
-    if not args.bin > 0:
-        raise ConfigError("--bin must be positive")
-    if args.max_lag < args.bin:
-        raise ConfigError("--max-lag must be at least one --bin")
-    if args.duration - round(args.max_lag / args.bin) * args.bin <= 0:
-        raise ConfigError("--max-lag (rounded to whole bins) must be "
-                          "shorter than --duration")
-    if not args.duration / args.bin < photonstats.MAX_BIN_INDEX:
-        raise ConfigError(f"--duration spans {args.duration / args.bin:.3g} "
-                          f"bins, beyond the int64 bin index (2^63)")
     if args.washout_g2 is not None and not 1.0 < args.washout_g2 < 2.0:
         raise ConfigError("--washout-g2 must be strictly between 1 and 2")
     cfg = _load_cfg(args)
@@ -482,15 +473,23 @@ def cmd_g2(args) -> int:
         if args.tau_c is None and args.washout_g2 is None:
             calib = load_calibration(args.calibration, cfg)
         tau_c = _resolve_tau_c(args, cfg, calib)
-        trace = photonstats.simulate_intensity(
-            "thermal", args.rate, tau_c, args.duration,
-            sample_period=tau_c / 10.0, seed=seed)
+        regime, coherence, period = "thermal", tau_c, tau_c / 10.0
     else:
         tau_c = None
+        regime, coherence = "laser", 0.0
         period = min(1e-3, args.duration / 100.0)
-        trace = photonstats.simulate_intensity(
-            "laser", args.rate, 0.0, args.duration, sample_period=period,
-            seed=seed, laser_ripple=cfg["laser_ripple"])
+    # the correlator's window, checked before any synthesis against the
+    # duration the trace will have
+    samples = photonstats.trace_samples(args.duration, period)
+    try:
+        kmax = photonstats.lag_window(period * samples, args.bin,
+                                      args.max_lag)
+    except ValueError as exc:
+        raise ConfigError(f"g2 window: {exc}") from None
+    _check_points("g2 lags", 2 * kmax + 1)
+    trace = photonstats.simulate_intensity(
+        regime, args.rate, coherence, args.duration, sample_period=period,
+        seed=seed, laser_ripple=cfg["laser_ripple"])
     det_a, det_b = photonstats.poissonize(trace, (seed + 1) % 2**64)
     for stream in (det_a, det_b):
         if stream.timestamps.size == 0:
@@ -502,7 +501,7 @@ def cmd_g2(args) -> int:
         with _output(path):
             photonstats.write_clickstream(stream, path)
     result = photonstats.g2_cross(det_a, det_b, args.bin, args.max_lag,
-                                  shards=max(1, args.threads))
+                                  shards=args.threads)
     table = ScanResultTable(["lag_s", "g2", "sigma", "pairs"])
     table.rows.extend(zip(result.lags.tolist(), result.g2.tolist(),
                           result.sigma.tolist(), result.counts.tolist()))
@@ -575,6 +574,17 @@ def _option(parse):
 _quantity = _option(parse_quantity)
 
 
+@_option
+def _shards(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ConfigError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise ConfigError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="motlaser",
@@ -588,10 +598,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output path (per-command default)")
     parser.add_argument("--calibration", default="calibration.txt",
                         help="calibration file path")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="number of g2 correlation shards; they run "
-                             "serially and the output is identical for "
-                             "any value")
+    parser.add_argument("--threads", type=_shards, default=1,
+                        help="number of g2 correlation shards, at least 1; "
+                             "they run serially and the output is identical "
+                             "for any value")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 

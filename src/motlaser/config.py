@@ -177,7 +177,7 @@ _KEYS = {
     "blue_linewidth": (_positive, "29 MHz",
                        "broad-line natural width (ordinary frequency)"),
     "lande_g": (parse_quantity, "1.5", "upper-level Lande factor"),
-    "laser_ripple": (parse_quantity, "0.01",
+    "laser_ripple": (_non_negative, "0.01",
                      "relative rms intensity ripple of the laser regime"),
     "seed": (parse_seed, "1", "master seed for all stochastic output"),
 }

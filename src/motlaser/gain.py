@@ -507,6 +507,32 @@ def threshold_solve(vary: str, op: OperatingPoint, system: LaserSystem,
 # Scans
 # ---------------------------------------------------------------------------
 
+def _label4(mask: np.ndarray) -> tuple:
+    """(labels, count) of the 4-connected regions of a 2-D boolean mask.
+
+    Regions are numbered 1, 2, ... in the row-major order of their first
+    cell, as scipy.ndimage.label numbers them; 0 marks the background.
+    Each region is flood-filled from its first cell with a stack.
+    """
+    labels = np.zeros(mask.shape, np.int32)
+    rows, cols = mask.shape
+    count = 0
+    for i, j in zip(*np.nonzero(mask)):
+        if labels[i, j]:
+            continue
+        count += 1
+        labels[i, j] = count
+        stack = [(i, j)]
+        while stack:
+            y, x = stack.pop()
+            for v, u in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                if 0 <= v < rows and 0 <= u < cols and mask[v, u] \
+                        and not labels[v, u]:
+                    labels[v, u] = count
+                    stack.append((v, u))
+    return labels, count
+
+
 @dataclass(frozen=True)
 class DetuningMap:
     """Power over a (pump, cavity) detuning grid."""
@@ -525,10 +551,7 @@ class DetuningMap:
         Returns a list of (pump_center, cavity_center, peak_power), one
         per 4-connected region, sorted by descending peak power.
         """
-        # imported here: no CLI command calls this, and none loads scipy
-        from scipy.ndimage import label
-
-        labels, count = label(self.lasing_any)
+        labels, count = _label4(self.lasing_any)
         out = []
         for k in range(1, count + 1):
             mask = labels == k

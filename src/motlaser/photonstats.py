@@ -122,6 +122,25 @@ class CorrelationResult:
 MAX_SAMPLES = 50_000_000
 
 
+def trace_samples(duration: float, sample_period: float) -> int:
+    """Samples of the trace :func:`simulate_intensity` synthesizes: the
+    whole number of periods nearest to ``duration``, so the trace lasts
+    ``sample_period`` times that.  Raises :class:`PhysicsError`, before
+    anything is allocated, if it is not positive or above
+    :data:`MAX_SAMPLES`."""
+    if not (sample_period > 0 and duration > 0):
+        raise PhysicsError("sample_period and duration must be positive")
+    count = duration / sample_period
+    if count > MAX_SAMPLES:
+        raise PhysicsError(
+            f"{count:.3g} samples of {sample_period:g} s exceed the cap of "
+            f"{MAX_SAMPLES:g} samples per trace")
+    n = int(round(count))
+    if n < 1:
+        raise PhysicsError("duration shorter than one sample period")
+    return n
+
+
 def simulate_intensity(regime: str, mean_rate: float, coherence_time: float,
                        duration: float, sample_period: float, seed: int,
                        laser_ripple: float = 1e-2) -> IntensityTrace:
@@ -133,23 +152,17 @@ def simulate_intensity(regime: str, mean_rate: float, coherence_time: float,
     poisson: constant rate.  The thermal regime insists on
     sample_period <= coherence_time / 10 and duration >= 100 * coherence
     times so the process is neither undersampled nor unconverged.  A
-    trace of more than :data:`MAX_SAMPLES` samples raises
-    :class:`PhysicsError`.
+    rate that is not positive and finite, a negative ripple and a trace of
+    more than :data:`MAX_SAMPLES` samples raise :class:`PhysicsError`.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
-    if mean_rate <= 0:
-        raise PhysicsError("mean_rate must be positive")
-    if sample_period <= 0 or duration <= 0:
-        raise PhysicsError("sample_period and duration must be positive")
-    count = duration / sample_period
-    if count > MAX_SAMPLES:
-        raise PhysicsError(
-            f"{count:.3g} samples of {sample_period:g} s exceed the cap of "
-            f"{MAX_SAMPLES:g} samples per trace")
-    n = int(round(count))
-    if n < 1:
-        raise PhysicsError("duration shorter than one sample period")
+    if not 0 < mean_rate < math.inf:
+        raise PhysicsError(f"mean_rate must be positive and finite, got "
+                           f"{mean_rate!r}")
+    if not laser_ripple >= 0:
+        raise PhysicsError(f"laser_ripple must be >= 0, got {laser_ripple!r}")
+    n = trace_samples(duration, sample_period)
 
     if regime == "poisson":
         samples = np.full(n, mean_rate)
@@ -329,6 +342,11 @@ def _ar1_power(x: np.ndarray, a: float, start: complex) -> np.ndarray:
 # poissonize draws the counts of this many samples at a time
 _POISSON_CHUNK = 1 << 20
 
+# Clicks peak at about 30 bytes each (their times, the routing draws and
+# the two streams), so this many clicks need about 1.5 GB.  Criterion 7
+# draws 1.1e7.  A trace that expects more is refused before any draw.
+MAX_CLICKS = 50_000_000
+
 
 def poissonize(trace: IntensityTrace, seed: int) -> tuple:
     """Sample the trace as an inhomogeneous Poisson process, split 50/50.
@@ -337,9 +355,16 @@ def poissonize(trace: IntensityTrace, seed: int) -> tuple:
     each click is routed independently to detector A or B (the two-counter
     beam-splitter arrangement).  Exact duplicate timestamps (possible at
     float resolution) are dropped to keep streams strictly increasing.
+    A trace whose expected click count exceeds :data:`MAX_CLICKS` raises
+    :class:`PhysicsError`; the check draws nothing.
     """
-    rng = _rng(seed)
     p = trace.sample_period
+    expected = trace.samples.sum() * p
+    if not expected <= MAX_CLICKS:
+        raise PhysicsError(
+            f"{expected:.3g} expected clicks exceed the cap of "
+            f"{MAX_CLICKS:g} clicks per trace")
+    rng = _rng(seed)
     # the generator draws in sequence, so chunked calls give the stream of
     # one call; only the slots with clicks are kept
     slots, counts = [], []
@@ -481,13 +506,14 @@ def _pair_histogram(fa, fb, kmax, shards=1):
 
     The dense path or the sweep is chosen once, by :func:`_use_dense`.
     Sharding splits the a-stream into contiguous chunks whose integer
-    histograms are summed, so sharded and serial runs agree exactly.
+    histograms are summed, so sharded and serial runs agree exactly.  There
+    are at most as many shards as a-clicks.
     """
     lags = 2 * kmax + 1
     nbins = int(max(fa[-1], fb[-1]) - min(fa[0], fb[0])) + 1
     kernel = _pair_hist_dense if _use_dense(fa.size, fb.size, nbins, lags) \
         else _pair_hist_numpy
-    shards = max(1, int(shards))
+    shards = min(max(1, int(shards)), fa.size)
     bounds = np.linspace(0, fa.size, shards + 1).astype(np.int64)
     out = np.zeros(lags, np.int64)
     for s in range(shards):
@@ -499,6 +525,29 @@ def _pair_histogram(fa, fb, kmax, shards=1):
 
 # Bin indices are int64: a stream may span fewer than 2^63 bins.
 MAX_BIN_INDEX = 2.0 ** 63
+
+
+def lag_window(duration: float, bin_width: float, max_lag: float) -> int:
+    """kmax = round(max_lag / bin_width) of :func:`g2_cross` for a stream
+    of ``duration`` seconds; raises ValueError if the window cannot be
+    correlated.
+
+    The bin must be positive and at most ``max_lag``, the stream must span
+    fewer than 2^63 bins, and the lag window, rounded to whole bins, must
+    be shorter than the stream.
+    """
+    if not bin_width > 0:
+        raise ValueError("bin_width must be positive")
+    if not max_lag >= bin_width:
+        raise ValueError("max_lag must be at least one bin")
+    if not duration / bin_width < MAX_BIN_INDEX:
+        raise ValueError(f"duration / bin_width = {duration / bin_width:.3g}"
+                         f" overflows the int64 bin index (2^63)")
+    kmax = np.round(max_lag / bin_width)
+    if not duration - kmax * bin_width > 0:
+        raise ValueError(f"max_lag, rounded to {kmax:g} bins, exceeds the "
+                         f"stream duration {duration:g} s")
+    return int(kmax)
 
 
 def g2_cross(a: ClickStream, b: ClickStream, bin_width: float,
@@ -523,16 +572,11 @@ def g2_cross(a: ClickStream, b: ClickStream, bin_width: float,
         t = s.timestamps
         if np.any(t[1:] <= t[:-1]):
             raise ValueError("unsorted click stream (refusing to sort silently)")
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
-    if max_lag < bin_width:
-        raise ValueError("max_lag must be at least one bin")
-    if not max(a.duration, b.duration) / bin_width < MAX_BIN_INDEX:
-        raise ValueError("duration / bin_width overflows the int64 bin index")
+    # each stream's own span must fit the window: the shorter one bounds
+    # the lags, the longer one the bin index
+    for s in (a, b):
+        kmax = lag_window(s.duration, bin_width, max_lag)
     duration = min(a.duration, b.duration)
-    kmax = int(round(max_lag / bin_width))
-    if duration - kmax * bin_width <= 0:
-        raise ValueError("max_lag exceeds the stream duration")
 
     fa = np.floor(a.timestamps / bin_width).astype(np.int64)
     fb = np.floor(b.timestamps / bin_width).astype(np.int64)
@@ -549,6 +593,11 @@ def g2_cross(a: ClickStream, b: ClickStream, bin_width: float,
                              bin_width, int(hist.sum()))
 
 
+# 1/k! for k = 16, ..., 2: the Horner coefficients of binning_washout's
+# series, whose terms past k = 16 are below 1e-27 for x < 0.1
+_WASHOUT_SERIES = tuple(1.0 / math.factorial(k) for k in range(16, 1, -1))
+
+
 def binning_washout(coherence_time: float, bin_width: float) -> float:
     """Predicted zero-lag g2 of chaotic light after finite binning.
 
@@ -559,14 +608,19 @@ def binning_washout(coherence_time: float, bin_width: float) -> float:
         g2_bin(0) = 1 + (2/x^2) (x - 1 + e^-x),   x = 2*bin_width/tau_c.
 
     Tends to 2 for vanishing bins and to 1 when the bin dwarfs the
-    coherence time.
+    coherence time.  Below x = 0.1 it sums the series
+    1 + 2 sum_{k>=2} (-x)^(k-2) / k!, whose terms do not cancel: there
+    x - 1 + e^-x loses up to log10(1/x) digits, even through expm1, and the
+    closed form is no longer smooth on the scale of a float.
     """
     if coherence_time <= 0 or bin_width <= 0:
         raise ValueError("coherence_time and bin_width must be positive")
     x = 2.0 * bin_width / coherence_time
-    if x < 1e-6:
-        return 2.0 - x / 3.0
-    # expm1 keeps the digits that x - 1 + e^-x cancels for small x
+    if x < 0.1:
+        total = 0.0
+        for c in _WASHOUT_SERIES:
+            total = c - x * total
+        return 1.0 + 2.0 * total
     return 1.0 + 2.0 * (np.expm1(-x) + x) / (x * x)
 
 
@@ -574,14 +628,16 @@ def invert_washout(target_g2: float, bin_width: float) -> float:
     """Coherence time at which binning washes the thermal peak to target.
 
     The root is searched between 1e-6 and 1e6 bin widths; a target that
-    this range cannot reach raises :class:`ConfigError`.
+    this range cannot reach raises :class:`ConfigError`, and so does a
+    bin width that is not positive.  :func:`binning_washout` rises
+    monotonically in tau_c, so the bracket is bisected in log tau_c until
+    its geometric midpoint no longer lies strictly inside it: the two ends
+    are then adjacent floats.
     """
     if not 1.0 < target_g2 < 2.0:
         raise ValueError("target g2(0) must be strictly between 1 and 2")
-    # imported here: only g2 --washout-g2 needs it, and no other command
-    # loads scipy
-    from scipy.optimize import brentq
-
+    if not bin_width > 0:
+        raise ConfigError(f"bin width {bin_width!r} s must be positive")
     lo, hi = bin_width * 1e-6, bin_width * 1e6
     g_lo, g_hi = binning_washout(lo, bin_width), binning_washout(hi, bin_width)
     if not g_lo <= target_g2 <= g_hi:
@@ -589,9 +645,15 @@ def invert_washout(target_g2: float, bin_width: float) -> float:
             f"target g2(0) = {target_g2!r} is out of reach at bin width "
             f"{bin_width:g} s: coherence times from {lo:g} to {hi:g} s give "
             f"g2(0) from {float(g_lo)!r} to {float(g_hi)!r}")
-    # brentq's default xtol of 2e-12 s would dwarf a nanosecond tau_c
-    return brentq(lambda tc: binning_washout(tc, bin_width) - target_g2,
-                  lo, hi, xtol=1e-15 * bin_width, rtol=1e-13)
+    while True:
+        # lo * sqrt(hi / lo), not sqrt(lo * hi): the product may underflow
+        mid = lo * math.sqrt(hi / lo)
+        if not lo < mid < hi:
+            return hi
+        if binning_washout(mid, bin_width) < target_g2:
+            lo = mid
+        else:
+            hi = mid
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,26 @@
+import argparse
 import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from motlaser import gain
+from motlaser import cli, gain, photonstats
 from motlaser.atomics import MASS_YB174
-from motlaser.cli import (MAX_POINTS, load_calibration, main,
+from motlaser.cli import (MAX_POINTS, build_parser, load_calibration, main,
                           render_polarization_table)
 from motlaser.config import (_HASH_EXCLUDED, _KEYS, ConfigError,
                              default_config, load_config, parse_config_text,
                              parse_quantity)
-from motlaser.photonstats import read_clickstream
+from motlaser.errors import PhysicsError
+from motlaser.photonstats import read_clickstream, simulate_intensity
 from motlaser.results import ScanResultTable, parse_metadata
 
 FIXTURE = "tests/data/polarization_table.txt"
@@ -428,7 +433,7 @@ def test_empty_click_stream_exit_code(workdir, capsys, regime):
 @pytest.mark.parametrize("line", ["pump_power = -1mW", "cloud_radius = 0",
                                   "total_atoms = -10", "pump_waist = 0",
                                   "families = 0,-37", "seed = -1",
-                                  "atom_mass = -1"])
+                                  "atom_mass = -1", "laser_ripple = -0.5"])
 def test_out_of_range_config_value_exit_code(workdir, monkeypatch, capsys,
                                              line):
     def no_synthesis(*args, **kwargs):
@@ -452,10 +457,14 @@ def test_out_of_range_config_value_exit_code(workdir, monkeypatch, capsys,
 
 
 def _constructors_accept(cfg) -> bool:
+    # the domain objects, and the laser-regime synthesis, the one reader of
+    # laser_ripple
     try:
         cfg.system()
         cfg.operating_point()
-    except ValueError:
+        simulate_intensity("laser", 1.0, 0.0, 1.0, 0.5, seed=0,
+                           laser_ripple=cfg["laser_ripple"])
+    except (ValueError, PhysicsError):
         return False
     return True
 
@@ -525,8 +534,9 @@ def test_negative_threshold_min_exit_code(workdir, vary, bounds):
      "--bin", "2.6us", "--max-lag", "13us", "--washout-g2", "3"),
     ("polarization-table", "--extra-b", "a,b,c"),
     ("map", "--cavity-max", "1e400"),
+    ("threshold", "--vary", "pump", "--min", "1uW", "--max", "1e999"),
 ], ids=["negative-points", "zero-points", "washout-above-2", "extra-b-text",
-        "infinite-range"])
+        "infinite-range", "threshold-infinite-max"])
 def test_bad_option_value_exit_code(workdir, monkeypatch, argv):
     def no_synthesis(*args, **kwargs):
         raise AssertionError("options must be checked before synthesis")
@@ -593,11 +603,14 @@ def test_table_and_sidecar_land_as_a_pair(workdir, capsys):
      "--points", str(10**15)),
     ("shift-scan", "--vary", "b_offset", "--min", "1.5", "--max", "4.5",
      "--step", "1e-15"),
-], ids=["map-axis", "map-cells", "threshold-points", "shift-scan-points"])
+    ("g2", "--regime", "above", "--rate", "1kHz", "--bin", "1ns",
+     "--max-lag", "1s", "--duration", "2s"),
+], ids=["map-axis", "map-cells", "threshold-points", "shift-scan-points",
+        "g2-lags"])
 def test_oversized_scan_exit_code(workdir, monkeypatch, capsys, argv):
     # each size is refused from the range arithmetic; without the cap the
     # first three grids would be petabytes, which numpy refuses with a
-    # traceback, and the last a 4e12-cell map
+    # traceback, the fourth a 4e12-cell map, and the g2 table 2e9 rows
     def no_solve(*args, **kwargs):
         raise AssertionError("the size must be checked before any solve")
 
@@ -659,6 +672,60 @@ def test_oversized_trace_is_refused_before_allocation(workdir, monkeypatch,
     err = capsys.readouterr().err
     assert "2.5e+11 samples" in err and "cap of 5e+07 samples" in err
     assert not (workdir / "g2.csv").exists()
+
+
+def test_g2_window_checked_against_the_trace_duration(workdir, monkeypatch,
+                                                      capsys):
+    # 0.1005 s of 1 ms samples is a 0.1 s trace, too short for 100 bins of
+    # 1 ms; g2_cross refused it only after the synthesis, with a traceback
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("the window must be checked before synthesis")
+
+    with monkeypatch.context() as m:
+        m.setattr("motlaser.cli.photonstats.simulate_intensity", no_synthesis)
+        assert run("g2", "--regime", "above", "--duration", "0.1005s",
+                   "--rate", "50kHz", "--bin", "1ms",
+                   "--max-lag", "100.2ms") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: g2 window: max_lag, rounded to 100 bins, "
+                          "exceeds the stream duration 0.1 s")
+    assert list(workdir.iterdir()) == []
+    # 0.1006 s is a 0.101 s trace: 1007 bins of 0.1 ms fit in it, though
+    # not in --duration
+    assert run("g2", "--regime", "above", "--duration", "0.1006s",
+               "--rate", "50kHz", "--bin", "0.1ms",
+               "--max-lag", "100.7ms") == 0
+    assert len((workdir / "g2.csv").read_text().splitlines()) == 1 + 2015
+
+
+@pytest.mark.parametrize("config,argv,message", [
+    (None, ("g2", "--regime", "above", "--rate", "1e30", "--duration", "0.1s",
+            "--bin", "1us", "--max-lag", "13us"), "1e+29 expected clicks"),
+    (None, ("clicks", "--regime", "poisson", "--rate", "1e999",
+            "--duration", "0.1s"), "mean_rate must be positive and finite"),
+    ("laser_ripple = 1e300", ("clicks", "--regime", "laser", "--rate", "1000",
+                              "--duration", "0.1s"), "expected clicks"),
+], ids=["g2-rate-1e30", "clicks-infinite-rate", "ripple-1e300"])
+def test_click_count_cap_exit_code(workdir, capsys, config, argv, message):
+    # each ended in numpy's "lam value too large" traceback, exit 1
+    if config:
+        (workdir / "run.cfg").write_text(config + "\n")
+        argv = ("--config", "run.cfg") + argv
+    before = sorted(workdir.iterdir())
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert sorted(workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("threads", ["-3", "0", "two"])
+def test_threads_below_one_exit_code(workdir, capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        run("--threads", threads, "clicks", "--regime", "poisson",
+            "--rate", "1000", "--duration", "0.1s")
+    assert exc.value.code == 2
+    assert "argument --threads" in capsys.readouterr().err
+    assert list(workdir.iterdir()) == []
 
 
 @pytest.mark.parametrize("vary,bounds", [("pump", ("1uW", "1mW")),
@@ -732,6 +799,8 @@ _PHOTON_RUNS = [
      "--bin", "2.6us", "--max-lag", "13us"],
     ["g2", "--regime", "below", "--tau-c", "3us", "--duration", "0.01s",
      "--rate", "200kHz", "--bin", "1us", "--max-lag", "10us"],
+    ["g2", "--regime", "below", "--washout-g2", "1.6", "--duration", "0.01s",
+     "--rate", "200kHz", "--bin", "2.6us", "--max-lag", "13us"],
     ["clicks", "--regime", "thermal", "--rate", "100kHz",
      "--duration", "0.05s"],
 ]
@@ -808,9 +877,152 @@ def _scipy_imports(path):
 
 
 def test_scipy_imported_only_where_no_command_path_runs():
-    # DetuningMap.lobes has no CLI command; invert_washout runs only for
-    # g2 --washout-g2
+    # numpy is the package's only runtime dependency: scipy is the tests'
+    # oracle, and no module imports it, not even inside a function
     found = [hit for path in sorted((SRC / "motlaser").glob("*.py"))
              for hit in _scipy_imports(path)]
-    assert sorted(found) == [("gain", "lobes"),
-                             ("photonstats", "invert_washout")]
+    assert found == []
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract under hostile argv
+# ---------------------------------------------------------------------------
+
+# Tame and hostile values for every option of the parser, by (command,
+# dest) or by dest.  Hostile ones are negative, zero, infinite (1e999),
+# huge or malformed spellings and bad paths; an option takes one with
+# probability 1/4, so that most examples get past the first check.
+# Options take them as --flag=value, so that a leading minus is read as a
+# value.  The tame values keep each run small: a map has at most the
+# default 21 x 61 cells, a threshold scan the default 40 points, a shift
+# scan 4 points and a g2 run 1e4 clicks; a hostile range is so large that
+# a size cap refuses it before anything is allocated.
+_VALUES = {
+    "config": (["tame.cfg"], ["missing.cfg", ".", "ripple.cfg",
+                              "negative.cfg", "pump.cfg"]),
+    "seed": (["0", "18446744073709551615"], ["-1", "18446744073709551616",
+                                              "x"]),
+    "out": (["out.csv"], ["missing/out.csv", "."]),
+    "calibration": (["calibration.txt"], ["missing.txt", ".", "stale.txt"]),
+    "threads": (["1", "7"], ["-3", "0", "x"]),
+    ("map", "pump_min"): (["-10MHz", "0"], ["-1e999", "-1e300", "nan"]),
+    ("map", "pump_max"): (["0", "10MHz"], ["1e999", "-20MHz", "1e300"]),
+    ("map", "pump_step"): (["5MHz", "1e300"], ["-1MHz", "0", "1e-300",
+                                                "1e999"]),
+    ("map", "cavity_min"): (["-40MHz", "-30MHz"], ["-1e999", "-1e300"]),
+    ("map", "cavity_max"): (["-20MHz", "-30MHz"], ["1e999", "-50MHz",
+                                                   "1e300"]),
+    ("map", "cavity_step"): (["5MHz"], ["-1MHz", "0", "1e-300", "1e300"]),
+    ("threshold", "min"): (["0", "1uW", "1e-300"], ["-1", "1e300", "1e999",
+                                                    "nan"]),
+    ("threshold", "max"): (["1mW", "3e4"], ["0", "-1", "1e300", "1e999"]),
+    ("threshold", "points"): (["1", "5"], ["-1", "0", str(10**15), "x"]),
+    ("shift-scan", "min"): (["-1", "1.5"], ["1e300", "-1e999", "nan"]),
+    ("shift-scan", "max"): (["2.5"], ["-1", "1e300", "1e999", "nan"]),
+    ("shift-scan", "step"): (["1"], ["-1", "0", "1e-300", "1e999"]),
+    "extra_b": (["1,0,0", "0,0,-1", "1e-300,0,0", "1e300,1e300,0"],
+                ["0,0,0", "1,nan,0", "1e999,0,0", "a,b,c", "1,2"]),
+    "duration": (["5ms", "10ms", "0.1005s"], ["-1s", "0", "1e999",
+                                              "1e300"]),
+    "rate": (["1Hz", "100kHz"], ["-1", "0", "1e999", "1e30"]),
+    "bin": (["1ns", "1us", "1ms"], ["-1us", "0", "1e-19s", "1e999"]),
+    "max_lag": (["13us", "1ms", "100.2ms"], ["-1us", "0", "1e999"]),
+    "tau_c": (["1us", "100us"], ["-1us", "0", "1e-300", "1e999"]),
+    "washout_g2": (["1.000002", "1.6", "1.9999985"],
+                   ["-1", "1", "1.0000001", "2", "nan", "inf", "x"]),
+    "emit_clicks": (["run"], ["missing/run", "."]),
+    "prefix": (["clicks"], ["missing/c", "."]),
+}
+
+
+def _options(parser):
+    return [a for a in parser._actions if a.option_strings and not
+            isinstance(a, (argparse._HelpAction, argparse._VersionAction))]
+
+
+_PARSER = build_parser()
+_COMMANDS = next(a for a in _PARSER._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _draw_options(draw, parser, command):
+    argv = []
+    for action in _options(parser):
+        if not (action.required or draw(st.booleans())):
+            continue
+        if action.choices:
+            tame, hostile = sorted(action.choices), []
+        else:
+            tame, hostile = _VALUES.get((command, action.dest),
+                                        _VALUES.get(action.dest, ([], [])))
+        assert tame, f"no values for {action.option_strings[0]}"
+        repeats = 2 if isinstance(action, argparse._AppendAction) else 1
+        for _ in range(draw(st.integers(1, repeats))):
+            pool = hostile if hostile and draw(st.integers(0, 3)) == 0 \
+                else tame
+            value = draw(st.sampled_from(pool))
+            argv.append(f"{action.option_strings[0]}={value}")
+    return argv
+
+
+@st.composite
+def _hostile_argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    return (_draw_options(draw, _PARSER, None) + [command]
+            + _draw_options(draw, _COMMANDS[command], command))
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    """The files an example may name: a calibration, a stale one, and
+    configurations with hostile values."""
+    base = tmp_path_factory.mktemp("contract")
+    cwd = os.getcwd()
+    os.chdir(base)
+    try:
+        assert main(["calibrate"]) == 0
+    finally:
+        os.chdir(cwd)
+    text = (base / "calibration.txt").read_text()
+    stored = parse_metadata(text)["provenance"]["config_hash"]
+    return {"calibration.txt": text,
+            "stale.txt": text.replace(stored, "0" * len(stored)),
+            "ripple.cfg": "laser_ripple = 1e300\n",
+            "tame.cfg": "laser_ripple = 0.02\nseed = 7\n",
+            "negative.cfg": "laser_ripple = -0.5\n",
+            # pump power is not hashed: the calibration stays valid
+            "pump.cfg": "pump_power = 1e300 W\n"}
+
+
+@given(argv=_hostile_argv())
+@example(argv=["g2", "--regime", "above", "--duration", "0.1005s",
+               "--rate", "50kHz", "--bin", "1ms", "--max-lag", "100.2ms"])
+@example(argv=["g2", "--regime", "above", "--rate", "1e30",
+               "--duration", "0.1s", "--bin", "1us", "--max-lag", "13us"])
+@example(argv=["clicks", "--regime", "poisson", "--rate", "1e999",
+               "--duration", "0.1s"])
+@example(argv=["--config", "ripple.cfg", "clicks", "--regime", "laser",
+               "--rate", "1000", "--duration", "0.1s"])
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_exit_code_contract_on_hostile_argv(contract_files, tmp_path_factory,
+                                            argv):
+    # every argv ends in 0, 2, 3 or 4, never in a traceback.  The caps are
+    # lowered so that no example allocates more than a few MB; they are
+    # refused the same way, only sooner.
+    work = tmp_path_factory.mktemp("argv")
+    for name, text in contract_files.items():
+        (work / name).write_text(text)
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        with mock.patch.object(photonstats, "MAX_SAMPLES", 200_000), \
+                mock.patch.object(photonstats, "MAX_CLICKS", 100_000), \
+                mock.patch.object(cli, "MAX_POINTS", 10_000):
+            try:
+                code = main(argv)
+            except SystemExit as exc:      # argparse's usage errors
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2, 3, 4)

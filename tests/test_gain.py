@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import constants as sc
+from scipy.ndimage import label
 from scipy.optimize import minimize_scalar
 
 from motlaser import gain, geometry
@@ -479,6 +481,37 @@ class TestOutputPower:
 # Maps and scans
 # ---------------------------------------------------------------------------
 
+@st.composite
+def _masks(draw):
+    # empty, full and random masks, 1 x N and N x 1 among them, at a few
+    # fill densities so that regions merge, touch and stay apart
+    shape = draw(st.tuples(st.integers(1, 30), st.integers(1, 70)))
+    fill = draw(st.sampled_from([0.0, 0.2, 0.5, 0.7, 1.0]))
+    cells = hnp.arrays(np.float64, shape,
+                       elements=st.floats(0.0, 1.0, exclude_max=True))
+    return draw(cells) < fill
+
+
+@given(_masks())
+@settings(max_examples=150, deadline=None)
+def test_label4_matches_scipy_label(mask):
+    # same count, and the same number on every cell: scipy numbers the
+    # 4-connected regions in the row-major order of their first cell
+    labels, count = gain._label4(mask)
+    want, want_count = label(mask)
+    assert count == want_count
+    assert np.array_equal(labels, want)
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (4, 6)])
+def test_label4_empty_full_and_checkerboard(shape):
+    for mask in (np.zeros(shape, bool), np.ones(shape, bool),
+                 np.indices(shape).sum(axis=0) % 2 == 0):
+        labels, count = gain._label4(mask)
+        want, want_count = label(mask)
+        assert count == want_count and np.array_equal(labels, want)
+
+
 class TestDetuningMap:
     def test_two_lobes_on_coarse_grid(self, system, op, calib):
         pump = np.arange(-10e6, 10e6 + 1, 1e6)
@@ -491,6 +524,21 @@ class TestDetuningMap:
         assert centers[0][1] == pytest.approx(-40e6, abs=2e6)
         assert centers[1][0] == pytest.approx(5e6, abs=1e6)
         assert centers[1][1] == pytest.approx(-30e6, abs=2e6)
+
+    def test_equal_peaks_keep_scan_order(self):
+        # three regions, two of them with the same peak: a stable sort by
+        # power keeps the row-major order of their first cells
+        lasing = np.array([[0, 1, 0, 0],
+                           [0, 0, 0, 1],
+                           [1, 1, 0, 1]], bool)
+        power = np.array([[0.0, 2.0, 0.0, 0.0],
+                          [0.0, 0.0, 0.0, 1.0],
+                          [1.0, 2.0, 0.0, 3.0]])
+        m = gain.DetuningMap(np.array([10.0, 20.0, 30.0]),
+                             np.array([1.0, 2.0, 3.0, 4.0]), power, {}, {},
+                             lasing, np.ones_like(lasing))
+        assert m.lobes() == [(30.0, 4.0, 3.0), (10.0, 2.0, 2.0),
+                             (30.0, 2.0, 2.0)]
 
     def test_axial_pi_pumping_empty_map(self, system, op, calib):
         dead = replace(op, pump_polarization=geometry.jones_linear(0.0))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.signal import lfilter
 
 from motlaser import photonstats as ps
-from motlaser.errors import PhysicsError
+from motlaser.errors import ConfigError, PhysicsError
 from motlaser.photonstats import (ClickStream, IntensityTrace,
                                   binning_washout, g2_cross,
                                   invert_washout, poissonize,
@@ -84,6 +84,17 @@ class TestSimulateIntensity:
             simulate_intensity("chaos", 1e5, 1e-4, 1.0, 1e-5, seed=0)
         with pytest.raises(PhysicsError):
             simulate_intensity("poisson", -1.0, 0.0, 1.0, 1e-3, seed=0)
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_non_finite_rate_rejected(self, rate):
+        for regime in ("thermal", "laser", "poisson"):
+            with pytest.raises(PhysicsError, match="positive and finite"):
+                simulate_intensity(regime, rate, 1e-4, 1.0, 1e-5, seed=0)
+
+    def test_negative_ripple_rejected(self):
+        with pytest.raises(PhysicsError, match="laser_ripple"):
+            simulate_intensity("laser", 1e5, 0.0, 1.0, 1e-3, seed=0,
+                               laser_ripple=-0.5)
 
     def test_deterministic_per_seed(self):
         a = simulate_intensity("thermal", 1e5, 1e-4, 1.0, 1e-5, seed=5)
@@ -263,6 +274,26 @@ class TestPoissonize:
         assert np.all(np.diff(a.timestamps) > 0)
         assert np.all(np.diff(b.timestamps) > 0)
 
+    def test_click_cap(self, monkeypatch):
+        # the expected count is checked before the generator is even built
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the click count must be checked first")
+
+        with monkeypatch.context() as m:
+            m.setattr(ps, "_rng", no_draws)
+            for rate in (1.000001 * ps.MAX_CLICKS, 1e300, math.inf):
+                tr = IntensityTrace(1.0, np.array([rate]), "poisson")
+                with pytest.raises(PhysicsError, match="cap of 5e\\+07"):
+                    poissonize(tr, seed=0)
+        # at the cap it draws; criterion 7's 1.1e7 clicks sit below it
+        monkeypatch.setattr(ps, "MAX_CLICKS", 1000)
+        a, b = poissonize(IntensityTrace(1e-3, np.full(10, 1e5), "poisson"),
+                          seed=0)
+        assert 0 < a.timestamps.size + b.timestamps.size
+        with pytest.raises(PhysicsError, match="1\\.01e\\+03 expected"):
+            poissonize(IntensityTrace(1e-3, np.full(10, 1.01e5), "poisson"),
+                       seed=0)
+
     def test_deterministic(self):
         tr = simulate_intensity("poisson", 1e5, 0.0, 1.0, 1e-3, seed=1)
         a1, b1 = poissonize(tr, seed=5)
@@ -321,6 +352,23 @@ class TestG2Cross:
             assert np.array_equal(serial.counts, sharded.counts)
             assert np.array_equal(serial.g2, sharded.g2)
             assert np.array_equal(serial.sigma, sharded.sigma)
+
+    def test_shards_clamped_to_clicks(self, poisson_pair, monkeypatch):
+        # more shards than a-clicks would only split off empty chunks: the
+        # bounds array stays at one entry per click plus one
+        a, b = poisson_pair
+        a = ClickStream(0, a.timestamps[:20], a.duration)
+        serial = g2_cross(a, b, 2.6e-6, 100e-6)
+        linspace, nums = np.linspace, []
+
+        def spy(start, stop, num, *args, **kwargs):
+            nums.append(num)
+            return linspace(start, stop, num, *args, **kwargs)
+
+        monkeypatch.setattr(ps.np, "linspace", spy)
+        sharded = g2_cross(a, b, 2.6e-6, 100e-6, shards=50)
+        assert nums == [21]
+        assert np.array_equal(serial.counts, sharded.counts)
 
     def test_dense_and_sweep_agree_exactly(self, poisson_pair):
         # ~2 M clicks at 2.6 us bins: the default path is the dense one,
@@ -523,6 +571,27 @@ class TestBinningWashout:
             assert binning_washout(2.0 / x, 1.0) == \
                 pytest.approx(series, rel=1e-9)
 
+    def test_accurate_to_rounding(self):
+        # against the alternating series summed exactly rounded by fsum; the
+        # closed form alone loses up to log10(1/x) digits to cancellation
+        worst = 0.0
+        for x in np.geomspace(1e-12, 2.0, 400):
+            x = 2.0 / (2.0 / x)      # the x that binning_washout forms
+            series = 1.0 + 2.0 * math.fsum(
+                (-x) ** (k - 2) / math.factorial(k) for k in range(2, 40))
+            worst = max(worst, abs(binning_washout(2.0 / x, 1.0) - series))
+        assert worst <= 2e-15
+
+    def test_inversion_where_the_curve_is_flat(self):
+        # near g2 = 2 a rounding error in g2 moves tau_c far: the root of
+        # 2 - x/3 + x^2/12 - x^3/60 = 1.9999985 at 1 us bins, x = 2 us / tau_c
+        d = 2.0 - 1.9999985
+        x = 3.0 * d
+        for _ in range(5):
+            x = 3.0 * (d + x * x / 12.0 - x ** 3 / 60.0)
+        assert invert_washout(1.9999985, 1e-6) == \
+            pytest.approx(2e-6 / x, rel=1e-9)
+
     def test_inversion_round_trip(self):
         for target in (1.2, 1.6, 1.9):
             tau_c = invert_washout(target, 2.6e-6)
@@ -553,6 +622,9 @@ class TestBinningWashout:
             binning_washout(0.0, 1e-6)
         with pytest.raises(ValueError):
             invert_washout(2.5, 1e-6)
+        for width in (0.0, -1e-6):
+            with pytest.raises(ConfigError, match="must be positive"):
+                invert_washout(1.6, width)
 
 
 # ---------------------------------------------------------------------------
