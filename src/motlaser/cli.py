@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import math
 import os
 import sys
@@ -404,7 +405,8 @@ def render_polarization_table(cfg: RunConfig, extra_b=()) -> str:
             elif entries != this:
                 raise PhysicsError(
                     f"selection rules vary across {pol_label} at B {b_label}")
-        lines.append(f"{b_label:<10}{pol_label:<10}"
+        # a label wider than its column still ends in a space
+        lines.append(f"{b_label:<9} {pol_label:<10}"
                      f"{' '.join(entries[0]):<18}{' '.join(entries[1])}")
     return "\n".join(lines) + "\n"
 
@@ -665,9 +667,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A parser keeps no state between parse_args calls, and building this one
+# costs about 2 ms, so a process that runs main() repeatedly builds it once.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

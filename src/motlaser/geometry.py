@@ -138,7 +138,15 @@ def beam_transverse_basis(propagation):
 def _spherical_basis(b_dir):
     """Unit vectors (e_minus, e_zero, e_plus) about the field direction."""
     b = np.asarray(b_dir, float)
-    norm = np.linalg.norm(b)
+    with np.errstate(over="ignore", under="ignore"):
+        norm = np.linalg.norm(b)
+    if not 0 < norm < np.inf:
+        # the sum of squares over- or underflowed: rescale so that the
+        # largest finite component is 1, which keeps the direction
+        finite = np.abs(b[np.isfinite(b)])
+        if finite.size and finite.max() > 0:
+            b = b / finite.max()
+            norm = np.linalg.norm(b)
     if norm == 0:
         raise QuantizationAxisError(
             "quantization axis undefined: magnetic field is zero; "

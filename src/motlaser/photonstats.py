@@ -18,11 +18,14 @@ light.  The histogram h[k] counts the pairs whose bin indices differ by k,
 - dense: the cross-correlation h[k] = sum_t c_a[t] c_b[t + k] of per-bin
   count vectors (the time-tag correlator of Wahl et al., Opt. Express 11,
   3583 (2003) and Laurence et al., Opt. Lett. 31, 829 (2006)).  Per block
-  of bins and tile of lags it is one float64 matrix product of a's counts,
-  laid out as rows, with b's counts in overlapping rows, and h is the sum
-  of the product's diagonals (see :func:`_pair_hist_dense`).  Every product
-  and partial sum is an integer no larger than Na * Nb, so the result is
-  exact in any summation order while Na * Nb < 2**53.  Cost O(bins x lags).
+  of bins and tile of lags it is one matrix product of a's counts, laid
+  out as rows, with b's counts in overlapping rows, and h is the sum of
+  the product's diagonals (see :func:`_pair_hist_dense`).  Every product
+  and partial sum is a non-negative integer.  Within a block it is at most
+  the block's a-clicks times b's largest bin count, and the block runs in
+  float32 when that bound is below 2**24; the diagonals are summed in
+  float64, where every sum is at most Na * Nb.  So the result is exact in
+  any summation order while Na * Nb < 2**53.  Cost O(bins x lags).
 - sweep: a search of each a-click's lag window in the sorted b-stream,
   cost O(Na + Nb + pairs in the window).
 
@@ -376,14 +379,14 @@ def poissonize(trace: IntensityTrace, seed: int) -> tuple:
     counts = np.concatenate(counts)
     times = rng.random(int(counts.sum()))
     times *= p
-    times += np.repeat(np.concatenate(slots), counts) * p
+    times += np.repeat(np.concatenate(slots) * p, counts)
     times.sort()
-    keep = np.empty(times.size, bool)
-    if times.size:
-        keep[0] = True
-        keep[1:] = times[1:] > times[:-1]
-    times = times[keep]
-    to_b = rng.random(times.size) < 0.5
+    later = times[1:] > times[:-1]
+    if not later.all():
+        times = times[np.concatenate(([True], later))]
+    # random() is (raw >> 11) * 2**-53, so this is random() < 0.5 drawn
+    # from the same words, without the conversion to float
+    to_b = rng.bit_generator.random_raw(times.size) < 2**63
     dur = trace.duration
     return (ClickStream(0, np.compress(~to_b, times), dur),
             ClickStream(1, np.compress(to_b, times), dur))
@@ -398,7 +401,9 @@ def poissonize(trace: IntensityTrace, seed: int) -> tuple:
 # thread, numpy 2.4 with OpenBLAS 0.3): the sweep spends 124 ns per
 # a-click (the window searches) and 9.8 ns per pair; the dense path
 # 11.6 ns per bin (counting and copies) and 0.056 ns per bin x lag (the
-# matrix products).
+# matrix products).  The dense costs were fitted on float64 blocks; the
+# float32 blocks that most streams now take cost less, so they are upper
+# bounds, and the path choice is left as it was.
 _SWEEP_NS_PER_CLICK = 120.0
 _SWEEP_NS_PER_PAIR = 12.0
 _DENSE_NS_PER_BIN = 12.0
@@ -428,6 +433,13 @@ def _use_dense(na: int, nb: int, nbins: int, lags: int) -> bool:
     return dense < na * _SWEEP_NS_PER_CLICK + pairs * _SWEEP_NS_PER_PAIR
 
 
+def _block_dtype(na: int, cb_max: int):
+    """float32 if every partial sum of one dense block's product, at most
+    ``na`` a-clicks times b's largest bin count ``cb_max``, is below 2**24
+    and so exact in float32; float64 otherwise."""
+    return np.float32 if na * cb_max < 2**24 else np.float64
+
+
 def _pair_hist_dense(fa, fb, kmax, hist, block=_DENSE_BLOCK,
                      lag_tile=_DENSE_LAG_TILE):
     """Add the delay histogram of ``fa`` against ``fb`` into ``hist`` from
@@ -444,9 +456,12 @@ def _pair_hist_dense(fa, fb, kmax, hist, block=_DENSE_BLOCK,
     is the sum of M's d-th diagonal.  A tile computes W - 1 columns beyond
     its lags, so W = min(128, lags); tiling the lags by ``lag_tile``
     keeps B and M at a few MB whatever the window.  Every product and
-    partial sum is an integer no larger than Na * Nb, so the float64
-    result is exact in any summation order the BLAS takes; the caller
-    guarantees Na * Nb < 2**53.
+    partial sum of M is an integer no larger than the block's a-clicks
+    times max(c_b), so M is exact in float32 when that bound is below
+    2**24 (see :func:`_block_dtype`) and in float64 otherwise, in any
+    summation order the BLAS takes.  The diagonals are summed in float64,
+    where every sum is at most Na * Nb; the caller guarantees
+    Na * Nb < 2**53.
     """
     lags = hist.size
     width = min(_DENSE_WIDTH, lags)
@@ -462,9 +477,11 @@ def _pair_hist_dense(fa, fb, kmax, hist, block=_DENSE_BLOCK,
         t0 = edges[s]
         rows = -(-int(edges[s + 1] - t0) // width)
         ca = np.bincount(fa[ia[s]:ia[s + 1]] - t0, minlength=rows * width)
-        ca = ca.astype(np.float64).reshape(rows, width)
         cb = np.bincount(fb[ib_lo[s]:ib_hi[s]] - (t0 - kmax),
-                         minlength=rows * width + lags - 1).astype(np.float64)
+                         minlength=rows * width + lags - 1)
+        dtype = _block_dtype(int(ia[s + 1] - ia[s]), int(cb.max()))
+        ca = ca.astype(dtype).reshape(rows, width)
+        cb = cb.astype(dtype)
         for j0 in range(0, lags, lag_tile):
             tile = min(lag_tile, lags - j0)
             cols = width + tile - 1
@@ -472,7 +489,7 @@ def _pair_hist_dense(fa, fb, kmax, hist, block=_DENSE_BLOCK,
             m = (ca.T @ rows_b.copy()).ravel()
             # diag[r, d] = M[r, r + d]: rows of the flat M, cols + 1 apart
             diag = sliding_window_view(m, tile)[::cols + 1]
-            acc[j0:j0 + tile] += diag.sum(axis=0)
+            acc[j0:j0 + tile] += diag.sum(axis=0, dtype=np.float64)
     hist += acc.astype(np.int64)
 
 
@@ -578,8 +595,9 @@ def g2_cross(a: ClickStream, b: ClickStream, bin_width: float,
         kmax = lag_window(s.duration, bin_width, max_lag)
     duration = min(a.duration, b.duration)
 
-    fa = np.floor(a.timestamps / bin_width).astype(np.int64)
-    fb = np.floor(b.timestamps / bin_width).astype(np.int64)
+    # timestamps are >= 0, so truncation is the floor
+    fa = (a.timestamps / bin_width).astype(np.int64)
+    fb = (b.timestamps / bin_width).astype(np.int64)
     hist = _pair_histogram(fa, fb, kmax, shards=shards)
 
     k = np.arange(-kmax, kmax + 1)

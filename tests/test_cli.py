@@ -1,5 +1,6 @@
 import argparse
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -305,6 +306,24 @@ class TestPolarizationTableCommand:
         assert run("polarization-table", "--extra-b", "0,0,0") == 3
         assert "quantization axis undefined" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,direction", [
+        ("1e300,1e300,0", "1,1,0"),     # the sum of squares overflows
+        ("1e-300,0,0", "1,0,0"),        # it underflows to zero
+    ], ids=["overflow", "underflow"])
+    def test_extreme_extra_field_keeps_its_direction(self, workdir, capsys,
+                                                     field, direction):
+        rows = {}
+        for b in (field, direction):
+            capsys.readouterr()
+            assert run("polarization-table", "--extra-b", b) == 0
+            rows[b] = capsys.readouterr().out.splitlines()[-2:]
+        label = f"({','.join(format(float(x), 'g') for x in field.split(','))})"
+        for got, want in zip(rows[field], rows[direction]):
+            # the label, wider than its column, is still followed by a space
+            assert got.startswith(label + " ")
+            assert got[len(label):].split() == want[10:].split()
+            assert want[10:].split()[1:]            # some channel is excited
+
 
 class TestG2Command:
     def test_above_regime(self, workdir):
@@ -375,6 +394,65 @@ class TestG2Command:
         a = read_clickstream(workdir / "run1_det0.clks")
         b = read_clickstream(workdir / "run1_det1.clks")
         assert a.timestamps.size + b.timestamps.size > 40000
+
+
+# sha256 of g2.csv and its sidecar (and of the click files) at seed 1 for
+# the small shapes of the two g2 benchmark workloads, recorded before the
+# dense correlator's float32 blocks and the leaner poissonize
+_G2_PINNED = {
+    "dense": (["g2", "--regime", "above", "--rate", "500kHz", "--bin", "2.6us",
+               "--max-lag", "1ms", "--duration", "0.1s"], {
+        "g2.csv":
+            "5770e2d512342e7c9bc5f7eeeec2a46f6ef64ef1e640167597d4d9d2495edd94",
+        "g2.csv.meta.txt":
+            "4a086d274949d56600111d00a36488ffd0d69a2942cd741e662adf7a778ceb15",
+    }),
+    "sparse": (["g2", "--regime", "below", "--tau-c", "3us", "--bin", "1ns",
+                "--max-lag", "26us", "--rate", "200kHz", "--emit-clicks",
+                "clicks", "--duration", "0.1s"], {
+        "g2.csv":
+            "6b3dc67feb3645f42c7a2bba694340032640aa51be5c1c0bb76dd177d26535b3",
+        "g2.csv.meta.txt":
+            "5bdd568088506cd6b68cafc9f3acf15f7a591e266268ff468bf75b2567b4465f",
+        "clicks_det0.clks":
+            "a745c69267ac5a04e71faf3a6f45d6482678fe669f3445a734df23c81df9cc0b",
+        "clicks_det1.clks":
+            "4ae19a943efe0db584b12058b26cef7dcc00143bc5d9b71d335529290dc533fc",
+    }),
+}
+
+
+@pytest.mark.parametrize("shape", list(_G2_PINNED))
+def test_g2_outputs_match_pinned_digests(workdir, shape):
+    argv, digests = _G2_PINNED[shape]
+    assert run("--seed", "1", *argv) == 0
+    got = {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+           for name in digests}
+    assert got == digests
+
+
+def test_repeated_main_calls_write_identical_files(workdir):
+    # main() reuses one parser per process
+    argv = ["--out", "t.csv", "threshold", "--vary", "pump", "--min", "1uW",
+            "--max", "1mW", "--points", "5"]
+    calibrated(workdir)
+    outputs = []
+    for _ in range(2):
+        assert run(*argv) == 0
+        outputs.append([(workdir / name).read_bytes()
+                        for name in ("t.csv", "t.csv.meta.txt")])
+    assert outputs[0] == outputs[1]
+
+
+def test_usage_error_leaves_the_parser_usable(workdir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("clicks", "--regime", "poisson", "--rate", "fast",
+            "--duration", "0.1s")
+    assert exc.value.code == 2
+    assert "argument --rate" in capsys.readouterr().err
+    assert run("clicks", "--regime", "poisson", "--rate", "1000",
+               "--duration", "0.1s") == 0
+    assert read_clickstream(workdir / "clicks_det0.clks").timestamps.size
 
 
 class TestClicksCommand:

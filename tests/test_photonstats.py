@@ -294,6 +294,32 @@ class TestPoissonize:
             poissonize(IntensityTrace(1e-3, np.full(10, 1.01e5), "poisson"),
                        seed=0)
 
+    def test_float_duplicates_dropped_as_pinned(self):
+        # 1e6 clicks in the one slot [2^20, 2^20 + 1) s, where doubles are
+        # 2^-32 apart: 111 of the drawn timestamps repeat.  The digests
+        # were recorded before the kept subset became conditional and the
+        # routing moved to raw words.
+        samples = np.zeros(2**20 + 1)
+        samples[-1] = 1e6
+        a, b = poissonize(IntensityTrace(1.0, samples, "poisson"), seed=5)
+        rng = ps._rng(5)
+        drawn = sum(int(rng.poisson(samples[i:i + ps._POISSON_CHUNK]).sum())
+                    for i in range(0, samples.size, ps._POISSON_CHUNK))
+        assert drawn - a.timestamps.size - b.timestamps.size == 111
+        got = [hashlib.sha256(s.timestamps.tobytes()).hexdigest()
+               for s in (a, b)]
+        assert got == [
+            "d50a6d0c57f610f75a6b1833588ea9d234d6eeb735f9b420a79e085e907ebeda",
+            "524019c2fa0835eeef53efb9f7ffa41dc4930e73559993c6d943d5f1fbdd08e6"]
+
+    def test_routing_words_match_uniform_draws(self):
+        # random() < 0.5 is raw < 2^63 on the same words, and both leave
+        # the generator in the same state
+        raw, uniform = ps._rng(3), ps._rng(3)
+        got = raw.bit_generator.random_raw(10_001) < 2**63
+        assert np.array_equal(got, uniform.random(10_001) < 0.5)
+        assert np.array_equal(raw.random(7), uniform.random(7))
+
     def test_deterministic(self):
         tr = simulate_intensity("poisson", 1e5, 0.0, 1.0, 1e-3, seed=1)
         a1, b1 = poissonize(tr, seed=5)
@@ -388,27 +414,67 @@ class TestG2Cross:
         assert np.array_equal(g2_cross(a, b, width, kmax * width).counts,
                               sweep)
 
+    @staticmethod
+    def per_lag_dot_oracle(fa, fb, kmax):
+        """One float64 dot product per lag of the whole streams' per-bin
+        counts, exact below 2**53."""
+        lo, hi = min(fa[0], fb[0]), max(fa[-1], fb[-1]) + 1
+        nbins = int(hi - lo)
+        ca = np.bincount(fa - lo, minlength=nbins).astype(np.float64)
+        cb = np.zeros(nbins + 2 * kmax)
+        cb[kmax:kmax + nbins] = np.bincount(fb - lo, minlength=nbins)
+        return np.array([np.dot(ca, cb[j:j + nbins])
+                         for j in range(2 * kmax + 1)]).astype(np.int64)
+
     def test_dense_matches_per_lag_dot_oracle(self):
         # criterion-9 shape (500 kHz laser light, 2.6 us bins, +-1 ms or
-        # 771 lags) over 1 s: the matrix-product kernel against one dot
-        # product per lag of the whole streams' per-bin counts
+        # 771 lags) over 1 s: the matrix-product kernel against the oracle
         tr = simulate_intensity("laser", 5e5, 0.0, 1.0, 1e-3, seed=6)
         a, b = poissonize(tr, seed=7)
         width, kmax = 2.6e-6, 385
         fa = np.floor(a.timestamps / width).astype(np.int64)
         fb = np.floor(b.timestamps / width).astype(np.int64)
-        lo, hi = min(fa[0], fb[0]), max(fa[-1], fb[-1]) + 1
-        nbins = int(hi - lo)
+        nbins = int(max(fa[-1], fb[-1]) - min(fa[0], fb[0])) + 1
         assert ps._use_dense(fa.size, fb.size, nbins, 2 * kmax + 1)
-        ca = np.bincount(fa - lo, minlength=nbins).astype(np.float64)
-        cb = np.zeros(nbins + 2 * kmax)
-        cb[kmax:kmax + nbins] = np.bincount(fb - lo, minlength=nbins)
-        oracle = np.array([np.dot(ca, cb[j:j + nbins])
-                           for j in range(2 * kmax + 1)]).astype(np.int64)
+        oracle = self.per_lag_dot_oracle(fa, fb, kmax)
         hist = np.zeros(2 * kmax + 1, np.int64)
         ps._pair_hist_dense(fa, fb, kmax, hist)
         assert oracle.sum() > 10**8
         assert np.array_equal(hist, oracle)
+
+    def test_block_dtype_boundary(self):
+        # float32 holds every integer up to 2**24 exactly
+        assert ps._block_dtype(4095, 4097) is np.float32        # 2**24 - 1
+        assert ps._block_dtype(1, 2**24 - 1) is np.float32
+        assert ps._block_dtype(4096, 4096) is np.float64        # 2**24
+        assert ps._block_dtype(2**24, 1) is np.float64
+
+    @pytest.mark.parametrize("a_bins,a_each,b_each,dtype", [
+        (241, 17, 4095, np.float32),    # 4097 x 4095 = 2**24 - 1
+        (257, 97, 673, np.float64),     # 24929 x 673 = 2**24 + 1
+    ], ids=["float32-below-2^24", "float64-above-2^24"])
+    def test_dense_exact_at_the_float32_bound(self, a_bins, a_each, b_each,
+                                              dtype):
+        # one block: a_each a-clicks and b_each b-clicks in each of a_bins
+        # bins five apart, so every a-click meets b_each b-clicks at lag 0
+        # and one entry of the block's product, and h[0], reach the bound
+        # a-clicks x max(c_b) exactly
+        kmax = 2
+        bins = 5 * np.arange(a_bins, dtype=np.int64)
+        fa, fb = np.repeat(bins, a_each), np.repeat(bins, b_each)
+        assert ps._block_dtype(fa.size, b_each) is dtype
+        hist = np.zeros(2 * kmax + 1, np.int64)
+        ps._pair_hist_dense(fa, fb, kmax, hist)
+        expected = np.zeros_like(hist)
+        expected[kmax] = fa.size * b_each
+        assert np.array_equal(hist, expected)
+        if dtype is np.float64:
+            # float32 would have rounded the lag-0 count
+            assert int(np.float32(expected[kmax])) != expected[kmax]
+        assert np.array_equal(hist, self.per_lag_dot_oracle(fa, fb, kmax))
+        sweep = np.zeros_like(hist)
+        ps._pair_hist_numpy(fa, fb, kmax, sweep)
+        assert np.array_equal(hist, sweep)
 
     def test_dense_scratch_memory_is_bounded(self):
         # 52001 lags on 1e4 clicks per detector: an untiled lag axis would
