@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, photonstats
 from .config import (RunConfig, default_config, describe_keys, load_config,
                      parse_quantity, parse_seed)
-from .errors import (ConfigError, IntegrityError, MotlaserError, PhysicsError,
+from .errors import (ConfigError, IntegrityError, PhysicsError,
                      QuantizationAxisError)
 from .results import ScanResultTable, parse_metadata
 
@@ -166,8 +166,8 @@ def _range_size(lo, hi, step) -> float:
     checked against the cap before anything is allocated."""
     if step <= 0:
         raise ConfigError("step must be positive")
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ConfigError("range bounds must be finite")
+    if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(step)):
+        raise ConfigError("range bounds and step must be finite")
     if hi < lo:
         raise ConfigError(f"reversed range: max {hi!r} is below min {lo!r}")
     return float(np.floor((hi - lo) / step + 1e-9)) + 1
@@ -294,27 +294,21 @@ def cmd_threshold(args) -> int:
         row = {n: float(p[i]) for n, p in powers.items()}
         table.add_row(float(x), sum(row.values()),
                       *[row[n] for n in families])
-    thresholds = {}
-    for n in families:
-        try:
-            thresholds[n] = gain.threshold_solve(
-                vary, op, system, calib, family=n, lo=args.min, hi=args.max)
-        except MotlaserError:
-            thresholds[n] = None
+    reasons = {n: gain.threshold_reason(sol.thresholds[n], args.min,
+                                        args.max) for n in families}
     meta = _base_metadata(cfg, "threshold", {
         "vary": args.vary, "min": repr(args.min), "max": repr(args.max),
         "points": args.points})
     _attach_calibration(meta, calib, cfg)
-    meta["thresholds"] = {
-        f"tem{n}": ("" if v is None else repr(v))
-        for n, v in thresholds.items()}
+    meta["thresholds"] = {f"tem{n}": "" if r else repr(sol.thresholds[n])
+                          for n, r in reasons.items()}
+    meta["threshold_reasons"] = {f"tem{n}": r for n, r in reasons.items()}
     table.metadata = meta
     out = args.out or "threshold.csv"
     _write_table(table, out)
-    found = {n: v for n, v in thresholds.items() if v is not None}
-    print(f"threshold scan written to {out}; detected thresholds: "
-          + (", ".join(f"TEM{n}: {v:.6g}" for n, v in found.items())
-                 if found else "none in range"))
+    print(f"threshold scan written to {out}; thresholds: " + ", ".join(
+        f"TEM{n}: {r or format(sol.thresholds[n], '.6g')}"
+        for n, r in reasons.items()))
     return 0
 
 

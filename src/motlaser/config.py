@@ -48,7 +48,11 @@ def parse_quantity(text: str) -> float:
     unit = unit.replace("μ", "u").lower()
     if unit not in _UNIT_SCALE:
         raise ConfigError(f"unknown unit {unit!r} in {text!r}")
-    return float(number) * _UNIT_SCALE[unit]
+    value = float(number) * _UNIT_SCALE[unit]
+    # 1e999 is left for its reader to refuse; 1e300 GHz overflows here
+    if np.isinf(value) and np.isfinite(float(number)):
+        raise ConfigError(f"{text!r} overflows in internal units")
+    return value
 
 
 def parse_seed(text: str) -> int:

@@ -23,7 +23,7 @@ class QuantizationAxisError(PhysicsError):
 
 
 class NoThresholdError(PhysicsError):
-    """Gain stays below the cavity loss over the whole search range."""
+    """Gain meets the cavity loss nowhere in the requested range."""
 
 
 class CalibrationError(PhysicsError):
@@ -31,11 +31,7 @@ class CalibrationError(PhysicsError):
 
 
 class SolverError(PhysicsError):
-    """Iterative solve failed; carries the last iterate for diagnosis."""
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """Iterative solve failed."""
 
 
 class IntegrityError(MotlaserError):

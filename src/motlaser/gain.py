@@ -145,6 +145,7 @@ class LaserSolution:
 
     photons: dict                # N -> photon number
     gains: dict                  # N -> unsaturated gain rate (1/s)
+    thresholds: dict             # N -> where G meets kappa (inf: never)
 
 
 def two_photon_resonance(pump_detuning: float, mot_detuning: float) -> float:
@@ -347,8 +348,9 @@ def threshold_scan(vary: str, values, op: OperatingPoint, families,
 
     One gain kernel and one elementwise solve serve the whole scan.  Each
     family maps to an array over ``values`` whose elements equal
-    :func:`steady_state` at that point, bit for bit.  Raises
-    :class:`SolverError` when any point fails.
+    :func:`steady_state` at that point, bit for bit; the kernel also gives
+    each family's threshold in ``vary``.  Raises :class:`SolverError` when
+    any point fails.
     """
     x = np.asarray(values, float)
     if np.any(x < 0):
@@ -364,8 +366,10 @@ def threshold_scan(vary: str, values, op: OperatingPoint, families,
                             pump_power, atoms)
     if not ok.all():
         raise SolverError("saturation fixed point not found")
+    thresholds = _thresholds(kernel, vary, op, system.cavity.kappa)
     return LaserSolution(dict(zip(kernel.families, n)),
-                         dict(zip(kernel.families, g)))
+                         dict(zip(kernel.families, g)),
+                         dict(zip(kernel.families, thresholds.tolist())))
 
 
 def output_power(n_photons, cavity: CavityGeometry,
@@ -441,66 +445,68 @@ def calibrate(system: LaserSystem, op: OperatingPoint | None = None,
     return CalibrationConstants(float(gain_scale), float(n_sat))
 
 
+def _thresholds(kernel: _GainKernel, vary: str, op: OperatingPoint,
+                kappa: float) -> np.ndarray:
+    """Per family of ``kernel``, the ``atoms`` or ``pump_power`` value at
+    which its gain meets ``kappa``; inf where no finite value does.
+
+    G is linear in the atom number: the atom threshold is kappa / G(1 atom).
+    The pump threshold is the P with G(P) >= kappa > G(the float below P).
+    The int64 views of the positive floats rise with their values, so each
+    round probes 63 of them per family in one kernel call, from the
+    interval (0 W, inf) down to adjacent floats in about 11 rounds: the
+    bits depend on the computed gain alone.  Zero gain, gain saturating
+    below the loss and NaN gain (the drive overflows) never reach kappa.
+    """
+    if vary == "atoms":
+        unit = kernel.gains(op.pump_detuning, op.cavity_detuning,
+                            op.pump_power, 1.0)
+        with np.errstate(divide="ignore"):
+            return np.where(unit > 0.0, kappa / unit, math.inf)
+    rows, steps = np.arange(len(kernel.families)), np.arange(1, 64)
+    lo = np.zeros(rows.size, np.int64)   # 0 W, no gain: below kappa
+    hi = np.full(rows.size, np.float64(np.inf).view(np.int64))  # above it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while np.any(hi - lo > 1):
+            width = (hi - lo)[:, None]
+            probes = (lo[:, None] + (width >> 6) * steps
+                      + ((width & 63) * steps >> 6))
+            g = kernel.gains(op.pump_detuning, op.cavity_detuning,
+                             probes.view(np.float64), op.total_atoms)
+            reached = g[rows, rows] >= kappa
+            # index in [lo, probes..., hi] of the first value reaching
+            # kappa (hi if no probe does); the value before it stays below
+            first = np.where(reached.any(axis=1), reached.argmax(axis=1),
+                             steps.size) + 1
+            bounds = np.column_stack([lo, probes, hi])
+            lo, hi = bounds[rows, first - 1], bounds[rows, first]
+    return hi.view(np.float64)
+
+
+def threshold_reason(threshold: float, lo: float, hi: float) -> str:
+    """Why a threshold is not reported for the range [lo, hi]; "" if it is."""
+    if threshold == math.inf:
+        return "gain saturates below loss"
+    if threshold < lo:
+        return "below range"
+    return "above range" if threshold > hi else ""
+
+
 def threshold_solve(vary: str, op: OperatingPoint, system: LaserSystem,
                     calib: CalibrationConstants, family: int = 0,
-                    lo: float | None = None, hi: float | None = None) -> float:
+                    lo: float = 0.0, hi: float = math.inf) -> float:
     """Value of ``atoms`` or ``pump_power`` at which family gain meets loss.
 
-    G is exactly linear in the atom number, so the atom threshold is
-    kappa / G(1 atom) in closed form (``hi`` plays no part).  The pump
-    threshold is a bisection on G(x) - kappa with bracket expansion; G is
-    monotone in the pump power.  Raises :class:`NoThresholdError` when the
-    threshold lies above the search cap (1e12 atoms, 1 kW) or the gain
-    already exceeds the loss at ``lo``.
+    The one-family case of :func:`threshold_scan`'s thresholds, so the
+    same bits for any ``lo`` and ``hi``.  Raises :class:`NoThresholdError`
+    with the :func:`threshold_reason` when it is inf or outside them.
     """
-    kappa = system.cavity.kappa
-    kernel = _GainKernel(op, (family,), system, calib)
-
-    def gain_at(pump_power, atoms):
-        return float(kernel.gains(op.pump_detuning, op.cavity_detuning,
-                                  pump_power, atoms)[0])
-
-    if vary == "atoms":
-        lo = 1.0 if lo is None else lo
-        cap = 1e12
-        unit = gain_at(op.pump_power, 1.0)
-        threshold = kappa / unit if unit > 0.0 else math.inf
-        if not threshold <= cap:
-            raise NoThresholdError(
-                f"no threshold in range: gain stays below the cavity loss "
-                f"for {vary} up to {cap:g}")
-        if threshold < lo:
-            raise NoThresholdError(
-                f"gain already exceeds the loss at {vary} = {lo:g}")
-        return threshold
-    if vary != "pump_power":
-        raise ValueError("vary must be 'atoms' or 'pump_power'")
-    lo = 1e-12 if lo is None else lo
-    hi = max(op.pump_power, 10.0 * lo) if hi is None else hi
-    cap = 1e3
-
-    def excess(x):
-        return gain_at(x, op.total_atoms) - kappa
-
-    while excess(hi) < 0.0:
-        hi *= 4.0
-        if hi > cap:
-            raise NoThresholdError(
-                f"no threshold in range: gain stays below the cavity loss "
-                f"for {vary} up to {cap:g}")
-    if excess(lo) > 0.0:
-        raise NoThresholdError(
-            f"gain already exceeds the loss at {vary} = {lo:g}")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-9 * hi:
-            break
-    return 0.5 * (lo + hi)
+    threshold = threshold_scan(vary, (), op, (family,), system,
+                               calib).thresholds[family]
+    reason = threshold_reason(threshold, lo, hi)
+    if reason:
+        raise NoThresholdError(f"no {vary} threshold: {reason}")
+    return threshold
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_quantity("3 parsec")
 
+    def test_overflowing_unit_conversion(self):
+        with pytest.raises(ConfigError, match="overflows"):
+            parse_quantity("1e300GHz")
+        with pytest.raises(ConfigError, match="overflows"):
+            parse_quantity("-1e306 kHz")
+        assert parse_quantity("1e300 Hz") == 1e300
+        # out of float range as written: the command refuses it
+        assert parse_quantity("1e999") == np.inf
+
     def test_unknown_key_is_hard_error(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text("pump_powr = 7 mW\n")
@@ -257,6 +266,73 @@ class TestThresholdCommand:
         calibrated(workdir)
         assert run("threshold", "--vary", "atoms", "--min", "100",
                    "--max", "10") == 2
+
+    @staticmethod
+    def _sidecar(workdir, *argv, config=None):
+        if config:
+            (workdir / "run.cfg").write_text(config + "\n")
+            argv = ("--config", "run.cfg") + argv
+        assert run(*argv) == 0
+        meta = parse_metadata((workdir / "threshold.csv.meta.txt").read_text())
+        return meta["thresholds"], meta["threshold_reasons"]
+
+    def test_pump_thresholds_on_either_side_of_the_range(self, workdir):
+        calibrated(workdir)
+        found, reasons = self._sidecar(workdir, "threshold", "--vary", "pump",
+                                       "--min", "0.1mW", "--max", "0.2mW")
+        assert found == dict.fromkeys(("tem0", "tem37", "tem74", "tem111"),
+                                      "")
+        assert reasons == {"tem0": "below range", "tem37": "below range",
+                           "tem74": "below range", "tem111": "above range"}
+
+    def test_atom_thresholds_above_the_range(self, workdir):
+        calibrated(workdir)
+        found, reasons = self._sidecar(workdir, "threshold", "--vary",
+                                       "atoms", "--min", "1e3", "--max", "2e3")
+        assert set(found.values()) == {""}
+        assert reasons == dict.fromkeys(found, "above range")
+
+    @pytest.mark.parametrize("vary,bounds", [("pump", ("1uW", "7mW")),
+                                             ("atoms", ("1e3", "2e4"))])
+    def test_axial_pump_gain_saturates_below_loss(self, workdir, vary,
+                                                  bounds):
+        # a 0 deg pump with B along x drives no channel: zero gain
+        calibrated(workdir)
+        found, reasons = self._sidecar(
+            workdir, "threshold", "--vary", vary, "--min", bounds[0],
+            "--max", bounds[1], config="pump_polarization = linear:0deg")
+        assert set(found.values()) == {""}
+        assert reasons == dict.fromkeys(found, "gain saturates below loss")
+
+    def test_sidecar_threshold_format(self, workdir):
+        # `temN = repr(float)` or empty, with the reason in its own section
+        calibrated(workdir)
+        found, reasons = self._sidecar(workdir, "threshold", "--vary", "pump",
+                                       "--min", "1uW", "--max", "0.5mW")
+        text = (workdir / "threshold.csv.meta.txt").read_text()
+        for n, v in found.items():
+            if reasons[n]:
+                assert v == "" and f"\n{n} = \n" in text
+            else:
+                assert repr(float(v)) == v and f"\n{n} = {v}\n" in text
+        assert reasons == {"tem0": "", "tem37": "", "tem74": "",
+                           "tem111": "above range"}
+
+    @pytest.mark.parametrize("vary,bounds", [("pump", ("1uW", "1mW")),
+                                             ("atoms", ("1e3", "2e4"))])
+    def test_one_gain_kernel(self, workdir, monkeypatch, vary, bounds):
+        calibrated(workdir)
+        built = []
+
+        class Counted(gain._GainKernel):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(gain, "_GainKernel", Counted)
+        assert run("threshold", "--vary", vary, "--min", bounds[0],
+                   "--max", bounds[1]) == 0
+        assert len(built) == 1
 
 
 class TestShiftScanCommand:
@@ -627,6 +703,30 @@ def test_bad_option_value_exit_code(workdir, monkeypatch, argv):
     assert not (workdir / "out.txt.meta.txt").exists()
 
 
+@pytest.mark.parametrize("argv,option", [
+    (("map", "--pump-min", "0", "--pump-max", "0", "--pump-step", "1e300GHz",
+      "--cavity-min", "0", "--cavity-max", "0"), "--pump-step"),
+    (("g2", "--regime", "above", "--rate", "1e300GHz", "--duration", "0.1s",
+      "--bin", "1us", "--max-lag", "13us"), "--rate"),
+], ids=["map-step", "g2-rate"])
+def test_overflowing_quantity_is_usage_error(workdir, capsys, argv, option):
+    calibrated(workdir)
+    with pytest.raises(SystemExit) as exc:
+        run("--out", "out.csv", *argv)
+    assert exc.value.code == 2
+    assert f"argument {option}" in capsys.readouterr().err
+    assert not (workdir / "out.csv").exists()
+
+
+def test_infinite_map_step_exit_code(workdir, capsys):
+    # one cell at pump_min + inf * 0 was a NaN coordinate, written empty
+    calibrated(workdir)
+    assert run("map", "--pump-min", "0", "--pump-max", "0", "--pump-step",
+               "1e999", "--cavity-min", "0", "--cavity-max", "0") == 2
+    assert "step must be finite" in capsys.readouterr().err
+    assert not (workdir / "map.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("--out", "missing/map.csv", "map", "--pump-min=0", "--pump-max=0",
      "--cavity-min=-1MHz", "--cavity-max=0"),
@@ -986,7 +1086,7 @@ _VALUES = {
     ("map", "pump_min"): (["-10MHz", "0"], ["-1e999", "-1e300", "nan"]),
     ("map", "pump_max"): (["0", "10MHz"], ["1e999", "-20MHz", "1e300"]),
     ("map", "pump_step"): (["5MHz", "1e300"], ["-1MHz", "0", "1e-300",
-                                                "1e999"]),
+                                                "1e999", "1e300GHz"]),
     ("map", "cavity_min"): (["-40MHz", "-30MHz"], ["-1e999", "-1e300"]),
     ("map", "cavity_max"): (["-20MHz", "-30MHz"], ["1e999", "-50MHz",
                                                    "1e300"]),
@@ -1002,7 +1102,7 @@ _VALUES = {
                 ["0,0,0", "1,nan,0", "1e999,0,0", "a,b,c", "1,2"]),
     "duration": (["5ms", "10ms", "0.1005s"], ["-1s", "0", "1e999",
                                               "1e300"]),
-    "rate": (["1Hz", "100kHz"], ["-1", "0", "1e999", "1e30"]),
+    "rate": (["1Hz", "100kHz"], ["-1", "0", "1e999", "1e30", "1e300GHz"]),
     "bin": (["1ns", "1us", "1ms"], ["-1us", "0", "1e-19s", "1e999"]),
     "max_lag": (["13us", "1ms", "100.2ms"], ["-1us", "0", "1e999"]),
     "tau_c": (["1us", "100us"], ["-1us", "0", "1e-300", "1e999"]),
@@ -1072,7 +1172,14 @@ def contract_files(tmp_path_factory):
             "pump.cfg": "pump_power = 1e300 W\n"}
 
 
+# default table and number of leading coordinate columns of each scan
+_COORDINATES = {"map": ("map.csv", 2), "threshold": ("threshold.csv", 1),
+                "shift-scan": ("shift_scan.csv", 1)}
+
+
 @given(argv=_hostile_argv())
+@example(argv=["map", "--pump-min=0", "--pump-max=0", "--pump-step=1e999",
+               "--cavity-min=0", "--cavity-max=0"])
 @example(argv=["g2", "--regime", "above", "--duration", "0.1005s",
                "--rate", "50kHz", "--bin", "1ms", "--max-lag", "100.2ms"])
 @example(argv=["g2", "--regime", "above", "--rate", "1e30",
@@ -1104,3 +1211,13 @@ def test_exit_code_contract_on_hostile_argv(contract_files, tmp_path_factory,
     finally:
         os.chdir(cwd)
     assert code in (0, 2, 3, 4)
+    command = next(a for a in argv if a in _COMMANDS)
+    if code == 0 and command in _COORDINATES:
+        outs = [a.split("=", 1)[1] for a in argv[:argv.index(command)]
+                if a.startswith("--out=")]
+        out = outs[-1] if outs else _COORDINATES[command][0]
+        rows = (work / out).read_text().splitlines()[1:]
+        for row in rows:
+            cells = row.split(",")[:_COORDINATES[command][1]]
+            assert all(np.isfinite(float(c)) for c in cells), row
+

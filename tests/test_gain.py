@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import constants as sc
 from scipy.ndimage import label
@@ -32,6 +32,7 @@ def calib(system, op):
 
 
 KAPPA = LaserSystem().cavity.kappa
+FAMILIES = (0, 37, 74, 111)
 
 
 # ---------------------------------------------------------------------------
@@ -234,38 +235,91 @@ class TestThresholds:
         got = threshold_solve("atoms", anchor, system, calib)
         assert got == pytest.approx(bisected, rel=1e-9)
 
-    def test_pump_threshold_matches_per_step_kernels(self, system, op,
-                                                     calib):
-        # the bisection as it ran before the kernel was reused, with a
-        # fresh mode_gain on every step, is the reference: same value
-        def excess(x):
-            return mode_gain(replace(op, pump_power=x), 37, system,
-                             calib).total - KAPPA
+    @staticmethod
+    def _pump_thresholds(op, system, calib, values=()):
+        return gain.threshold_scan("pump_power", values, op, FAMILIES,
+                                   system, calib).thresholds
 
-        lo, hi = 1e-12, op.pump_power
-        while excess(hi) < 0.0:
-            hi *= 4.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if excess(mid) >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-9 * hi:
-                break
-        got = threshold_solve("pump_power", op, system, calib, family=37)
-        assert got == 0.5 * (lo + hi)
+    @given(pump=st.floats(-10e6, 10e6), cavity=st.floats(-60e6, 0.0),
+           angle=st.floats(0.0, 180.0), atoms=st.floats(1e3, 1e5))
+    @settings(max_examples=25, deadline=None)
+    @example(pump=5e6, cavity=-30e6, angle=90.0, atoms=20e3)
+    def test_pump_threshold_is_where_gain_first_meets_loss(
+            self, system, calib, pump, cavity, angle, atoms):
+        # G(P) >= kappa > G(the float below P), each G from a fresh
+        # one-family kernel
+        op = OperatingPoint(pump_detuning=pump, cavity_detuning=cavity,
+                            pump_polarization=geometry.jones_linear(angle),
+                            total_atoms=atoms)
+
+        def g(n, p):
+            return mode_gain(replace(op, pump_power=p), n, system,
+                             calib).total
+
+        for n, p in self._pump_thresholds(op, system, calib).items():
+            if p != np.inf:
+                assert g(n, p) >= KAPPA > g(n, np.nextafter(p, 0.0))
+
+    def test_pump_threshold_bits_independent_of_the_range(self, system, op,
+                                                          calib):
+        # TEM74's computed gain is not monotone over a few ulps near
+        # kappa, so a search whose probes followed the range could land on
+        # different crossings
+        reference = self._pump_thresholds(op, system, calib)
+        assert all(np.isfinite(p) for p in reference.values())
+        for lo, hi in [(1e-4, 2e-4), (1e-4, 7e-3), (1e-6, 1e-3), (0.0, 1e3)]:
+            got = self._pump_thresholds(op, system, calib,
+                                        np.linspace(lo, hi, 5))
+            assert {n: p.hex() for n, p in got.items()} == \
+                {n: p.hex() for n, p in reference.items()}
+            for n, p in reference.items():
+                reason = gain.threshold_reason(p, lo, hi)
+                if not reason:
+                    assert threshold_solve("pump_power", op, system, calib,
+                                           n, lo, hi) == p
+                else:
+                    with pytest.raises(NoThresholdError, match=reason):
+                        threshold_solve("pump_power", op, system, calib,
+                                        n, lo, hi)
+
+    @given(pump=st.floats(-10e6, 10e6), angle=st.floats(0.0, 180.0),
+           atoms=st.floats(1e2, 1e5))
+    @settings(max_examples=25, deadline=None)
+    @example(pump=5e6, angle=0.0, atoms=20e3)
+    @example(pump=5e6, angle=90.0, atoms=20e3)
+    def test_no_pump_threshold_iff_saturated_gain_below_loss(
+            self, system, calib, pump, angle, atoms):
+        # G rises to sum_m A_m as rho_ee -> 1/2 in every channel the pump
+        # drives (w_m > 0); a threshold exists iff that limit exceeds kappa
+        op = OperatingPoint(pump_detuning=pump,
+                            pump_polarization=geometry.jones_linear(angle),
+                            total_atoms=atoms)
+        thresholds = self._pump_thresholds(op, system, calib)
+        kernel = gain._GainKernel(op, FAMILIES, system, calib)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(gain.atomics, "excited_population",
+                      lambda d, s, *args: np.where(s > 0.0, 0.5, 0.0))
+            saturated = kernel.gains(pump, op.cavity_detuning, 1.0, atoms)
+        for n, g_sat in zip(kernel.families, saturated):
+            if g_sat < KAPPA * (1 - 1e-6):
+                assert thresholds[n] == np.inf
+            elif g_sat > KAPPA * (1 + 1e-6):
+                assert np.isfinite(thresholds[n])
 
     def test_atom_threshold_outside_range(self, system, op, calib):
         anchor = gain.reference_operating_point(op, system)
-        with pytest.raises(NoThresholdError, match="already exceeds"):
+        with pytest.raises(NoThresholdError, match="below range"):
             threshold_solve("atoms", anchor, system, calib, lo=6000.0)
-        # 3e-9 of the trap drive moves the threshold to 5e12 atoms
+        # 3e-9 of the trap drive moves the threshold to 5e12 atoms, which
+        # no cap hides; a range below it classifies it
         weak = replace(anchor, mot_saturation=3e-9)
-        with pytest.raises(NoThresholdError, match="up to 1e\\+12"):
-            threshold_solve("atoms", weak, system, calib)
+        assert threshold_solve("atoms", weak, system, calib) == \
+            pytest.approx(5e12, rel=1e-3)
+        with pytest.raises(NoThresholdError, match="above range"):
+            threshold_solve("atoms", weak, system, calib, hi=1e12)
         dead = replace(anchor, pump_polarization=geometry.jones_linear(0.0))
-        with pytest.raises(NoThresholdError, match="up to 1e\\+12"):
+        with pytest.raises(NoThresholdError,
+                           match="gain saturates below loss"):
             threshold_solve("atoms", dead, system, calib)
 
     def test_unknown_vary_rejected(self, system, op, calib):
