@@ -166,8 +166,6 @@ def _range_size(lo, hi, step) -> float:
     checked against the cap before anything is allocated."""
     if step <= 0:
         raise ConfigError("step must be positive")
-    if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(step)):
-        raise ConfigError("range bounds and step must be finite")
     if hi < lo:
         raise ConfigError(f"reversed range: max {hi!r} is below min {lo!r}")
     return float(np.floor((hi - lo) / step + 1e-9)) + 1
@@ -200,19 +198,14 @@ def cmd_calibrate(args) -> int:
 
 
 def _map_power_columns(result, families) -> list:
-    """Total and per-family power, row-major; None where a cell failed."""
-    failed = np.flatnonzero(~result.ok).tolist()
-    columns = []
-    for power in [result.total_power] + [result.family_powers[n]
-                                         for n in families]:
-        column = power.ravel().tolist()
-        for k in failed:
-            column[k] = None
-        columns.append(column)
-    return columns
+    """Total and per-family power, row-major; NaN (an empty cell) where a
+    cell failed."""
+    return [np.where(result.ok, power, np.nan).ravel()
+            for power in [result.total_power]
+            + [result.family_powers[n] for n in families]]
 
 
-def _lasing_labels(result, families) -> list:
+def _lasing_labels(result, families) -> np.ndarray:
     """Each cell's lasing families joined by ';', "" where a cell failed.
 
     The per-family masks become one bit code per cell, and each code that
@@ -227,7 +220,7 @@ def _lasing_labels(result, families) -> list:
     labels = np.array([";".join(str(n) for bit, n in enumerate(families)
                                 if int(c) >> bit & 1) for c in codes],
                       dtype=object)
-    return labels[index].tolist()
+    return labels[index]
 
 
 def cmd_map(args) -> int:
@@ -248,10 +241,9 @@ def cmd_map(args) -> int:
         result = gain.detuning_map(cfg.operating_point(), system, calib,
                                    pump, cav, families)
         # row-major columns: pump outer, cavity inner
-        table.rows.extend(zip(np.repeat(pump, cav.size).tolist(),
-                              np.tile(cav, pump.size).tolist(),
-                              *_map_power_columns(result, families),
-                              _lasing_labels(result, families)))
+        table.set_columns(np.repeat(pump, cav.size), np.tile(cav, pump.size),
+                          *_map_power_columns(result, families),
+                          _lasing_labels(result, families))
     meta = _base_metadata(cfg, "map", {
         "pump_min": repr(args.pump_min), "pump_max": repr(args.pump_max),
         "pump_step": repr(args.pump_step),
@@ -268,8 +260,6 @@ def cmd_map(args) -> int:
 
 def cmd_threshold(args) -> int:
     from . import gain
-    if not (math.isfinite(args.min) and math.isfinite(args.max)):
-        raise ConfigError("threshold scan bounds must be finite")
     if args.min < 0:
         raise ConfigError("threshold scan needs min >= 0")
     if args.max <= args.min:
@@ -499,8 +489,7 @@ def cmd_g2(args) -> int:
     result = photonstats.g2_cross(det_a, det_b, args.bin, args.max_lag,
                                   shards=args.threads)
     table = ScanResultTable(["lag_s", "g2", "sigma", "pairs"])
-    table.rows.extend(zip(result.lags.tolist(), result.g2.tolist(),
-                          result.sigma.tolist(), result.counts.tolist()))
+    table.set_columns(result.lags, result.g2, result.sigma, result.counts)
     meta = _base_metadata(cfg, "g2", {
         "regime": args.regime, "duration": repr(args.duration),
         "rate": repr(args.rate), "bin": repr(args.bin),

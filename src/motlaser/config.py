@@ -40,7 +40,10 @@ _VALUE_RE = re.compile(
 
 
 def parse_quantity(text: str) -> float:
-    """Parse '7 mW', '-35MHz', '2.38 G' or a bare number to internal units."""
+    """Parse '7 mW', '-35MHz', '2.38 G' or a bare number to internal units.
+
+    A value that is not finite, as written (1e999) or in internal units
+    (1e300 GHz), is refused."""
     m = _VALUE_RE.match(str(text))
     if not m:
         raise ConfigError(f"malformed value {text!r}")
@@ -48,9 +51,11 @@ def parse_quantity(text: str) -> float:
     unit = unit.replace("μ", "u").lower()
     if unit not in _UNIT_SCALE:
         raise ConfigError(f"unknown unit {unit!r} in {text!r}")
-    value = float(number) * _UNIT_SCALE[unit]
-    # 1e999 is left for its reader to refuse; 1e300 GHz overflows here
-    if np.isinf(value) and np.isfinite(float(number)):
+    number = float(number)
+    if not np.isfinite(number):
+        raise ConfigError(f"{text!r} is not a finite number")
+    value = number * _UNIT_SCALE[unit]
+    if not np.isfinite(value):
         raise ConfigError(f"{text!r} overflows in internal units")
     return value
 

@@ -237,7 +237,10 @@ class _GainKernel:
         """Gains, per-family photon numbers and solved mask, broadcast
         over the four scan variables."""
         kappa = self._system.cavity.kappa
-        g = self.gains(pump, cavity, pump_power, atoms)
+        # a detuning whose square overflows (far beyond any line) gives the
+        # excited population and the two-photon Lorentzian their limit, 0
+        with np.errstate(over="ignore"):
+            g = self.gains(pump, cavity, pump_power, atoms)
         s_tot = _saturation(g, kappa, self._calib.n_sat)
         return g, _photons(g, s_tot, kappa), ~np.isnan(s_tot)
 

@@ -6,11 +6,37 @@ normalized arguments, the seed and the code version.  Floats are written
 in full-precision scientific notation; missing cells become empty fields,
 never NaN strings.
 
-``csv_text`` formats a whole row with one ``%`` template, cached per tuple
-of cell types: ``%.17e`` for floats (the same conversion as
-``FLOAT_FORMAT``) and ``%s`` (``str``) for anything else.  A row holding
-``None`` or a formatted ``nan`` goes through ``format_cell`` instead, so
-the template only saves time and never changes a byte.
+A table holds row tuples (``add_row``) or one sequence per column
+(``set_columns``); a numpy array stands for the cells of its ``tolist()``.
+Every cell gets the bytes of ``format_cell``, written column by column:
+
+- a column whose cells are all floats or ``None`` goes through
+  ``format_e17``, in one call for all such columns of the table;
+- any other column is written cell by cell with ``format_cell``;
+- the columns are laid side by side in one byte array padded with 0xFF, a
+  byte that UTF-8 never produces, and one ``bytes.translate`` deletes the
+  padding.
+
+``format_e17`` gives ``'%.17e' % v`` exactly, with array arithmetic.  For
+|v| in [1e-280, 1e280) it takes E = floor(log10 |v|) and forms
+y = |v| * 10**(17 - E) as the rounded product p plus a remainder t:
+
+- 10**k is a double-double, computed with integer arithmetic for the
+  exponents present; each part is correctly rounded, so its relative
+  error is below 2**-105;
+- Dekker's split product (no FMA) gives the rounding error of p exactly,
+  and y lies between 1e16 and 1e19, so p is an integer;
+- so floor(y) = p + floor(t) and its fraction t - floor(t) come out with
+  an absolute error below 2**-43.
+
+The 18 digits are floor(y), plus one when the fraction is above one half.
+A floor outside [1e17, 1e18) means that E was off by one: such values are
+formed again at E -/+ 1, and a rounding up to 1e18 moves E up by one.
+Python's ``'%.17e'``, which rounds half to even, formats the rest: zero,
+subnormals, infinities, |v| outside that range, and each value whose
+fraction lies within 2**-40 of one half, which takes in every exact tie.
+It also formats every call of fewer than ``_SMALL`` values, where the
+arrays' fixed cost exceeds its own.  NaN gives an empty cell.
 """
 
 from __future__ import annotations
@@ -18,9 +44,22 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 FLOAT_FORMAT = "{:.17e}"
+
+_PAD = 0xFF              # an unused byte position; never part of UTF-8
+_CELL = 36               # bytes of a formatted float: 9 words, see format_e17
+_LIMIT = 1e280           # the split and both parts of 10**k stay normal
+_TIE = 2.0 ** -40        # margin around one half, above the error 2**-43
+# Fewer values than this are formatted by Python: the kernel's fixed cost,
+# about 0.3 ms (0.7 ms on a process's first call), exceeds Python's cost of
+# about 1 us per value.
+_SMALL = 500
+_LOW, _HIGH = 10**17, 10**18
 
 
 def format_cell(value) -> str:
@@ -33,17 +72,156 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def _row_template(types):
-    """The row's ``%`` template, or None when a cell may be missing."""
-    if type(None) in types:
-        return None
-    return ",".join("%.17e" if issubclass(t, float) else "%s" for t in types)
+def _pow10(ks) -> tuple:
+    """10**k as a double-double (hi, lo) for each k of the int array ks."""
+    hi, lo = np.empty(ks.size), np.empty(ks.size)
+    for i, k in enumerate(ks.tolist()):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi[i] = h = num / den                # correctly rounded
+        h_num, h_den = h.as_integer_ratio()
+        lo[i] = (num * h_den - h_num * den) / (den * h_den)
+    return hi, lo
+
+
+def _exponent_words(es) -> list:
+    """The bytes "e+dd" or "e-ddd", padded to eight, for each exponent."""
+    pad = bytes([_PAD])
+    text = b"".join((b"e%+03d" % e).ljust(8, pad) for e in es.tolist())
+    return [np.frombuffer(text, "<u8")]
+
+
+def _gather(keys, build) -> list:
+    """build(ks), a sequence of 1-D arrays over the distinct ks of the int
+    array keys, with each array taken at every key."""
+    base = int(keys.min())
+    present = np.zeros(int(keys.max()) - base + 1, bool)
+    present[keys - base] = True
+    at = np.flatnonzero(present)
+    out = []
+    for values in build(at + base):
+        table = np.zeros(present.size, values.dtype)
+        table[at] = values
+        out.append(table[keys - base])
+    return out
+
+
+def _split(a):
+    """Dekker's split: a = hi + lo exactly, each with at most 26 bits."""
+    c = a * 134217729.0                      # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _scaled(a, e) -> tuple:
+    """floor(y) as int64 (clipped at 2e18) and y - floor(y), for
+    y = a * 10**(17 - e) and a in the covered range."""
+    b, b_tail = _gather(17 - e, _pow10)
+    p = a * b
+    a1, a2 = _split(a)
+    b1, b2 = _split(b)
+    # p + t = a * b exactly (Dekker), then the tail's product
+    t = (((a1 * b1 - p) + a2 * b1) + a1 * b2) + a2 * b2 + a * b_tail
+    q = np.floor(t)
+    return np.minimum(p, 2e18).astype(np.int64) + q.astype(np.int64), t - q
+
+
+def _digit_words() -> np.ndarray:
+    """Little-endian words for k in [0, 1000): "d.dd" at k, "ddd" and one
+    pad byte at 1000 + k."""
+    d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint32)
+    h, t, o = d[:, None, None], d[None, :, None], d[None, None, :]
+    first = h | ord(".") << 8 | t << 16 | o << 24
+    other = h | t << 8 | o << 16 | _PAD << 24
+    return np.concatenate([first.ravel(), other.ravel()])
+
+
+def _printf(x) -> np.ndarray:
+    """format_e17(x), formatted by Python one value at a time."""
+    texts = tuple("" if v != v else "%.17e" % v for v in x.tolist())
+    text = (f"%-{_CELL}s" * len(texts) % texts).encode()
+    # no text holds a space: the padding's spaces become the pad byte
+    text = text.translate(bytes.maketrans(b" ", bytes([_PAD])))
+    return np.frombuffer(bytearray(text), np.uint8).reshape(-1, _CELL)
+
+
+def format_e17(values) -> np.ndarray:
+    """``'%.17e' % v`` for each float64 v, as an (n, 36) uint8 array of
+    ASCII padded with 0xFF; NaN gives an empty cell."""
+    x = np.asarray(values, np.float64).ravel()
+    if x.size < _SMALL:
+        return _printf(x)
+    a = np.abs(x)
+    fast = (a >= 1 / _LIMIT) & (a < _LIMIT)
+    a = np.where(fast, a, 1.0)          # a stand-in; Python formats these
+    e = np.floor(np.log10(a)).astype(np.int64)
+    floor, frac = _scaled(a, e)
+    off = (floor >= _HIGH).astype(np.int64) - (floor < _LOW)
+    redo = np.flatnonzero(off)
+    if redo.size:
+        e[redo] += off[redo]
+        floor[redo], frac[redo] = _scaled(a[redo], e[redo])
+    digits = floor + (frac > 0.5)
+    carry = digits == _HIGH
+    digits[carry] = _LOW
+    e += carry
+
+    # words: sign, six groups of three digits (the first as "d.dd"), and
+    # the exponent
+    halves = np.stack(np.divmod(digits, 10**9), axis=1).astype(np.int32)
+    high, rest = np.divmod(halves, 10**6)
+    groups = np.stack([high, *np.divmod(rest, 1000)], axis=2).reshape(-1, 6)
+    groups[:, 1:] += 1000
+    words = np.empty((x.size, _CELL // 4), np.uint32)
+    words[:, 0] = np.where(np.signbit(x), ord("-") | 0xFFFFFF00, 0xFFFFFFFF)
+    words[:, 1:7] = _digit_words()[groups]
+    words[:, 7:] = _gather(e, _exponent_words)[0].view(np.uint32).reshape(-1, 2)
+    out = words.view(np.uint8)
+
+    slow = np.flatnonzero(~fast | (np.abs(frac - 0.5) <= _TIE)
+                          | (floor < _LOW) | (floor >= _HIGH))
+    out[slow] = _printf(x[slow])
+    return out
+
+
+def _float_cells(column):
+    """The column as a float64 array when each cell is a float or None,
+    else as a list of its cells."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            return column.ravel()
+        column = column.tolist()
+    if all(v is None or isinstance(v, float) for v in column):
+        return np.array(column, np.float64)
+    return list(column)
+
+
+def _text_block(cells) -> np.ndarray:
+    """format_cell of each cell as rows of UTF-8, padded with 0xFF."""
+    encoded = list(map(str.encode, map(format_cell, cells)))
+    lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    width = max(int(lengths.max()), 1)
+    block = np.array(encoded, f"S{width}").view(np.uint8).reshape(-1, width)
+    block[np.arange(width) >= lengths[:, None]] = _PAD
+    return block
+
+
+class _Columns(Sequence):
+    """The rows of a table held as one sequence per column."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def __len__(self):
+        return len(self.data[0]) if self.data else 0
+
+    def __getitem__(self, k):
+        return tuple(column[k] for column in self.data)
 
 
 @dataclass
 class ScanResultTable:
     columns: list
-    rows: list = field(default_factory=list)
+    rows: list = field(default_factory=list)  # tuples, or set_columns' view
     metadata: dict = field(default_factory=dict)  # section -> {key: value}
 
     def add_row(self, *values):
@@ -51,20 +229,42 @@ class ScanResultTable:
             raise ValueError("row width does not match the column schema")
         self.rows.append(tuple(values))
 
+    def set_columns(self, *data):
+        """Hold the table as one sequence per column, in place of rows."""
+        if len(data) != len(self.columns) or len(set(map(len, data))) > 1:
+            raise ValueError("columns do not match the column schema")
+        self.rows = _Columns(data)
+
+    def _csv_bytes(self) -> bytes:
+        """The header line, then each row's format_cell texts, as UTF-8."""
+        header = (",".join(self.columns) + "\n").encode()
+        n = len(self.rows)
+        if not n:
+            return header
+        if isinstance(self.rows, _Columns):
+            data = self.rows.data
+        else:
+            data = list(zip(*self.rows, strict=True))
+            if len(data) != len(self.columns):
+                raise ValueError("row width does not match the column schema")
+        cells = [_float_cells(column) for column in data]
+        floats = [c for c in cells if isinstance(c, np.ndarray)]
+        if floats:
+            formatted = format_e17(np.concatenate(floats))
+        comma = np.full((n, 1), ord(","), np.uint8)
+        parts, k = [], 0
+        for c in cells:
+            if isinstance(c, np.ndarray):
+                parts += [formatted[k:k + n], comma]
+                k += n
+            else:
+                parts += [_text_block(c), comma]
+        parts[-1:] = [np.full((n, 1), ord("\n"), np.uint8)]
+        body = np.concatenate(parts, axis=1).tobytes()
+        return header + body.translate(None, bytes([_PAD]))
+
     def csv_text(self) -> str:
-        lines = [",".join(self.columns)]
-        templates = {}
-        for row in self.rows:
-            row = tuple(row)
-            types = tuple(map(type, row))
-            try:
-                template = templates[types]
-            except KeyError:
-                template = templates[types] = _row_template(types)
-            if template is None or "nan" in (line := template % row):
-                line = ",".join(map(format_cell, row))
-            lines.append(line)
-        return "\n".join(lines) + "\n"
+        return self._csv_bytes().decode()
 
     def metadata_text(self) -> str:
         lines = []
@@ -89,11 +289,11 @@ class ScanResultTable:
         temporaries = [f"{path}.{os.getpid()}.tmp" for path in paths]
         placed = []
         try:
-            for target, tmp, text in zip(
+            for target, tmp, data in zip(
                     paths, temporaries,
-                    (self.csv_text(), self.metadata_text())):
-                with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(text)
+                    (self._csv_bytes(), self.metadata_text().encode())):
+                with open(tmp, "wb") as fh:
+                    fh.write(data)
             for target, tmp in zip(paths, temporaries):
                 os.replace(tmp, target)
                 placed.append(target)

@@ -1,9 +1,12 @@
 import math
+import sys
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from motlaser.results import ScanResultTable, format_cell
+from motlaser import results
+from motlaser.results import ScanResultTable, format_cell, format_e17
 
 
 _FLOAT_CELLS = st.one_of(
@@ -32,7 +35,7 @@ _CELLS = st.one_of(
                                     max_size=width).map(tuple),
                            max_size=12)))
 def test_csv_text_equals_per_cell_formatting(rows):
-    # the cached row templates must give the bytes of the per-cell oracle
+    # the columnar writer must give the bytes of the per-cell oracle
     width = len(rows[0]) if rows else 3
     columns = [f"c{k}" for k in range(width)]
     table = ScanResultTable(columns)
@@ -42,7 +45,7 @@ def test_csv_text_equals_per_cell_formatting(rows):
     assert table.csv_text() == want
 
 
-def test_row_template_cached_per_cell_types():
+def test_float_and_text_columns_of_row_tables():
     table = ScanResultTable(["x", "n", "s"])
     table.add_row(0.5, 3, "100%")
     table.add_row(np.float64(-0.0), np.int64(-7), "%s")
@@ -57,10 +60,130 @@ def test_row_template_cached_per_cell_types():
 
 
 def test_tolist_cells_format_like_numpy_scalars():
-    # g2 rows come from the columns' tolist(); the cells were numpy scalars
+    # an array column stands for its tolist() cells; rows held numpy scalars
     lags = np.array([-2.6e-6, 0.0, 1.0 / 3.0, np.nan])
     counts = np.array([0, 5, 2**40, -1], dtype=np.int64)
     for x, y in zip(lags.tolist(), lags):
         assert format_cell(x) == format_cell(float(y))
     for x, y in zip(counts.tolist(), counts):
         assert format_cell(x) == format_cell(int(y))
+
+
+def _kernel_lines(values) -> list:
+    """format_e17 of each value, decoded; the kernel's pad byte dropped."""
+    out = format_e17(values)
+    lines = np.concatenate([out, np.full((len(out), 1), 10, np.uint8)], axis=1)
+    return lines.tobytes().translate(None, b"\xff").decode().split("\n")[:-1]
+
+
+def _assert_matches_printf(values):
+    values = np.asarray(values, np.float64)
+    if values.size:
+        # repeated up to the size at which the array kernel takes over
+        values = np.tile(values, -(-results._SMALL // values.size))
+    want = ["" if math.isnan(v) else "%.17e" % v for v in values.tolist()]
+    got = _kernel_lines(values)
+    assert len(got) == len(want)
+    bad = [(v, w, g) for v, w, g in zip(values.tolist(), want, got) if w != g]
+    assert not bad, bad[:5]
+
+
+def test_kernel_matches_printf_on_random_bit_patterns():
+    bits = np.random.default_rng(17).integers(0, 2**64, 2**20,
+                                                 dtype=np.uint64)
+    # every one of the 2048 biased exponents occurs
+    assert np.unique(bits >> np.uint64(52) & np.uint64(0x7FF)).size == 2048
+    _assert_matches_printf(bits.view(np.float64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                          allow_subnormal=True), max_size=50))
+def test_kernel_matches_printf_on_hypothesis_floats(values):
+    _assert_matches_printf(values)
+
+
+def test_kernel_matches_printf_on_exact_ties():
+    # m / 2**s with odd m < 2**53 is exactly T / 10**s with T = m * 5**s:
+    # with 19 digits T ends in 5, a tie at the 18th significant digit
+    rng = np.random.default_rng(5)
+    ties, halves = [], []
+    for s in range(5, 27):
+        lo, hi = -(-10**18 // 5**s), min(10**19 // 5**s, 2**53)
+        for m in rng.integers(lo, hi, 200).tolist():
+            m |= 1
+            if 10**18 <= m * 5**s < 10**19:
+                ties.append(m / 2**s)
+                halves.append(m * 5**s // 10)
+    assert len(ties) > 3000
+    digits = [int(("%.17e" % v).split("e")[0].replace(".", ""))
+              for v in ties]
+    # Python rounds half to even, up from some ties and down from others
+    assert all(d % 2 == 0 and d - h in (0, 1) for d, h in zip(digits, halves))
+    assert 0 < sum(d - h for d, h in zip(digits, halves)) < len(ties)
+    ties = np.array(ties)
+    _assert_matches_printf(np.concatenate([ties, -ties]))
+
+
+def test_kernel_matches_printf_at_powers_of_ten():
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = np.concatenate([powers, np.nextafter(powers, 0),
+                           np.nextafter(powers, np.inf)])
+    _assert_matches_printf(np.concatenate([near, -near]))
+
+
+def test_kernel_specials_and_three_digit_exponents():
+    tiny = 5e-324
+    specials = [0.0, -0.0, math.inf, -math.inf, tiny, -tiny,
+                sys.float_info.max, -sys.float_info.max, sys.float_info.min,
+                1e100, -1e-100, 1.5e-250, 2.5e279, 1e280, 9.99e-281, 1e-300]
+    _assert_matches_printf(specials)
+    assert _kernel_lines([-0.0, math.inf, 1e-100]) == [
+        "-0.00000000000000000e+00", "inf", "1.00000000000000002e-100"]
+
+
+def test_nan_and_none_cells_are_empty():
+    table = ScanResultTable(["x", "y"])
+    table.add_row(math.nan, 1.0)
+    table.add_row(None, np.float64(math.nan))
+    assert table.csv_text() == "x,y\n,1.00000000000000000e+00\n,\n"
+    columns = ScanResultTable(["x"])
+    columns.set_columns(np.array([math.nan, -math.nan, 2.0]))
+    assert columns.csv_text() == "x\n\n\n2.00000000000000000e+00\n"
+
+
+def test_mixed_column_matches_format_cell():
+    cells = [0.1, 3, "x", None, math.nan, np.float64(2.5), np.int64(-7),
+             True, -1e-300, "", "a\x00b"]
+    table = ScanResultTable(["m", "f"])
+    for value in cells:
+        table.add_row(value, 0.25)
+    want = "m,f\n" + "".join(f"{format_cell(v)},2.50000000000000000e-01\n"
+                             for v in cells)
+    assert table.csv_text() == want
+
+
+def test_columns_write_the_bytes_of_their_rows():
+    # enough float cells for the array kernel, in two columns
+    rng = np.random.default_rng(3)
+    n = 1000
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    x[::7] = np.nan
+    y = np.round(rng.standard_normal(n), 3) * 1e6
+    counts = rng.integers(-10**12, 10**12, n)
+    labels = np.array(["", "0;37", "74"], dtype=object)[rng.integers(0, 3, n)]
+    names = ["x", "n", "y", "families"]
+    columns = ScanResultTable(names)
+    columns.set_columns(x, counts, y, labels)
+    rows = ScanResultTable(names)
+    rows.rows.extend(zip(x.tolist(), counts.tolist(), y.tolist(),
+                         labels.tolist()))
+    assert len(columns.rows) == n
+    assert columns.rows[4] == rows.rows[4]
+    want = ",".join(names) + "\n" + "".join(
+        ",".join(map(format_cell, row)) + "\n" for row in rows.rows)
+    assert columns.csv_text() == rows.csv_text() == want
+    with pytest.raises(ValueError):
+        columns.set_columns(x, counts, y)
+    with pytest.raises(ValueError):
+        columns.set_columns(x, counts, y, labels[:-1])
