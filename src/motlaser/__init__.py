@@ -23,7 +23,7 @@ _EXPORTS = {
              "LaserSystem", "OperatingPoint", "calibrate", "detuning_map",
              "mode_gain", "optimum_scan", "output_power", "steady_state",
              "threshold_solve", "two_photon_resonance"),
-    "geometry": ("BeamGeometry", "CavityGeometry", "PolarizationLabel",
+    "geometry": ("CavityGeometry", "PolarizationLabel",
                  "cavity_emission_jones", "family_coupling",
                  "mode_overlap_fraction", "pump_excitation_weights",
                  "transverse_mode_frequency"),

@@ -15,7 +15,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -29,7 +28,8 @@ from .config import (RunConfig, default_config, describe_keys, load_config,
                      parse_quantity, parse_seed)
 from .errors import (ConfigError, IntegrityError, PhysicsError,
                      QuantizationAxisError)
-from .results import ScanResultTable, parse_metadata
+from .results import (ScanResultTable, parse_metadata, sections_text,
+                      write_files)
 
 if TYPE_CHECKING:
     from .gain import CalibrationConstants
@@ -41,21 +41,20 @@ _CHANNEL_NAMES = {-1: "sigma-", 0: "pi", 1: "sigma+"}
 # Calibration files
 # ---------------------------------------------------------------------------
 
+def _calibration_entries(calib: CalibrationConstants) -> dict:
+    return {"gain_scale": repr(calib.gain_scale), "n_sat": repr(calib.n_sat),
+            "resonance_offset": repr(calib.resonance_offset)}
+
+
 def write_calibration(path, calib: CalibrationConstants, cfg: RunConfig,
                       anchors: dict) -> None:
-    lines = ["[calibration]",
-             f"gain_scale = {calib.gain_scale!r}",
-             f"n_sat = {calib.n_sat!r}",
-             f"resonance_offset = {calib.resonance_offset!r}",
-             "",
-             "[provenance]",
-             f"version = {__version__}",
-             f"config_hash = {cfg.config_hash()}"]
-    lines += [f"{key} = {value!r}" for key, value in anchors.items()]
-    lines += ["", "[config]"]
-    lines += cfg.canonical_lines()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write the calibration file in the sidecar format; it replaces the
+    previous file only once it is written in full."""
+    sections = {"calibration": _calibration_entries(calib),
+                "provenance": {"version": __version__,
+                               "config_hash": cfg.config_hash(), **anchors},
+                "config": _config_snapshot(cfg)}
+    write_files((path, sections_text(sections).encode()))
 
 
 def load_calibration(path, cfg: RunConfig) -> CalibrationConstants:
@@ -99,24 +98,20 @@ def _load_cfg(args) -> RunConfig:
     return cfg
 
 
+def _config_snapshot(cfg: RunConfig) -> dict:
+    return dict(line.split(" = ", 1) for line in cfg.canonical_lines())
+
+
 def _base_metadata(cfg: RunConfig, command: str, options: dict) -> dict:
     run = {"command": command, "version": __version__, "seed": cfg.seed()}
     run.update(options)
-    snapshot = {}
-    for line in cfg.canonical_lines():
-        key, value = line.split(" = ", 1)
-        snapshot[key] = value
-    return {"run": run, "config": snapshot}
+    return {"run": run, "config": _config_snapshot(cfg)}
 
 
 def _attach_calibration(meta: dict, calib: CalibrationConstants,
                         cfg: RunConfig) -> None:
-    meta["calibration"] = {
-        "gain_scale": repr(calib.gain_scale),
-        "n_sat": repr(calib.n_sat),
-        "resonance_offset": repr(calib.resonance_offset),
-        "config_hash": cfg.config_hash(),
-    }
+    meta["calibration"] = {**_calibration_entries(calib),
+                           "config_hash": cfg.config_hash()}
 
 
 @contextmanager
@@ -280,10 +275,9 @@ def cmd_threshold(args) -> int:
               for n in families}
     table = ScanResultTable(
         [args.vary, "power_w"] + [f"power_tem{n}_w" for n in families])
-    for i, x in enumerate(xs):
-        row = {n: float(p[i]) for n, p in powers.items()}
-        table.add_row(float(x), sum(row.values()),
-                      *[row[n] for n in families])
+    # the integer start keeps the integer 0 of an empty family list
+    table.set_columns(xs, sum(powers.values(), np.zeros(xs.size, int)),
+                      *[powers[n] for n in families])
     reasons = {n: gain.threshold_reason(sol.thresholds[n], args.min,
                                         args.max) for n in families}
     meta = _base_metadata(cfg, "threshold", {
@@ -324,8 +318,8 @@ def cmd_shift_scan(args) -> int:
                              family=(cfg.families() or (0,))[0])
     unit = "hz_per_gauss" if vary == "b_offset_magnitude" else "hz_per_hz"
     table = ScanResultTable([args.vary, "pump_opt_hz", "cavity_opt_hz"])
-    for p in scan.points:
-        table.add_row(p.x, p.pump_opt, p.cavity_opt)
+    table.set_columns(*zip(*((p.x, p.pump_opt, p.cavity_opt)
+                             for p in scan.points)))
     meta = _base_metadata(cfg, "shift-scan", {
         "vary": args.vary, "min": repr(args.min), "max": repr(args.max),
         "step": repr(args.step)})
@@ -358,8 +352,6 @@ _TABLE_ROWS = (
 
 def render_polarization_table(cfg: RunConfig, extra_b=()) -> str:
     from . import gain, geometry
-    system = cfg.system()
-    op = cfg.operating_point()
     rows = list(_TABLE_ROWS)
     for vec in extra_b:
         rows.append((f"({vec[0]:g},{vec[1]:g},{vec[2]:g})", tuple(vec),
@@ -371,17 +363,15 @@ def render_polarization_table(cfg: RunConfig, extra_b=()) -> str:
     for b_label, b_vec, pol_label, angles in rows:
         entries = None
         for angle in angles:
-            op_a = replace(op, pump_polarization=geometry.jones_linear(angle),
-                           b_offset=b_vec)
             weights = geometry.pump_excitation_weights(
-                system.pump_beam(op_a), np.asarray(b_vec))
+                geometry.jones_linear(angle), np.asarray(b_vec))
             excited, outputs = [], []
             for m, w in zip(gain.SUBLEVELS, weights):
                 if w < 1e-9:
                     continue
                 excited.append(_CHANNEL_NAMES[m])
                 label, strength = geometry.cavity_emission_jones(
-                    m, np.asarray(b_vec), system.cavity.axis)
+                    m, np.asarray(b_vec))
                 outputs.append("---" if strength < 1e-9 else str(label))
             this = (tuple(excited), tuple(outputs))
             if entries is None:
@@ -528,8 +518,7 @@ def cmd_clicks(args) -> int:
             count = stream.timestamps.size
         stored.append((path, count))
     table = ScanResultTable(["detector", "path", "clicks"])
-    for det, (path, count) in enumerate(stored):
-        table.add_row(det, path, count)
+    table.set_columns(range(len(stored)), *zip(*stored))
     meta = _base_metadata(cfg, "clicks", {
         "regime": args.regime, "rate": repr(args.rate),
         "duration": repr(args.duration), "tau_c": repr(tau_c),

@@ -109,8 +109,9 @@ def _parse_families(text: str) -> tuple:
 
 
 def jones_linear(angle_deg: float):
-    """Jones pair for linear polarization at a given angle from e1 of the
-    beam's transverse basis (see geometry.beam_transverse_basis)."""
+    """Jones pair for linear polarization at a given angle from the cavity
+    axis, in the vertical pump's transverse basis (x, y) of the fixed lab
+    frame (see the geometry module)."""
     a = np.deg2rad(angle_deg)
     return (complex(np.cos(a)), complex(np.sin(a)))
 

@@ -39,8 +39,9 @@ import numpy as np
 
 from . import atomics, geometry
 from .atomics import AtomEnsemble, TransitionSpec
-from .errors import CalibrationError, NoThresholdError, SolverError
-from .geometry import BeamGeometry, CavityGeometry
+from .errors import (CalibrationError, NoThresholdError, PhysicsError,
+                     SolverError)
+from .geometry import CavityGeometry
 
 SUBLEVELS = (-1, 0, 1)
 
@@ -50,10 +51,11 @@ class OperatingPoint:
     """One experimental setting: detunings, drive strengths, field, atoms.
 
     Detunings are signed and relative to the respective atomic resonances,
-    in Hz.  ``pump_polarization`` is the Jones pair in the pump's
-    transverse basis; ``b_offset`` is the field at the active region in
-    gauss (the quadrupole contribution vanishes at the trap center, so a
-    displaced active region is modelled by this offset alone).
+    in Hz.  ``pump_polarization`` is the unit-norm Jones pair in the
+    vertical pump's transverse basis (x, y); ``b_offset`` is the field at
+    the active region in gauss (the quadrupole contribution vanishes at the
+    trap center, so a displaced active region is modelled by this offset
+    alone).
     """
 
     pump_detuning: float = 5e6
@@ -72,6 +74,15 @@ class OperatingPoint:
             raise ValueError("mot_saturation must be >= 0")
         if self.total_atoms < 0:
             raise ValueError("total_atoms must be >= 0")
+        # a norm within np.isclose's default tolerance of 1, in plain
+        # floats: replace() builds one operating point per scan point
+        try:
+            a, b = map(complex, self.pump_polarization)
+        except (TypeError, ValueError):
+            a = b = math.nan
+        if not abs(math.hypot(abs(a), abs(b)) - 1.0) <= 1e-8 + 1e-5:
+            raise ValueError(
+                "pump_polarization must be a unit-norm Jones pair")
 
 
 @dataclass(frozen=True)
@@ -84,7 +95,6 @@ class LaserSystem:
         cloud_radius_rms=1e-3, temperature=2e-3))
     cavity: CavityGeometry = field(default_factory=CavityGeometry)
     pump_waist: float = 2.4e-3
-    pump_propagation: tuple = (0.0, 0.0, 1.0)
     include_pump_doppler: bool = False
 
     def __post_init__(self):
@@ -92,9 +102,6 @@ class LaserSystem:
             raise ValueError("pump_waist must be positive")
         if self.broad_linewidth <= 0:
             raise ValueError("broad_linewidth must be positive")
-
-    def pump_beam(self, op: OperatingPoint) -> BeamGeometry:
-        return BeamGeometry(self.pump_propagation, op.pump_polarization)
 
     def pump_doppler_sigma(self) -> float:
         if not self.include_pump_doppler:
@@ -157,6 +164,16 @@ def two_photon_resonance(pump_detuning: float, mot_detuning: float) -> float:
     return pump_detuning + mot_detuning
 
 
+def _field_magnitude(b_offset) -> float:
+    """|B| in gauss; PhysicsError where |B|^2 overflows (about 1.3e154 G)."""
+    with np.errstate(over="ignore"):
+        b_mag = float(np.linalg.norm(np.asarray(b_offset, float)))
+    if not math.isfinite(b_mag):
+        raise PhysicsError(f"the offset field {tuple(map(float, b_offset))} G "
+                           f"overflows: |B|^2 exceeds the float range")
+    return b_mag
+
+
 def _lorentzian(delta_hz, fwhm_rad: float):
     hwhm_hz = fwhm_rad / (4.0 * np.pi)
     return hwhm_hz**2 / (delta_hz**2 + hwhm_hz**2)
@@ -182,22 +199,21 @@ class _GainKernel:
         self.families = tuple(sorted(set(families)))
         self._op, self._system, self._calib = op, system, calib
         b = np.asarray(op.b_offset, float)
-        b_mag = float(np.linalg.norm(b))
+        b_mag = _field_magnitude(b)
         self._weights = geometry.pump_excitation_weights(
-            system.pump_beam(op), b)
+            op.pump_polarization, b)
         self._i_sat = atomics.saturation_intensity(system.green)
         self._channels = []
         for m in SUBLEVELS:
             shift = atomics.zeeman_shift(system.green.lande_g_upper, m, b_mag)
-            _, strength = geometry.cavity_emission_jones(m, b,
-                                                         system.cavity.axis)
+            _, strength = geometry.cavity_emission_jones(m, b)
             self._channels.append((shift, strength))
         self._families = []
         for n in self.families:
             coupling = geometry.family_coupling(system.ensemble,
                                                 system.cavity, n)
             offset = geometry.transverse_mode_frequency(
-                n, system.cavity.family_spacing, system.cavity.family_step)
+                n, system.cavity.family_spacing)
             self._families.append((coupling, offset))
         self._doppler = system.pump_doppler_sigma()
 
@@ -399,7 +415,7 @@ def reference_operating_point(op: OperatingPoint, system: LaserSystem,
     do not leak into the anchor, so calibration constants describe the
     apparatus, not one particular scan setting.
     """
-    b_mag = float(np.linalg.norm(np.asarray(op.b_offset, float)))
+    b_mag = _field_magnitude(op.b_offset)
     dp = atomics.zeeman_shift(system.green.lande_g_upper, 1, b_mag)
     return replace(op, pump_detuning=dp,
                    cavity_detuning=two_photon_resonance(dp, op.mot_detuning),
@@ -745,6 +761,23 @@ def _ridge_optimum(op, system, calib, family, pump_lo, pump_hi):
     return dp, float(ridge(dp))
 
 
+def _line_fit(xs, ys) -> tuple:
+    """Slope and intercept of np.polyfit's line through (xs, ys).
+
+    Its squares overflow beyond about 1e154 and underflow below 1e-154, so
+    xs and ys past 2**+-400 are first divided, exactly, by a power of two
+    near their largest magnitude.  PhysicsError when the line overflows.
+    """
+    sx, sy = (math.ldexp(1.0, e) if abs(e) >= 400 else 1.0 for e in
+              (math.frexp(float(np.max(np.abs(v))))[1] for v in (xs, ys)))
+    slope, intercept = np.polyfit(xs / sx, ys / sy, 1)
+    slope, intercept = float(slope) / sx * sy, float(intercept) * sy
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        raise PhysicsError(f"the fitted line overflows: slope {slope!r}, "
+                           f"intercept {intercept!r}")
+    return slope, intercept
+
+
 def optimum_scan(vary: str, values, op: OperatingPoint, system: LaserSystem,
                  calib: CalibrationConstants, family: int = 0) -> OptimumScan:
     """Track the power optimum in (pump, cavity) detuning along a scan.
@@ -766,7 +799,7 @@ def optimum_scan(vary: str, values, op: OperatingPoint, system: LaserSystem,
     """
     b0 = np.asarray(op.b_offset, float)
     if vary == "b_offset_magnitude":
-        b_mag0 = np.linalg.norm(b0)
+        b_mag0 = _field_magnitude(b0)
         if b_mag0 == 0:
             raise ValueError("operating point needs a nonzero field direction")
         b_dir = b0 / b_mag0
@@ -783,7 +816,7 @@ def optimum_scan(vary: str, values, op: OperatingPoint, system: LaserSystem,
     points = []
     for x in values:
         cell = make(float(x))
-        b_mag = float(np.linalg.norm(np.asarray(cell.b_offset, float)))
+        b_mag = _field_magnitude(cell.b_offset)
         zeeman = atomics.zeeman_shift(g_upper, 1, b_mag)
         dp, dc = _ridge_optimum(cell, system, calib, family,
                                 0.25 * zeeman, 2.5 * zeeman + 2e6)
@@ -794,7 +827,7 @@ def optimum_scan(vary: str, values, op: OperatingPoint, system: LaserSystem,
         xs = np.array([p.x for p in good])
         ys = np.array([p.pump_opt if vary == "b_offset_magnitude"
                        else p.cavity_opt for p in good])
-        slope, intercept = np.polyfit(xs, ys, 1)
+        slope, intercept = _line_fit(xs, ys)
     else:
         slope, intercept = math.nan, math.nan
     return OptimumScan(vary, tuple(points), float(slope), float(intercept))

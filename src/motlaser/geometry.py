@@ -2,9 +2,12 @@
 
 Lab frame
 ---------
-The cavity axis is horizontal and defines x.  The pump beam propagates
-vertically (z), which is also the symmetry axis of the trap coils; y
-completes the right-handed frame.  The cavity's 45-degree tilt against the
+The frame is fixed and given by the constants ``X_AXIS``, ``Y_AXIS`` and
+``Z_AXIS``.  The cavity axis is horizontal and defines x.  The pump beam
+propagates vertically (z), which is also the symmetry axis of the trap
+coils; y completes the right-handed frame.  The pump's Jones pair is taken
+in its transverse basis (x, y), so linear polarization at angle a from the
+cavity axis is (cos a, sin a).  The cavity's 45-degree tilt against the
 horizontal trap beams lies in the horizontal plane and plays no role for a
 vertical pump, so it is ignored here.  The magnetic field enters only as
 the uniform offset at the active region (see
@@ -40,33 +43,8 @@ X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
-
-@dataclass(frozen=True)
-class BeamGeometry:
-    """A beam's direction and Jones polarization.
-
-    The Jones vector lives in the beam's transverse plane with the basis
-    returned by :func:`beam_transverse_basis`; for a vertical beam that
-    basis is (x, y), so linear polarization at angle a from the cavity
-    axis is (cos a, sin a).
-    """
-
-    propagation: tuple
-    polarization: tuple           # complex Jones pair, unit norm
-
-    def __post_init__(self):
-        n = np.asarray(self.propagation, float)
-        if not np.isclose(np.linalg.norm(n), 1.0):
-            raise ValueError("propagation must be a unit vector")
-        j = np.asarray(self.polarization, complex)
-        if j.shape != (2,) or not np.isclose(np.linalg.norm(j), 1.0):
-            raise ValueError("polarization must be a unit-norm Jones pair")
-
-    def field_vector(self):
-        """Complex 3-vector of the polarization in the lab frame."""
-        e1, e2 = beam_transverse_basis(np.asarray(self.propagation, float))
-        j = np.asarray(self.polarization, complex)
-        return j[0] * e1 + j[1] * e2
+# co-resonant TEM families are this many transverse orders apart
+FAMILY_STEP = 37
 
 
 @dataclass(frozen=True)
@@ -75,17 +53,15 @@ class CavityGeometry:
 
     ``kappa`` is the energy decay rate (angular linewidth).  TEM families
     are labelled by the transverse order N = n + m; successive co-resonant
-    families are ``family_step`` orders apart and ``family_spacing`` Hz
+    families are ``FAMILY_STEP`` orders apart and ``family_spacing`` Hz
     apart in frequency.
     """
 
-    axis: tuple = (1.0, 0.0, 0.0)
     waist_radius: float = 90e-6          # m
     kappa: float = 2 * np.pi * 70e3      # rad/s, energy decay
     single_atom_coupling: float = 2 * np.pi * 30e3  # rad/s
     output_fraction: float = 0.05        # per mirror
     family_spacing: float = 6.9e6        # Hz
-    family_step: int = 37
 
     def __post_init__(self):
         if min(self.waist_radius, self.kappa,
@@ -120,21 +96,6 @@ class PolarizationLabel:
 NO_EMISSION = PolarizationLabel("none")
 
 
-def beam_transverse_basis(propagation):
-    """Deterministic orthonormal basis (e1, e2) of the plane normal to a beam.
-
-    e1 is the projection of the cavity axis when possible (so angles are
-    measured from the cavity axis), otherwise the projection of y;
-    e2 = propagation x e1 completes a right-handed triple.
-    """
-    n = np.asarray(propagation, float)
-    ref = X_AXIS if abs(np.dot(n, X_AXIS)) < 0.9 else Y_AXIS
-    e1 = ref - np.dot(ref, n) * n
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
-    return e1, e2
-
-
 def _spherical_basis(b_dir):
     """Unit vectors (e_minus, e_zero, e_plus) about the field direction."""
     b = np.asarray(b_dir, float)
@@ -161,21 +122,24 @@ def _spherical_basis(b_dir):
     return e_minus, b.astype(complex), e_plus
 
 
-def pump_excitation_weights(pump: BeamGeometry, b_dir) -> tuple:
+def pump_excitation_weights(polarization, b_dir) -> tuple:
     """Drive weights (w_minus, w_zero, w_plus) of the three Zeeman channels.
 
-    The pump polarization is decomposed in the spherical basis about the
-    local field direction; w_m = |amplitude_m|^2 and the three weights sum
-    to one.  Raises :class:`QuantizationAxisError` on zero field.
+    ``polarization`` is the vertical pump's Jones pair in its transverse
+    basis (x, y).  It is decomposed in the spherical basis about the local
+    field direction; w_m = |amplitude_m|^2 and the three weights sum to one
+    for a unit-norm pair.  Raises :class:`QuantizationAxisError` on zero
+    field.
     """
     e_minus, e_zero, e_plus = _spherical_basis(b_dir)
-    eps = pump.field_vector()
+    j = np.asarray(polarization, complex)
+    eps = j[0] * X_AXIS + j[1] * Y_AXIS
     w = tuple(abs(np.dot(np.conj(e), eps)) ** 2
               for e in (e_minus, e_zero, e_plus))
     return w
 
 
-def cavity_emission_jones(m: int, b_dir, cavity_axis=X_AXIS):
+def cavity_emission_jones(m: int, b_dir):
     """Polarization and relative strength of emission along the cavity axis.
 
     Classical dipole picture: the pi transition (m = 0) radiates a linear
@@ -187,26 +151,18 @@ def cavity_emission_jones(m: int, b_dir, cavity_axis=X_AXIS):
     """
     if abs(m) > 1:
         raise ValueError(f"m={m} outside the J=1 level scheme")
-    axis = np.asarray(cavity_axis, float)
-    axis = axis / np.linalg.norm(axis)
     e_minus, e_zero, e_plus = _spherical_basis(b_dir)
     dipole = {-1: e_minus, 0: e_zero, 1: e_plus}[m]
-    transverse = dipole - axis * np.dot(axis, dipole)
+    transverse = dipole - X_AXIS * np.dot(X_AXIS, dipole)
     strength = float(np.real(np.vdot(transverse, transverse)))
     if strength < 1e-12:
         return NO_EMISSION, 0.0
-    # Jones components in the (H, V) basis of the cavity axis.
-    h = np.cross(Z_AXIS, axis)
-    h_norm = np.linalg.norm(h)
-    if h_norm < 1e-12:
-        raise ValueError("cavity axis must not be vertical")
-    h /= h_norm
-    v = np.cross(axis, h)
-    jones = np.array([np.dot(h, transverse), np.dot(v, transverse)])
+    # Jones components in the (H, V) = (y, z) basis of the cavity axis
+    jones = np.array([np.dot(Y_AXIS, transverse), np.dot(Z_AXIS, transverse)])
     return classify_jones(jones), strength
 
 
-def classify_jones(jones, tol=1e-6) -> PolarizationLabel:
+def classify_jones(jones) -> PolarizationLabel:
     """Map a transverse Jones vector onto a polarization label."""
     j = np.asarray(jones, complex)
     norm2 = float(np.real(np.vdot(j, j)))
@@ -217,9 +173,9 @@ def classify_jones(jones, tol=1e-6) -> PolarizationLabel:
     s2 = 2.0 * np.real(np.conj(jh) * jv)
     s3 = 2.0 * np.imag(np.conj(jh) * jv)
     angle = np.rad2deg(0.5 * np.arctan2(s2, s1)) % 180.0
-    if abs(s3) >= 1.0 - tol:
+    if abs(s3) >= 1.0 - 1e-6:
         return PolarizationLabel("L" if s3 > 0 else "R")
-    if abs(s3) <= tol:
+    if abs(s3) <= 1e-6:
         if abs(angle) < 1e-3 or abs(angle - 180.0) < 1e-3:
             return PolarizationLabel("H", 0.0)
         if abs(angle - 90.0) < 1e-3:
@@ -232,17 +188,17 @@ def classify_jones(jones, tol=1e-6) -> PolarizationLabel:
 # Transverse mode families
 # ---------------------------------------------------------------------------
 
-def transverse_mode_frequency(n_family: int, family_spacing: float = 6.9e6,
-                              family_step: int = 37) -> float:
+def transverse_mode_frequency(n_family: int,
+                              family_spacing: float = 6.9e6) -> float:
     """Frequency offset of TEM family N from the fundamental, in Hz.
 
     Families co-resonant with the fundamental ladder upward in steps of
-    ``family_step`` transverse orders and ``family_spacing`` Hz; arbitrary
+    ``FAMILY_STEP`` transverse orders and ``family_spacing`` Hz; arbitrary
     N interpolates linearly on that ladder.
     """
     if n_family < 0:
         raise ValueError("family index must be >= 0")
-    return (n_family / family_step) * family_spacing
+    return (n_family / FAMILY_STEP) * family_spacing
 
 
 def _hermite_functions(n_max: int, xi: np.ndarray) -> np.ndarray:

@@ -172,7 +172,9 @@ def simulate_intensity(regime: str, mean_rate: float, coherence_time: float,
     elif regime == "laser":
         rng = _rng(seed)
         ripple = laser_ripple * rng.standard_normal(n)
-        samples = np.clip(mean_rate * (1.0 + ripple), 0.0, None)
+        # a rate that overflows is infinite, which the clicks cap refuses
+        with np.errstate(over="ignore"):
+            samples = np.clip(mean_rate * (1.0 + ripple), 0.0, None)
     else:
         if coherence_time <= 0:
             raise PhysicsError("thermal regime needs a positive coherence time")

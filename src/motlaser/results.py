@@ -6,9 +6,9 @@ normalized arguments, the seed and the code version.  Floats are written
 in full-precision scientific notation; missing cells become empty fields,
 never NaN strings.
 
-A table holds row tuples (``add_row``) or one sequence per column
-(``set_columns``); a numpy array stands for the cells of its ``tolist()``.
-Every cell gets the bytes of ``format_cell``, written column by column:
+A table holds one sequence per column (``set_columns``); a numpy array
+stands for the cells of its ``tolist()``.  Every cell gets the bytes of
+``format_cell``, written column by column:
 
 - a column whose cells are all floats or ``None`` goes through
   ``format_e17``, in one call for all such columns of the table;
@@ -221,16 +221,11 @@ class _Columns(Sequence):
 @dataclass
 class ScanResultTable:
     columns: list
-    rows: list = field(default_factory=list)  # tuples, or set_columns' view
+    rows: _Columns = field(default=_Columns(()), init=False)  # read-only
     metadata: dict = field(default_factory=dict)  # section -> {key: value}
 
-    def add_row(self, *values):
-        if len(values) != len(self.columns):
-            raise ValueError("row width does not match the column schema")
-        self.rows.append(tuple(values))
-
     def set_columns(self, *data):
-        """Hold the table as one sequence per column, in place of rows."""
+        """Hold the table as one sequence per column."""
         if len(data) != len(self.columns) or len(set(map(len, data))) > 1:
             raise ValueError("columns do not match the column schema")
         self.rows = _Columns(data)
@@ -241,13 +236,7 @@ class ScanResultTable:
         n = len(self.rows)
         if not n:
             return header
-        if isinstance(self.rows, _Columns):
-            data = self.rows.data
-        else:
-            data = list(zip(*self.rows, strict=True))
-            if len(data) != len(self.columns):
-                raise ValueError("row width does not match the column schema")
-        cells = [_float_cells(column) for column in data]
+        cells = [_float_cells(column) for column in self.rows.data]
         floats = [c for c in cells if isinstance(c, np.ndarray)]
         if floats:
             formatted = format_e17(np.concatenate(floats))
@@ -266,49 +255,53 @@ class ScanResultTable:
     def csv_text(self) -> str:
         return self._csv_bytes().decode()
 
-    def metadata_text(self) -> str:
-        lines = []
-        for section, entries in self.metadata.items():
-            lines.append(f"[{section}]")
-            for key, value in entries.items():
-                if isinstance(value, float):
-                    value = repr(float(value))  # plain repr even for np scalars
-                lines.append(f"{key} = {value}")
-            lines.append("")
-        return "\n".join(lines)
-
     def write(self, csv_path, metadata_path) -> None:
-        """Write the table and its sidecar as a pair.
+        """Write the table and its sidecar as a pair (see write_files)."""
+        write_files((csv_path, self._csv_bytes()),
+                    (metadata_path, sections_text(self.metadata).encode()))
 
-        Both go to temporary names beside their targets and are renamed
-        only after both writes succeed.  On any failure neither file of
-        the pair stays: the temporaries and a target already renamed into
-        place are removed.
-        """
-        paths = (csv_path, metadata_path)
-        temporaries = [f"{path}.{os.getpid()}.tmp" for path in paths]
-        placed = []
-        try:
-            for target, tmp, data in zip(
-                    paths, temporaries,
-                    (self._csv_bytes(), self.metadata_text().encode())):
-                with open(tmp, "wb") as fh:
-                    fh.write(data)
-            for target, tmp in zip(paths, temporaries):
-                os.replace(tmp, target)
-                placed.append(target)
-        except BaseException as exc:
-            for path in temporaries + placed:
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(path)
-            if isinstance(exc, OSError):
-                # name the file that failed, not its temporary
-                exc.filename, exc.filename2 = target, None
-            raise
+
+def sections_text(sections: dict) -> str:
+    """The sidecar text of section -> {key: value}; floats as their repr."""
+    lines = []
+    for section, entries in sections.items():
+        lines.append(f"[{section}]")
+        for key, value in entries.items():
+            if isinstance(value, float):
+                value = repr(float(value))  # plain repr even for np scalars
+            lines.append(f"{key} = {value}")
+        lines.append("")
+    return "\n".join(lines)
+
+
+def write_files(*contents) -> None:
+    """Write each (path, bytes) pair of ``contents`` as one set.
+
+    Each goes to a temporary name beside its target; they are renamed only
+    after every write succeeds.  On any failure the temporaries and the
+    targets already renamed are removed; the others keep their content.
+    """
+    temporaries = [f"{path}.{os.getpid()}.tmp" for path, _ in contents]
+    placed = []
+    try:
+        for (target, data), tmp in zip(contents, temporaries):
+            with open(tmp, "wb") as fh:
+                fh.write(data)
+        for (target, _), tmp in zip(contents, temporaries):
+            os.replace(tmp, target)
+            placed.append(target)
+    except BaseException as exc:
+        for path in temporaries + placed:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        if isinstance(exc, OSError):
+            # name the file that failed, not its temporary
+            exc.filename, exc.filename2 = target, None
+        raise
 
 
 def parse_metadata(text: str) -> dict:
-    """Inverse of metadata_text: section -> {key: raw string value}."""
+    """Inverse of sections_text: section -> {key: raw string value}."""
     out = {}
     section = None
     for raw in text.splitlines():

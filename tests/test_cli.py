@@ -1,5 +1,6 @@
 import argparse
 import ast
+import errno
 import hashlib
 import json
 import os
@@ -181,6 +182,7 @@ class TestMapCommand:
         table = ScanResultTable(
             ["pump_detuning_hz", "cavity_detuning_hz", "power_w"]
             + [f"power_tem{n}_w" for n in families] + ["lasing_families"])
+        cells = []
         for i, dp in enumerate(result.pump_detunings):
             for j, dc in enumerate(result.cavity_detunings):
                 if not result.ok[i, j]:
@@ -193,7 +195,8 @@ class TestMapCommand:
                             float(result.total_power[i, j])]
                            + [float(result.family_powers[n][i, j])
                               for n in families] + [lasing])
-                table.add_row(*row)
+                cells.append(row)
+        table.set_columns(*zip(*cells))
         want = table.csv_text()
         assert (workdir / "map.csv").read_text() == want
         rows = want.splitlines()[1:]
@@ -509,8 +512,13 @@ _G2_PINNED = {
 
 
 # sha256 of the scan tables and sidecars at seed 1, recorded before the
-# columnar CSV writer
+# columnar CSV writer; that of calibration.txt before it went through the
+# sidecar writer
 _TABLES_PINNED = {
+    "calibrate": (["calibrate"], {
+        "calibration.txt":
+            "563cdbb34d047595cb63ccbf904694494be149afa4729b7fea884a5adcdae28c",
+    }),
     "map": (["map"], {
         "map.csv":
             "86448bf2abfbf57955cd3c1539ffc8f41d4c27ea024004f3050752329927fa5a",
@@ -812,17 +820,33 @@ def test_unwritable_output_exit_code(workdir, monkeypatch, capsys, argv):
     assert sorted(workdir.iterdir()) == before
 
 
-def test_table_and_sidecar_land_as_a_pair(workdir, capsys):
+def _files(directory):
+    return {path.name: path.read_bytes() if path.is_file() else None
+            for path in directory.iterdir()}
+
+
+def test_table_and_sidecar_land_as_a_pair(workdir, capsys, monkeypatch):
     # the sidecar cannot be written: the table must not land without it
     calibrated(workdir)
     (workdir / "map.csv.meta.txt").mkdir()
-    before = sorted(workdir.iterdir())
+    before = _files(workdir)
     capsys.readouterr()
     assert run("map", "--pump-min=0", "--pump-max=0", "--cavity-min=-1MHz",
                "--cavity-max=0") == 2
     assert capsys.readouterr().err == \
         "error: cannot write map.csv.meta.txt: Is a directory\n"
-    assert sorted(workdir.iterdir()) == before
+    assert _files(workdir) == before
+
+    # a calibration (another seed, so other bytes) that cannot be renamed
+    # into place keeps the previous file byte for byte, and no temporary
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert run("--seed", "5", "calibrate") == 2
+    assert capsys.readouterr().err == \
+        "error: cannot write calibration.txt: Permission denied\n"
+    assert _files(workdir) == before
 
 
 @pytest.mark.parametrize("argv", [
@@ -859,6 +883,35 @@ def test_non_finite_extra_b_exit_code(workdir, capsys, field):
                "--extra-b", field) == 2
     assert "must be finite" in capsys.readouterr().err
     assert not (workdir / "table.txt").exists()
+
+
+def test_shift_scan_near_the_float_limit(workdir, capsys):
+    # x**2 overflows in the slope fit: the trap-detuning scan still fits
+    # its unit slope, and a field whose square overflows is refused
+    calibrated(workdir)
+    argv = ["--min", "1e300", "--max", "2e300", "--step", "1e300"]
+    assert run("shift-scan", "--vary", "mot_detuning", *argv) == 0
+    fit = parse_metadata(
+        (workdir / "shift_scan.csv.meta.txt").read_text())["fit"]
+    assert float(fit["slope_hz_per_hz"]) == pytest.approx(1.0, rel=1e-12)
+    capsys.readouterr()
+    assert run("--out", "b.csv", "shift-scan", "--vary", "b_offset",
+               *argv) == 3
+    assert "offset field (1e+300, 0.0, 0.0) G overflows" in \
+        capsys.readouterr().err
+    assert not (workdir / "b.csv").exists()
+
+
+def test_threshold_without_families_writes_integer_totals(workdir):
+    # the total of no family is the integer 0 of an empty sum
+    (workdir / "none.cfg").write_text("families = \n")
+    assert run("--config", "none.cfg", "calibrate") == 0
+    assert run("--config", "none.cfg", "threshold", "--vary", "pump",
+               "--min", "1uW", "--max", "1mW", "--points", "2") == 0
+    assert (workdir / "threshold.csv").read_text() == (
+        "pump,power_w\n"
+        "9.99999999999999955e-07,0\n"
+        "1.00000000000000002e-03,0\n")
 
 
 def test_unreadable_calibration_exit_code(workdir, capsys):
@@ -1239,6 +1292,12 @@ _COORDINATES = {"map": ("map.csv", 2), "threshold": ("threshold.csv", 1),
                "--duration", "0.1s"])
 @example(argv=["--config", "ripple.cfg", "clicks", "--regime", "laser",
                "--rate", "1000", "--duration", "0.1s"])
+@example(argv=["--config", "ripple.cfg", "clicks", "--regime", "laser",
+               "--rate", "1e30", "--duration", "5ms"])
+@example(argv=["shift-scan", "--vary", "mot_detuning", "--min", "1e300",
+               "--max", "2e300", "--step", "1e300"])
+@example(argv=["shift-scan", "--vary", "b_offset", "--min", "1e300",
+               "--max", "2e300", "--step", "1e300"])
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_exit_code_contract_on_hostile_argv(contract_files, tmp_path_factory,

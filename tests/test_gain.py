@@ -9,7 +9,8 @@ from scipy.optimize import minimize_scalar
 
 from motlaser import gain, geometry
 from motlaser.errors import (CalibrationError, NoThresholdError,
-                             QuantizationAxisError, SolverError)
+                             PhysicsError, QuantizationAxisError,
+                             SolverError)
 from motlaser.gain import (CalibrationConstants, LaserSystem, OperatingPoint,
                            calibrate, detuning_map, mode_gain, optimum_scan,
                            output_power, steady_state, threshold_solve,
@@ -76,6 +77,21 @@ class TestModeGain:
     def test_zero_field_rejected(self, system, op, calib):
         with pytest.raises(QuantizationAxisError):
             mode_gain(replace(op, b_offset=(0.0, 0.0, 0.0)), 0, system, calib)
+
+    @pytest.mark.parametrize("pair", [(1, 1), (0.5, 0.5), (1, 0, 0), (1,),
+                                      ((1, 0), (0, 1)), "xy"])
+    def test_non_unit_jones_pair_refused(self, pair):
+        # refused where the operating point is built, not later by a kernel
+        with pytest.raises(ValueError, match="unit-norm Jones pair"):
+            OperatingPoint(pump_polarization=pair)
+
+    @pytest.mark.parametrize("pair", [(1, 0), (0, 1j), (0.6, 0.8j),
+                                      (1 + 1e-6, 0),
+                                      geometry.jones_circular(-1),
+                                      np.array([0.0, -1.0])])
+    def test_unit_jones_pair_accepted(self, pair):
+        assert OperatingPoint(pump_polarization=pair).pump_polarization \
+            is pair
 
     def test_shift_invariance(self, system, op, calib):
         # shifting pump and cavity detunings together with the Zeeman
@@ -738,7 +754,7 @@ class TestOptimumScan:
         scan = optimum_scan("mot_detuning", np.array([-40e6, -30e6]), op,
                             system, shifted, family=family)
         family_offset = geometry.transverse_mode_frequency(
-            family, system.cavity.family_spacing, system.cavity.family_step)
+            family, system.cavity.family_spacing)
         for p in scan.points:
             ridge = (two_photon_resonance(p.pump_opt, p.x) + offset
                      - family_offset)
@@ -766,6 +782,47 @@ class TestOptimumScan:
         scan = optimum_scan(*CRITERION_SCANS[1], op, system, calib)
         assert len(scan.valid_points) == len(CRITERION_SCANS[1][1])
         assert calls["saturation"] == 0
+
+    def test_trap_detuning_scan_near_the_float_limit(self, system, op,
+                                                     calib):
+        # the cavity optimum is the trap detuning to the last bit up
+        # there, so the fitted slope is 1 although x**2 overflows
+        scan = optimum_scan("mot_detuning", np.array([1e300, 2e300]), op,
+                            system, calib)
+        assert [p.cavity_opt for p in scan.points] == [1e300, 2e300]
+        assert scan.slope == pytest.approx(1.0, rel=1e-12)
+        assert np.isfinite(scan.intercept)
+
+    def test_field_whose_square_overflows_refused(self, system, op, calib):
+        with pytest.raises(PhysicsError, match="overflows"):
+            optimum_scan("b_offset_magnitude", np.array([1e300, 2e300]), op,
+                         system, calib)
+
+
+class TestLineFit:
+    @pytest.mark.parametrize("xs,ys", [
+        ([1.5, 2.0, 2.5], [3.1e6, 4.2e6, 5.2e6]),
+        ([-40e6, -30e6, -20e6], [-35e6, -25e6, -15.5e6]),
+    ])
+    def test_polyfit_bits_in_the_ordinary_range(self, xs, ys):
+        xs, ys = np.array(xs), np.array(ys)
+        assert gain._line_fit(xs, ys) == tuple(
+            map(float, np.polyfit(xs, ys, 1)))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+    def test_scaled_fit_at_extreme_magnitudes(self, scale):
+        xs = np.array([1.0, 2.0, 3.0]) * scale
+        slope, intercept = gain._line_fit(xs, 2.0 * xs + 7.0 * scale)
+        assert slope == pytest.approx(2.0, rel=1e-12)
+        assert intercept == pytest.approx(7.0 * scale, rel=1e-9)
+        slope, intercept = gain._line_fit(xs, np.array([5.0, 6.0, 7.0]))
+        assert slope * scale == pytest.approx(1.0, rel=1e-12)
+        assert intercept == pytest.approx(4.0, rel=1e-9)
+
+    def test_overflowing_slope_refused(self):
+        with pytest.raises(PhysicsError, match="overflows"):
+            gain._line_fit(np.array([1e-300, 2e-300]),
+                           np.array([0.0, 1e300]))
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,14 @@ from motlaser.atomics import AtomEnsemble
 from motlaser.errors import QuantizationAxisError
 from motlaser.gain import (UNIT_CALIBRATION, LaserSystem, OperatingPoint,
                            detuning_map)
-from motlaser.geometry import (BeamGeometry, CavityGeometry,
-                               cavity_emission_jones, classify_jones,
-                               family_coupling, family_peak_ratio,
-                               jones_circular, jones_linear,
-                               mode_overlap_fraction, pump_excitation_weights,
+from motlaser.geometry import (CavityGeometry, cavity_emission_jones,
+                               classify_jones, family_coupling,
+                               family_peak_ratio, jones_circular,
+                               jones_linear, mode_overlap_fraction,
+                               pump_excitation_weights,
                                transverse_mode_frequency)
 
 X, Y, Z = np.eye(3)
-
-
-def vertical_pump(polarization):
-    return BeamGeometry((0.0, 0.0, 1.0), polarization)
 
 
 # ---------------------------------------------------------------------------
@@ -28,21 +24,21 @@ def vertical_pump(polarization):
 
 class TestPumpWeights:
     def test_pi_for_field_along_polarization(self):
-        w = pump_excitation_weights(vertical_pump(jones_linear(0.0)), X)
+        w = pump_excitation_weights(jones_linear(0.0), X)
         assert np.allclose(w, (0.0, 1.0, 0.0), atol=1e-12)
 
     def test_sigma_pair_for_perpendicular_linear(self):
-        w = pump_excitation_weights(vertical_pump(jones_linear(90.0)), X)
+        w = pump_excitation_weights(jones_linear(90.0), X)
         assert np.allclose(w, (0.5, 0.0, 0.5), atol=1e-12)
 
     def test_circular_pump_axial_field(self):
         # spherical-basis oracle: circular light propagating along z with
         # the field along x splits (1/4, 1/2, 1/4)
-        w = pump_excitation_weights(vertical_pump(jones_circular(1)), X)
+        w = pump_excitation_weights(jones_circular(1), X)
         assert np.allclose(w, (0.25, 0.5, 0.25), atol=1e-12)
 
     def test_diagonal_polarization(self):
-        w = pump_excitation_weights(vertical_pump(jones_linear(45.0)), X)
+        w = pump_excitation_weights(jones_linear(45.0), X)
         assert w[1] == pytest.approx(0.5)
         assert w[0] == pytest.approx(0.25)
         assert w[2] == pytest.approx(0.25)
@@ -59,16 +55,15 @@ class TestPumpWeights:
                       np.sin(theta) * np.sin(phi), np.cos(theta)])
         if np.linalg.norm(b) < 1e-9:
             b = np.array([1.0, 0.0, 0.0])
-        w = pump_excitation_weights(vertical_pump(jones), b)
+        w = pump_excitation_weights(jones, b)
         assert sum(w) == pytest.approx(1.0, abs=1e-9)
         rotated = tuple(np.exp(1j * global_phase) * np.asarray(jones))
-        w2 = pump_excitation_weights(vertical_pump(rotated), b)
+        w2 = pump_excitation_weights(rotated, b)
         assert np.allclose(w, w2, atol=1e-9)
 
     def test_zero_field_rejected(self):
         with pytest.raises(QuantizationAxisError):
-            pump_excitation_weights(vertical_pump(jones_linear(0.0)),
-                                    (0.0, 0.0, 0.0))
+            pump_excitation_weights(jones_linear(0.0), (0.0, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
