@@ -57,11 +57,6 @@ class TransitionSpec:
         if self.wavelength <= 0 or self.linewidth <= 0:
             raise ValueError("wavelength and linewidth must be positive")
 
-    @classmethod
-    def green_556(cls, wavelength=556e-9, linewidth=2 * np.pi * 182e3,
-                  lande_g_upper=1.5):
-        return cls(wavelength, linewidth, lande_g_upper)
-
 
 @dataclass(frozen=True)
 class AtomEnsemble:
@@ -74,7 +69,7 @@ class AtomEnsemble:
 
     cloud_radius_rms: float    # m
     temperature: float         # K
-    species_mass: float = MASS_YB174  # kg
+    species_mass: float        # kg
 
     def __post_init__(self):
         if self.cloud_radius_rms <= 0:

@@ -178,12 +178,10 @@ def cmd_calibrate(args) -> int:
     from . import gain
     cfg = _load_cfg(args)
     system = cfg.system()
-    anchors = {"reference_atoms": 5000.0, "reference_photons": 6e5,
-               "reference_pump_power": 4e-3}
-    calib = gain.calibrate(system, cfg.operating_point(),
-                           reference_atoms=anchors["reference_atoms"],
-                           reference_photons=anchors["reference_photons"],
-                           reference_pump_power=anchors["reference_pump_power"])
+    calib = gain.calibrate(system, cfg.operating_point())
+    anchors = {"reference_atoms": gain.REFERENCE_ATOMS,
+               "reference_photons": gain.REFERENCE_PHOTONS,
+               "reference_pump_power": gain.REFERENCE_PUMP_POWER}
     out = args.out or "calibration.txt"
     with _output(out):
         write_calibration(out, calib, cfg, anchors)

@@ -24,37 +24,43 @@ if TYPE_CHECKING:
     from .gain import LaserSystem, OperatingPoint
     from .geometry import CavityGeometry
 
-_UNIT_SCALE = {
-    "": 1.0,
-    "hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9,
-    "w": 1.0, "mw": 1e-3, "uw": 1e-6, "nw": 1e-9,
-    "g": 1.0,
-    "m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "nm": 1e-9,
-    "k": 1.0, "mk": 1e-3, "uk": 1e-6,
-    "s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9,
-    "deg": 1.0,
+_UNIT_EXPONENT = {
+    "": 0,
+    "hz": 0, "khz": 3, "mhz": 6, "ghz": 9,
+    "w": 0, "mw": -3, "uw": -6, "nw": -9,
+    "g": 0,
+    "m": 0, "cm": -2, "mm": -3, "um": -6, "nm": -9,
+    "k": 0, "mk": -3, "uk": -6,
+    "s": 0, "ms": -3, "us": -6, "ns": -9,
+    "deg": 0,
 }
 
-_VALUE_RE = re.compile(
-    r"^\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*([a-zA-Zμ]*)\s*$")
+# the micro prefix as u, as the micro sign (U+00B5) or as Greek mu (U+03BC)
+_VALUE_RE = re.compile(r"^\s*([-+]?(?:\d+\.?\d*|\.\d+))(?:[eE]([-+]?\d+))?"
+                       r"\s*([a-zA-Z\u00b5\u03bc]*)\s*$")
 
 
 def parse_quantity(text: str) -> float:
     """Parse '7 mW', '-35MHz', '2.38 G' or a bare number to internal units.
 
-    A value that is not finite, as written (1e999) or in internal units
-    (1e300 GHz), is refused."""
+    The value is the float nearest to the decimal written, moved to
+    internal units by its power of ten: '90 um' is 9e-05, exactly as
+    float('90e-6').  A value that is not finite, as written (1e999) or in
+    internal units (1e300 GHz), is refused."""
     m = _VALUE_RE.match(str(text))
     if not m:
         raise ConfigError(f"malformed value {text!r}")
-    number, unit = m.groups()
-    unit = unit.replace("μ", "u").lower()
-    if unit not in _UNIT_SCALE:
+    mantissa, exponent, unit = m.groups()
+    unit = unit.replace("\u00b5", "u").replace("\u03bc", "u").lower()
+    if unit not in _UNIT_EXPONENT:
         raise ConfigError(f"unknown unit {unit!r} in {text!r}")
-    number = float(number)
-    if not np.isfinite(number):
+    try:
+        exponent = int(exponent or 0)
+    except ValueError:   # more digits than int() converts
+        raise ConfigError(f"exponent out of range in {text!r}") from None
+    if not np.isfinite(float(f"{mantissa}e{exponent}")):
         raise ConfigError(f"{text!r} is not a finite number")
-    value = number * _UNIT_SCALE[unit]
+    value = float(f"{mantissa}e{exponent + _UNIT_EXPONENT[unit]}")
     if not np.isfinite(value):
         raise ConfigError(f"{text!r} overflows in internal units")
     return value
@@ -218,9 +224,9 @@ class RunConfig:
 
     def green(self) -> TransitionSpec:
         from .atomics import TransitionSpec
-        return TransitionSpec.green_556(self["green_wavelength"],
-                                        2 * np.pi * self["green_linewidth"],
-                                        self["lande_g"])
+        return TransitionSpec(self["green_wavelength"],
+                              2 * np.pi * self["green_linewidth"],
+                              self["lande_g"])
 
     def ensemble(self) -> AtomEnsemble:
         from .atomics import AtomEnsemble
@@ -296,8 +302,7 @@ class RunConfig:
 
 
 def default_config() -> RunConfig:
-    vals = {key: parser(default) for key, (parser, default, _) in _KEYS.items()}
-    return RunConfig(tuple(sorted(vals.items())))
+    return parse_config_text("")
 
 
 def parse_config_text(text: str) -> RunConfig:

@@ -33,7 +33,7 @@ measurements show.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,14 +58,14 @@ class OperatingPoint:
     alone).
     """
 
-    pump_detuning: float = 5e6
-    cavity_detuning: float = -30e6
-    mot_detuning: float = -35e6
-    mot_saturation: float = 3.0
-    pump_power: float = 7e-3
-    pump_polarization: tuple = geometry.jones_linear(90.0)
-    b_offset: tuple = (2.38, 0.0, 0.0)
-    total_atoms: float = 20e3
+    pump_detuning: float
+    cavity_detuning: float
+    mot_detuning: float
+    mot_saturation: float
+    pump_power: float
+    pump_polarization: tuple
+    b_offset: tuple
+    total_atoms: float
 
     def __post_init__(self):
         if self.pump_power < 0:
@@ -89,13 +89,12 @@ class OperatingPoint:
 class LaserSystem:
     """Everything about the apparatus that an operating point does not vary."""
 
-    green: TransitionSpec = field(default_factory=TransitionSpec.green_556)
-    broad_linewidth: float = 2 * np.pi * 29e6   # broad-line natural width, rad/s
-    ensemble: AtomEnsemble = field(default_factory=lambda: AtomEnsemble(
-        cloud_radius_rms=1e-3, temperature=2e-3))
-    cavity: CavityGeometry = field(default_factory=CavityGeometry)
-    pump_waist: float = 2.4e-3
-    include_pump_doppler: bool = False
+    green: TransitionSpec
+    broad_linewidth: float        # broad-line natural width, rad/s
+    ensemble: AtomEnsemble
+    cavity: CavityGeometry
+    pump_waist: float
+    include_pump_doppler: bool
 
     def __post_init__(self):
         if self.pump_waist <= 0:
@@ -391,8 +390,7 @@ def threshold_scan(vary: str, values, op: OperatingPoint, families,
                          dict(zip(kernel.families, thresholds.tolist())))
 
 
-def output_power(n_photons, cavity: CavityGeometry,
-                 wavelength: float = 556e-9):
+def output_power(n_photons, cavity: CavityGeometry, wavelength: float):
     """Power through one mirror, W: eta * n * kappa * (h c / lambda)."""
     if np.any(np.asarray(n_photons) < 0):
         raise ValueError("photon number must be >= 0")
@@ -404,8 +402,15 @@ def output_power(n_photons, cavity: CavityGeometry,
 # Calibration and thresholds
 # ---------------------------------------------------------------------------
 
+# the documented calibration anchors (see calibrate)
+ANCHOR_PUMP_POWER = 7e-3          # W
+REFERENCE_ATOMS = 5000.0
+REFERENCE_PHOTONS = 6e5
+REFERENCE_PUMP_POWER = 4e-3       # W
+
+
 def reference_operating_point(op: OperatingPoint, system: LaserSystem,
-                              pump_power: float = 7e-3) -> OperatingPoint:
+                              pump_power: float) -> OperatingPoint:
     """The documented calibration anchor derived from an operating point.
 
     Pump at the documented 90-degree linear polarization and reference
@@ -423,41 +428,34 @@ def reference_operating_point(op: OperatingPoint, system: LaserSystem,
                    pump_polarization=geometry.jones_linear(90.0))
 
 
-def calibrate(system: LaserSystem, op: OperatingPoint | None = None,
-              reference_atoms: float = 5000.0,
-              reference_photons: float = 6e5,
-              reference_pump_power: float = 4e-3) -> CalibrationConstants:
+def calibrate(system: LaserSystem,
+              op: OperatingPoint) -> CalibrationConstants:
     """Anchor gain_scale and n_sat to the two documented reference points.
 
     gain_scale makes the fundamental-family gain equal the cavity loss at
-    ``reference_atoms`` total atoms under the reference anchor (full 7 mW
-    pump at 90 degrees, on the m=+1 resonance); n_sat makes the
-    single-family photon number equal ``reference_photons`` at
-    ``reference_pump_power`` with the operating point's atom number (the
+    REFERENCE_ATOMS total atoms under the reference anchor (the full
+    ANCHOR_PUMP_POWER pump at 90 degrees, on the m=+1 resonance); n_sat
+    makes the single-family photon number equal REFERENCE_PHOTONS at
+    REFERENCE_PUMP_POWER with the operating point's atom number (the
     observed intracavity photon budget).
     """
-    if reference_atoms <= 0:
-        raise CalibrationError("reference threshold must be positive")
-    op = op or OperatingPoint()
-    anchor = replace(reference_operating_point(op, system),
-                     total_atoms=reference_atoms)
-    probe = CalibrationConstants(1.0, 1.0)
-    g_unit = mode_gain(anchor, 0, system, probe).total
+    anchor = replace(reference_operating_point(op, system, ANCHOR_PUMP_POWER),
+                     total_atoms=REFERENCE_ATOMS)
+    g_unit = mode_gain(anchor, 0, system, UNIT_CALIBRATION).total
     if not np.isfinite(g_unit) or g_unit <= 0.0:
         raise CalibrationError(
             "calibration failed: gain at the reference point is not positive "
             "(no sign change available for the threshold condition)")
     gain_scale = system.cavity.kappa / g_unit
 
-    photon_anchor = reference_operating_point(op, system,
-                                              pump_power=reference_pump_power)
+    photon_anchor = reference_operating_point(op, system, REFERENCE_PUMP_POWER)
     scaled = CalibrationConstants(gain_scale, 1.0)
     g_ref = mode_gain(photon_anchor, 0, system, scaled).total
     kappa = system.cavity.kappa
     if g_ref <= kappa:
         raise CalibrationError(
             "calibration failed: photon-budget anchor is below threshold")
-    n = reference_photons
+    n = REFERENCE_PHOTONS
     n_sat = n * (kappa * n - g_ref) / ((g_ref - kappa) * n + g_ref)
     if n_sat <= 0:
         raise CalibrationError("calibration failed: negative n_sat")
@@ -613,8 +611,7 @@ class DetuningMap:
 
 def detuning_map(op: OperatingPoint, system: LaserSystem,
                  calib: CalibrationConstants,
-                 pump_detunings, cavity_detunings,
-                 families=(0, 37, 74, 111)) -> DetuningMap:
+                 pump_detunings, cavity_detunings, families) -> DetuningMap:
     """Steady-state output power over a detuning grid.
 
     One array evaluation of the gain kernel and one elementwise solve;
@@ -795,7 +792,7 @@ def optimum_scan(vary: str, values, op: OperatingPoint, system: LaserSystem,
     + G = 0).  So each point evaluates G on the ridge at ``_COARSE`` pumps
     in [Zeeman/4, 5 Zeeman/2 + 2 MHz], lases if any reaches kappa, and
     refines the best by one bounded Brent search of -G; no photon number
-    is solved.
+    is solved.  A negative Zeeman shift mirrors the interval.
     """
     b0 = np.asarray(op.b_offset, float)
     if vary == "b_offset_magnitude":
@@ -818,8 +815,8 @@ def optimum_scan(vary: str, values, op: OperatingPoint, system: LaserSystem,
         cell = make(float(x))
         b_mag = _field_magnitude(cell.b_offset)
         zeeman = atomics.zeeman_shift(g_upper, 1, b_mag)
-        dp, dc = _ridge_optimum(cell, system, calib, family,
-                                0.25 * zeeman, 2.5 * zeeman + 2e6)
+        dp, dc = _ridge_optimum(cell, system, calib, family, *sorted(
+            (0.25 * zeeman, 2.5 * zeeman + math.copysign(2e6, zeeman))))
         points.append(ScanOptimum(float(x), dp, dc))
 
     good = [p for p in points if p.pump_opt is not None]

@@ -57,11 +57,11 @@ class CavityGeometry:
     apart in frequency.
     """
 
-    waist_radius: float = 90e-6          # m
-    kappa: float = 2 * np.pi * 70e3      # rad/s, energy decay
-    single_atom_coupling: float = 2 * np.pi * 30e3  # rad/s
-    output_fraction: float = 0.05        # per mirror
-    family_spacing: float = 6.9e6        # Hz
+    waist_radius: float                  # m
+    kappa: float                         # rad/s, energy decay
+    single_atom_coupling: float          # rad/s
+    output_fraction: float               # per mirror
+    family_spacing: float                # Hz
 
     def __post_init__(self):
         if min(self.waist_radius, self.kappa,
@@ -188,8 +188,7 @@ def classify_jones(jones) -> PolarizationLabel:
 # Transverse mode families
 # ---------------------------------------------------------------------------
 
-def transverse_mode_frequency(n_family: int,
-                              family_spacing: float = 6.9e6) -> float:
+def transverse_mode_frequency(n_family: int, family_spacing: float) -> float:
     """Frequency offset of TEM family N from the fundamental, in Hz.
 
     Families co-resonant with the fundamental ladder upward in steps of

@@ -12,7 +12,8 @@ stands for the cells of its ``tolist()``.  Every cell gets the bytes of
 
 - a column whose cells are all floats or ``None`` goes through
   ``format_e17``, in one call for all such columns of the table;
-- any other column is written cell by cell with ``format_cell``;
+- any other column is written cell by cell with ``format_cell``, or for
+  an integer array with ``str`` of its ``tolist()`` ints;
 - the columns are laid side by side in one byte array padded with 0xFF, a
   byte that UTF-8 never produces, and one ``bytes.translate`` deletes the
   padding.
@@ -185,9 +186,9 @@ def format_e17(values) -> np.ndarray:
 
 def _float_cells(column):
     """The column as a float64 array when each cell is a float or None,
-    else as a list of its cells."""
+    as itself when it is an integer array, else as a list of its cells."""
     if isinstance(column, np.ndarray):
-        if column.dtype == np.float64:
+        if column.dtype == np.float64 or column.dtype.kind in "iu":
             return column.ravel()
         column = column.tolist()
     if all(v is None or isinstance(v, float) for v in column):
@@ -196,8 +197,11 @@ def _float_cells(column):
 
 
 def _text_block(cells) -> np.ndarray:
-    """format_cell of each cell as rows of UTF-8, padded with 0xFF."""
-    encoded = list(map(str.encode, map(format_cell, cells)))
+    """format_cell of each cell as rows of UTF-8, padded with 0xFF; the
+    cells of an integer array are their str."""
+    texts = (map(str, cells.tolist()) if isinstance(cells, np.ndarray)
+             else map(format_cell, cells))
+    encoded = list(map(str.encode, texts))
     lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
     width = max(int(lengths.max()), 1)
     block = np.array(encoded, f"S{width}").view(np.uint8).reshape(-1, width)
@@ -237,13 +241,14 @@ class ScanResultTable:
         if not n:
             return header
         cells = [_float_cells(column) for column in self.rows.data]
-        floats = [c for c in cells if isinstance(c, np.ndarray)]
+        floats = [c for c in cells if isinstance(c, np.ndarray)
+                  and c.dtype == np.float64]
         if floats:
             formatted = format_e17(np.concatenate(floats))
         comma = np.full((n, 1), ord(","), np.uint8)
         parts, k = [], 0
         for c in cells:
-            if isinstance(c, np.ndarray):
+            if isinstance(c, np.ndarray) and c.dtype == np.float64:
                 parts += [formatted[k:k + n], comma]
                 k += n
             else:

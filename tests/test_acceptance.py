@@ -17,8 +17,7 @@ from motlaser import gain, geometry, photonstats as ps
 from motlaser.cli import main, render_polarization_table
 from motlaser.config import default_config
 from motlaser.errors import NoThresholdError
-from motlaser.gain import (LaserSystem, OperatingPoint, calibrate,
-                           detuning_map, mode_gain, optimum_scan,
+from motlaser.gain import (calibrate, detuning_map, mode_gain, optimum_scan,
                            output_power, threshold_solve,
                            two_photon_resonance)
 from motlaser.results import parse_metadata
@@ -34,12 +33,12 @@ def report(num, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def system():
-    return LaserSystem()
+    return default_config().system()
 
 
 @pytest.fixture(scope="module")
 def op():
-    return OperatingPoint()
+    return default_config().operating_point()
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +50,8 @@ def test_criterion_01_resonance_lobes(system, op, calib):
     pump = np.arange(-10e6, 10e6 + 0.5e6, 1e6)
     cav = np.arange(-60e6, 0.0 + 0.5e6, 1e6)
     t0 = time.monotonic()
-    result = detuning_map(op, system, calib, pump, cav)
+    result = detuning_map(op, system, calib, pump, cav,
+                          default_config().families())
     elapsed = time.monotonic() - t0
     lobes = sorted(result.lobes(), key=lambda t: t[0])
     centers = [(p / 1e6, c / 1e6) for p, c, _ in lobes]
@@ -120,7 +120,8 @@ def test_criterion_04_zeeman_slope(system, op, calib):
 
 
 def test_criterion_05_thresholds(system, op, calib):
-    anchor = gain.reference_operating_point(op, system)
+    anchor = gain.reference_operating_point(op, system,
+                                            gain.ANCHOR_PUMP_POWER)
     th_atoms = threshold_solve("atoms", anchor, system, calib)
 
     def pump_threshold(pol):

@@ -4,11 +4,12 @@ from hypothesis import given, strategies as st
 from scipy import constants as sc
 
 from motlaser import atomics
+from motlaser.config import default_config
 from motlaser.atomics import (MASS_YB174, TransitionSpec, doppler_sigma,
                               excited_population, saturation_intensity,
                               saturation_parameter, zeeman_shift)
 
-GREEN = TransitionSpec.green_556()
+GREEN = default_config().green()
 BLUE = TransitionSpec(399e-9, 2 * np.pi * 29e6, 1.0)
 
 
@@ -151,9 +152,9 @@ class TestExcitedPopulation:
 
 def test_atom_ensemble_validation():
     with pytest.raises(ValueError):
-        atomics.AtomEnsemble(0.0, 2e-3)
+        atomics.AtomEnsemble(0.0, 2e-3, MASS_YB174)
     with pytest.raises(ValueError):
-        atomics.AtomEnsemble(1e-3, 0.0)
+        atomics.AtomEnsemble(1e-3, 0.0, MASS_YB174)
     # a non-positive mass would fail only later, in doppler_sigma
     with pytest.raises(ValueError, match="species_mass"):
         atomics.AtomEnsemble(1e-3, 2e-3, 0.0)

@@ -18,9 +18,9 @@ from motlaser import cli, gain, photonstats
 from motlaser.atomics import MASS_YB174
 from motlaser.cli import (MAX_POINTS, build_parser, load_calibration, main,
                           render_polarization_table)
-from motlaser.config import (_HASH_EXCLUDED, _KEYS, ConfigError,
-                             default_config, load_config, parse_config_text,
-                             parse_quantity)
+from motlaser.config import (_HASH_EXCLUDED, _KEYS, _UNIT_EXPONENT,
+                             ConfigError, default_config, load_config,
+                             parse_config_text, parse_quantity)
 from motlaser.errors import PhysicsError
 from motlaser.photonstats import read_clickstream, simulate_intensity
 from motlaser.results import ScanResultTable, parse_metadata
@@ -58,17 +58,50 @@ def calibrated(workdir):
 class TestConfig:
     def test_quantities(self):
         assert parse_quantity("-35 MHz") == -35e6
-        assert parse_quantity("7mW") == pytest.approx(7e-3, rel=1e-15)
+        assert parse_quantity("7mW") == 7e-3
         assert parse_quantity("2.38 G") == 2.38
-        assert parse_quantity("90 um") == pytest.approx(90e-6, rel=1e-15)
-        assert parse_quantity("90 μm") == pytest.approx(90e-6, rel=1e-15)
+        assert parse_quantity("90 um") == 9e-05
         assert parse_quantity("1.5") == 1.5
+        # the micro prefix as the micro sign (U+00B5) and as Greek mu
+        assert parse_quantity("3 \u00b5s") == parse_quantity("3 \u03bcs") \
+            == 3e-6
+
+    @given(mantissa=st.from_regex(r"[-+]?(\d{1,20}\.?\d{0,20}|\.\d{1,20})",
+                                  fullmatch=True),
+           exponent=st.none() | st.integers(-400, 400),
+           unit=st.sampled_from(sorted(_UNIT_EXPONENT)),
+           upper=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_value_is_the_float_nearest_the_decimal(self, mantissa, exponent,
+                                                    unit, upper):
+        # the decimal moves to internal units by its power of ten, so the
+        # value is rounded once, from the digits written
+        written = "" if exponent is None else f"e{exponent}"
+        text = f"{mantissa}{written} {unit.upper() if upper else unit}"
+        shift = (exponent or 0) + _UNIT_EXPONENT[unit]
+        want = float(f"{mantissa}e{shift}")
+        if not np.isfinite(float(f"{mantissa}e{exponent or 0}")):
+            with pytest.raises(ConfigError, match="not a finite number"):
+                parse_quantity(text)
+        elif not np.isfinite(want):
+            with pytest.raises(ConfigError, match="overflows"):
+                parse_quantity(text)
+        else:
+            assert parse_quantity(text).hex() == want.hex()
+
+    def test_default_lengths_are_the_decimals_written(self):
+        lines = default_config().canonical_lines()
+        assert "cavity_waist = 9e-05" in lines
+        assert "green_wavelength = 5.56e-07" in lines
 
     def test_bad_quantity(self):
         with pytest.raises(ConfigError):
             parse_quantity("fast")
         with pytest.raises(ConfigError):
             parse_quantity("3 parsec")
+        # an exponent longer than int() converts
+        with pytest.raises(ConfigError, match="exponent out of range"):
+            parse_quantity("1e" + "0" * 5000)
 
     def test_overflowing_unit_conversion(self):
         with pytest.raises(ConfigError, match="overflows"):
@@ -487,14 +520,15 @@ class TestG2Command:
 
 # sha256 of g2.csv and its sidecar (and of the click files) at seed 1 for
 # the small shapes of the two g2 benchmark workloads, recorded before the
-# dense correlator's float32 blocks and the leaner poissonize
+# dense correlator's float32 blocks and the leaner poissonize; the sidecars'
+# again when config values became the floats nearest their decimals
 _G2_PINNED = {
     "dense": (["g2", "--regime", "above", "--rate", "500kHz", "--bin", "2.6us",
                "--max-lag", "1ms", "--duration", "0.1s"], {
         "g2.csv":
             "5770e2d512342e7c9bc5f7eeeec2a46f6ef64ef1e640167597d4d9d2495edd94",
         "g2.csv.meta.txt":
-            "4a086d274949d56600111d00a36488ffd0d69a2942cd741e662adf7a778ceb15",
+            "5c13929a34a0b57411cdbde11b56150bbc98017a9ab7ff197565504c25c57abe",
     }),
     "sparse": (["g2", "--regime", "below", "--tau-c", "3us", "--bin", "1ns",
                 "--max-lag", "26us", "--rate", "200kHz", "--emit-clicks",
@@ -502,7 +536,7 @@ _G2_PINNED = {
         "g2.csv":
             "6b3dc67feb3645f42c7a2bba694340032640aa51be5c1c0bb76dd177d26535b3",
         "g2.csv.meta.txt":
-            "5bdd568088506cd6b68cafc9f3acf15f7a591e266268ff468bf75b2567b4465f",
+            "ce187a4af16ef42ed66cb7508faf9bcfa9853b6a333ca7e4da870428fa277217",
         "clicks_det0.clks":
             "a745c69267ac5a04e71faf3a6f45d6482678fe669f3445a734df23c81df9cc0b",
         "clicks_det1.clks":
@@ -511,33 +545,32 @@ _G2_PINNED = {
 }
 
 
-# sha256 of the scan tables and sidecars at seed 1, recorded before the
-# columnar CSV writer; that of calibration.txt before it went through the
-# sidecar writer
+# sha256 of the scan tables and sidecars at seed 1, and of calibration.txt,
+# recorded when config values became the floats nearest their decimals
 _TABLES_PINNED = {
     "calibrate": (["calibrate"], {
         "calibration.txt":
-            "563cdbb34d047595cb63ccbf904694494be149afa4729b7fea884a5adcdae28c",
+            "b59244ee70d79d4a4b27fbf57844e68f0422ceadf09ec846d9dd182df5537f73",
     }),
     "map": (["map"], {
         "map.csv":
-            "86448bf2abfbf57955cd3c1539ffc8f41d4c27ea024004f3050752329927fa5a",
+            "f6bb90dc06cda5ef32735a19ccc256ff0fa38e3e0870982163717177f8bb3e71",
         "map.csv.meta.txt":
-            "9e2537f637381d90678c949675795adc1150a118a5817fea89b9cbf547bea521",
+            "cb3bd280e48c5fc83a0bd2a5ec6edffa21e178f2992b616bda9446bf9083f7ae",
     }),
     "threshold": (["threshold", "--vary", "pump", "--min", "1uW", "--max",
                    "1mW", "--points", "5"], {
         "threshold.csv":
-            "4a8a8342a2aa4739ca333319f77f74c121f9d20a5554322ad703bd25b3d7d292",
+            "8a82b4c59961019d8cf656c99a3aae00d400b0a8408fec22565d003703c0eb2b",
         "threshold.csv.meta.txt":
-            "3c4ef114bc6eda96bc3a88ff383257f9b4f51d2b07d9fbef7c84b64a617ecdea",
+            "9ee1a07162c28214d3a47be70144f2c5e504eabfffb96a243db4a0822e69acae",
     }),
     "shift-scan": (["shift-scan", "--vary", "b_offset", "--min", "1.5",
                     "--max", "2.5", "--step", "1"], {
         "shift_scan.csv":
-            "65a0f1e17519734540b2239033ce7ee080959c2d4c7c2f99183651e6d915529c",
+            "0745a1e1c9eb19e18e4cb9512de4117fbe22ef4ae766ddf46299265544863182",
         "shift_scan.csv.meta.txt":
-            "74b96f5908eca4af1ecc5413dff03ee4696d54bd2e1325a04e87c530d0fd150b",
+            "2be983715d8c88b04f33092ccf03a7fbb54c8e346e963ee50d381f2ea17fb10a",
     }),
 }
 

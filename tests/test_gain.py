@@ -8,23 +8,27 @@ from scipy.ndimage import label
 from scipy.optimize import minimize_scalar
 
 from motlaser import gain, geometry
+from motlaser.config import default_config
 from motlaser.errors import (CalibrationError, NoThresholdError,
                              PhysicsError, QuantizationAxisError,
                              SolverError)
-from motlaser.gain import (CalibrationConstants, LaserSystem, OperatingPoint,
-                           calibrate, detuning_map, mode_gain, optimum_scan,
-                           output_power, steady_state, threshold_solve,
+from motlaser.gain import (CalibrationConstants, calibrate, detuning_map,
+                           mode_gain, optimum_scan, output_power,
+                           steady_state, threshold_solve,
                            two_photon_resonance)
+
+# every object is built from the default configuration, as the CLI builds it
+CFG = default_config()
 
 
 @pytest.fixture(scope="module")
 def system():
-    return LaserSystem()
+    return CFG.system()
 
 
 @pytest.fixture(scope="module")
 def op():
-    return OperatingPoint()
+    return CFG.operating_point()
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +36,7 @@ def calib(system, op):
     return calibrate(system, op)
 
 
-KAPPA = LaserSystem().cavity.kappa
+KAPPA = CFG.cavity().kappa
 FAMILIES = (0, 37, 74, 111)
 
 
@@ -80,18 +84,17 @@ class TestModeGain:
 
     @pytest.mark.parametrize("pair", [(1, 1), (0.5, 0.5), (1, 0, 0), (1,),
                                       ((1, 0), (0, 1)), "xy"])
-    def test_non_unit_jones_pair_refused(self, pair):
+    def test_non_unit_jones_pair_refused(self, op, pair):
         # refused where the operating point is built, not later by a kernel
         with pytest.raises(ValueError, match="unit-norm Jones pair"):
-            OperatingPoint(pump_polarization=pair)
+            replace(op, pump_polarization=pair)
 
     @pytest.mark.parametrize("pair", [(1, 0), (0, 1j), (0.6, 0.8j),
                                       (1 + 1e-6, 0),
                                       geometry.jones_circular(-1),
                                       np.array([0.0, -1.0])])
-    def test_unit_jones_pair_accepted(self, pair):
-        assert OperatingPoint(pump_polarization=pair).pump_polarization \
-            is pair
+    def test_unit_jones_pair_accepted(self, op, pair):
+        assert replace(op, pump_polarization=pair).pump_polarization is pair
 
     def test_shift_invariance(self, system, op, calib):
         # shifting pump and cavity detunings together with the Zeeman
@@ -166,19 +169,18 @@ class TestCalibrate:
     def test_uncalibrated_gain_order_of_magnitude(self, system, op):
         # sanity bound: before fitting, the reference-point gain should
         # already sit within a factor 10 of the cavity loss
-        anchor = replace(gain.reference_operating_point(op, system),
-                         total_atoms=5000.0)
+        anchor = replace(gain.reference_operating_point(
+            op, system, gain.ANCHOR_PUMP_POWER), total_atoms=5000.0)
         g = mode_gain(anchor, 0, system, CalibrationConstants()).total
         assert KAPPA / 10 <= g <= KAPPA * 10
 
     def test_threshold_reproduces_anchor(self, system, op, calib):
-        anchor = gain.reference_operating_point(op, system)
+        anchor = gain.reference_operating_point(
+            op, system, gain.ANCHOR_PUMP_POWER)
         th = threshold_solve("atoms", anchor, system, calib)
         assert abs(th - 5000.0) <= 1.0
 
     def test_bad_reference_rejected(self, system, op):
-        with pytest.raises(CalibrationError):
-            calibrate(system, op, reference_atoms=-5.0)
         with pytest.raises(CalibrationError):
             # no gain at all without the trap drive
             calibrate(system, replace(op, mot_saturation=0.0))
@@ -230,7 +232,8 @@ class TestThresholds:
                                                           calib):
         # the bisection the closed form replaced is the reference: bracket
         # expansion by 4x, then halving until hi - lo <= 1e-9 hi
-        anchor = gain.reference_operating_point(op, system)
+        anchor = gain.reference_operating_point(
+            op, system, gain.ANCHOR_PUMP_POWER)
 
         def excess(x):
             return mode_gain(replace(anchor, total_atoms=x), 0, system,
@@ -261,12 +264,12 @@ class TestThresholds:
     @settings(max_examples=25, deadline=None)
     @example(pump=5e6, cavity=-30e6, angle=90.0, atoms=20e3)
     def test_pump_threshold_is_where_gain_first_meets_loss(
-            self, system, calib, pump, cavity, angle, atoms):
+            self, system, op, calib, pump, cavity, angle, atoms):
         # G(P) >= kappa > G(the float below P), each G from a fresh
         # one-family kernel
-        op = OperatingPoint(pump_detuning=pump, cavity_detuning=cavity,
-                            pump_polarization=geometry.jones_linear(angle),
-                            total_atoms=atoms)
+        op = replace(op, pump_detuning=pump, cavity_detuning=cavity,
+                     pump_polarization=geometry.jones_linear(angle),
+                     total_atoms=atoms)
 
         def g(n, p):
             return mode_gain(replace(op, pump_power=p), n, system,
@@ -304,12 +307,12 @@ class TestThresholds:
     @example(pump=5e6, angle=0.0, atoms=20e3)
     @example(pump=5e6, angle=90.0, atoms=20e3)
     def test_no_pump_threshold_iff_saturated_gain_below_loss(
-            self, system, calib, pump, angle, atoms):
+            self, system, op, calib, pump, angle, atoms):
         # G rises to sum_m A_m as rho_ee -> 1/2 in every channel the pump
         # drives (w_m > 0); a threshold exists iff that limit exceeds kappa
-        op = OperatingPoint(pump_detuning=pump,
-                            pump_polarization=geometry.jones_linear(angle),
-                            total_atoms=atoms)
+        op = replace(op, pump_detuning=pump,
+                     pump_polarization=geometry.jones_linear(angle),
+                     total_atoms=atoms)
         thresholds = self._pump_thresholds(op, system, calib)
         kernel = gain._GainKernel(op, FAMILIES, system, calib)
         with pytest.MonkeyPatch.context() as m:
@@ -323,7 +326,8 @@ class TestThresholds:
                 assert np.isfinite(thresholds[n])
 
     def test_atom_threshold_outside_range(self, system, op, calib):
-        anchor = gain.reference_operating_point(op, system)
+        anchor = gain.reference_operating_point(
+            op, system, gain.ANCHOR_PUMP_POWER)
         with pytest.raises(NoThresholdError, match="below range"):
             threshold_solve("atoms", anchor, system, calib, lo=6000.0)
         # 3e-9 of the trap drive moves the threshold to 5e12 atoms, which
@@ -526,25 +530,26 @@ class TestSaturationSolver:
 
 
 class TestOutputPower:
-    cavity = LaserSystem().cavity
+    cavity, wavelength = CFG.cavity(), CFG.green().wavelength
 
     def test_zero(self):
-        assert output_power(0.0, self.cavity) == 0.0
+        assert output_power(0.0, self.cavity, self.wavelength) == 0.0
 
     def test_budget_value(self):
         # eta * n * kappa * h c / lambda with the documented numbers
         oracle = 0.05 * 6e5 * KAPPA * sc.h * sc.c / 556e-9
-        got = output_power(6e5, self.cavity)
+        got = output_power(6e5, self.cavity, self.wavelength)
         assert got == pytest.approx(oracle, rel=1e-12)
         assert got == pytest.approx(4.71e-9, rel=1e-2)
 
     def test_linear(self):
-        assert output_power(2e5, self.cavity) == \
-            pytest.approx(2 * output_power(1e5, self.cavity), rel=1e-12)
+        assert output_power(2e5, self.cavity, self.wavelength) == \
+            pytest.approx(2 * output_power(1e5, self.cavity, self.wavelength),
+                          rel=1e-12)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            output_power(-1.0, self.cavity)
+            output_power(-1.0, self.cavity, self.wavelength)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +591,7 @@ class TestDetuningMap:
     def test_two_lobes_on_coarse_grid(self, system, op, calib):
         pump = np.arange(-10e6, 10e6 + 1, 1e6)
         cav = np.arange(-60e6, 0.0 + 1, 2e6)
-        m = detuning_map(op, system, calib, pump, cav)
+        m = detuning_map(op, system, calib, pump, cav, FAMILIES)
         lobes = m.lobes()
         assert len(lobes) == 2
         centers = sorted((p, c) for p, c, _ in lobes)
@@ -614,7 +619,7 @@ class TestDetuningMap:
         dead = replace(op, pump_polarization=geometry.jones_linear(0.0))
         pump = np.arange(-8e6, 8e6 + 1, 2e6)
         cav = np.arange(-50e6, -10e6 + 1, 5e6)
-        m = detuning_map(dead, system, calib, pump, cav)
+        m = detuning_map(dead, system, calib, pump, cav, FAMILIES)
         assert not m.lasing_any.any()
         assert m.ok.all()
 
@@ -632,7 +637,7 @@ class TestDetuningMap:
         monkeypatch.setattr(gain, "_saturation", flaky)
         pump = np.array([4e6, 5e6])
         cav = np.array([-31e6, -30e6])
-        m = detuning_map(op, system, calib, pump, cav)
+        m = detuning_map(op, system, calib, pump, cav, FAMILIES)
         assert calls["count"] == 1
         assert not m.ok[1, 1] and np.isnan(m.total_power[1, 1])
         assert not m.lasing_any[1, 1]
@@ -792,6 +797,21 @@ class TestOptimumScan:
         assert [p.cavity_opt for p in scan.points] == [1e300, 2e300]
         assert scan.slope == pytest.approx(1.0, rel=1e-12)
         assert np.isfinite(scan.intercept)
+
+    def test_negative_lande_factor_mirrors_the_field_scan(self, system, op,
+                                                          calib):
+        # g -> -g negates every Zeeman shift, so the sigma+ lobe and the
+        # pump interval searched for it mirror about zero detuning
+        values = np.arange(1.5, 4.51, 1.0)
+        flipped = replace(system,
+                          green=replace(system.green, lande_g_upper=-1.5))
+        plus = optimum_scan("b_offset_magnitude", values, op, system, calib)
+        minus = optimum_scan("b_offset_magnitude", values, op, flipped,
+                             calib)
+        assert len(plus.valid_points) == values.size
+        assert [p.pump_opt for p in minus.points] == \
+            [-p.pump_opt for p in plus.points]
+        assert minus.slope == -plus.slope
 
     def test_field_whose_square_overflows_refused(self, system, op, calib):
         with pytest.raises(PhysicsError, match="overflows"):

@@ -1,21 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from motlaser import geometry
-from motlaser.atomics import AtomEnsemble
+from motlaser.config import default_config
 from motlaser.errors import QuantizationAxisError
-from motlaser.gain import (UNIT_CALIBRATION, LaserSystem, OperatingPoint,
-                           detuning_map)
-from motlaser.geometry import (CavityGeometry, cavity_emission_jones,
-                               classify_jones, family_coupling,
-                               family_peak_ratio, jones_circular,
-                               jones_linear, mode_overlap_fraction,
+from motlaser.gain import UNIT_CALIBRATION, detuning_map
+from motlaser.geometry import (cavity_emission_jones, classify_jones,
+                               family_coupling, family_peak_ratio,
+                               jones_circular, jones_linear,
+                               mode_overlap_fraction,
                                pump_excitation_weights,
                                transverse_mode_frequency)
 
 X, Y, Z = np.eye(3)
+# every object is built from the default configuration, as the CLI builds it
+CFG = default_config()
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +134,8 @@ class TestCavityEmission:
 # ---------------------------------------------------------------------------
 
 class TestModeOverlap:
-    ensemble = AtomEnsemble(1e-3, 2e-3)
-    cavity = CavityGeometry()
+    ensemble = CFG.ensemble()
+    cavity = CFG.cavity()
 
     def test_fundamental_matches_gaussian_oracle(self):
         w, sig = self.cavity.waist_radius, self.ensemble.cloud_radius_rms
@@ -145,7 +148,7 @@ class TestModeOverlap:
         assert 1e-3 <= frac <= 1e-2
 
     def test_huge_waist_limit(self):
-        wide = CavityGeometry(waist_radius=0.5)
+        wide = replace(self.cavity, waist_radius=0.5)
         assert mode_overlap_fraction(self.ensemble, wide, 0) == \
             pytest.approx(1.0, rel=1e-4)
 
@@ -213,14 +216,14 @@ def dense_grid_peak(n_family, npts=200_001):
 
 def with_coupling_parameter(c):
     """Ensemble and cavity with w^2 / (4 sigma^2) = c."""
-    cavity = CavityGeometry()
+    cavity = CFG.cavity()
     sigma = cavity.waist_radius / (2.0 * np.sqrt(c))
-    return AtomEnsemble(sigma, 2e-3), cavity
+    return replace(CFG.ensemble(), cloud_radius_rms=sigma), cavity
 
 
 class TestFamilyCoupling:
-    ensemble = AtomEnsemble(1e-3, 2e-3)
-    cavity = CavityGeometry()
+    ensemble = CFG.ensemble()
+    cavity = CFG.cavity()
 
     # c > 1 makes the recurrence's (1 - c) term change sign
     @pytest.mark.parametrize("c", [1e-4, 1e-2, 0.3, 1.0, 3.0, 20.25, 81.0,
@@ -235,7 +238,8 @@ class TestFamilyCoupling:
     @pytest.mark.parametrize("sigma", [10e-6, 90e-6, 1e-3, 5e-3])
     def test_fundamental_closed_form(self, sigma):
         w = self.cavity.waist_radius
-        got = family_coupling(AtomEnsemble(sigma, 2e-3), self.cavity, 0)
+        got = family_coupling(replace(self.ensemble, cloud_radius_rms=sigma),
+                              self.cavity, 0)
         assert got == pytest.approx(w**2 / (w**2 + 4 * sigma**2), rel=1e-14)
 
     @pytest.mark.parametrize("n_family", [0, 1, 5, 37, 74, 111])
@@ -262,21 +266,24 @@ class TestFamilyCoupling:
             raise AssertionError("the gain needs no family peak")
 
         monkeypatch.setattr(geometry, "_family_profile", no_profile)
-        m = detuning_map(OperatingPoint(), LaserSystem(), UNIT_CALIBRATION,
-                         [0.0, 1e6], [-30e6], families=(0, 37, 74, 111))
+        m = detuning_map(CFG.operating_point(), CFG.system(),
+                         UNIT_CALIBRATION, [0.0, 1e6], [-30e6],
+                         families=(0, 37, 74, 111))
         assert m.ok.shape == (2, 1)
 
 
 class TestFamilyLadder:
     def test_ladder_values(self):
-        assert transverse_mode_frequency(0) == 0.0
-        assert transverse_mode_frequency(37) == pytest.approx(6.9e6)
-        assert transverse_mode_frequency(111) == pytest.approx(20.7e6)
+        assert transverse_mode_frequency(0, 6.9e6) == 0.0
+        assert transverse_mode_frequency(37, 6.9e6) == pytest.approx(6.9e6)
+        assert transverse_mode_frequency(111, 6.9e6) == \
+            pytest.approx(20.7e6)
 
     def test_arbitrary_family_interpolates(self):
-        assert transverse_mode_frequency(10) == pytest.approx(10 / 37 * 6.9e6)
+        assert transverse_mode_frequency(10, 6.9e6) == \
+            pytest.approx(10 / 37 * 6.9e6)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            transverse_mode_frequency(-5)
+            transverse_mode_frequency(-5, 6.9e6)
 
