@@ -322,7 +322,8 @@ def cmd_shift_scan(args) -> int:
         "vary": args.vary, "min": repr(args.min), "max": repr(args.max),
         "step": repr(args.step)})
     _attach_calibration(meta, calib, cfg)
-    fit = {"slope_" + unit: repr(scan.slope), "intercept_hz": repr(scan.intercept)}
+    fit = {"slope_" + unit: repr(scan.slope), "intercept_hz":
+           "" if scan.intercept is None else repr(scan.intercept)}
     if vary == "b_offset_magnitude":
         fit["measured_slope_hz_per_gauss"] = repr(MEASURED_ZEEMAN_SLOPE_HZ_PER_G)
         fit["note"] = ("model slope follows the Lande factor; the measured "

@@ -650,7 +650,7 @@ class OptimumScan:
     vary: str
     points: tuple                # of ScanOptimum
     slope: float                 # d(opt)/dx of the primary fitted relation
-    intercept: float
+    intercept: float | None      # None: below the fit's resolution
 
     @property
     def valid_points(self):
@@ -764,14 +764,26 @@ def _line_fit(xs, ys) -> tuple:
     Its squares overflow beyond about 1e154 and underflow below 1e-154, so
     xs and ys past 2**+-400 are first divided, exactly, by a power of two
     near their largest magnitude.  PhysicsError when the line overflows.
+
+    The intercept is sum(w * ys) with the least-squares weights
+    w = 1/n - mean(xs) (xs - mean(xs)) / sum((xs - mean(xs))**2), so a
+    rounding of n ulp(max |ys|) in the fitted values moves it by up to
+    sum(|w|) times that.  An intercept no larger is noise, and None is
+    returned for it.
     """
     sx, sy = (math.ldexp(1.0, e) if abs(e) >= 400 else 1.0 for e in
               (math.frexp(float(np.max(np.abs(v))))[1] for v in (xs, ys)))
-    slope, intercept = np.polyfit(xs / sx, ys / sy, 1)
+    u = xs / sx
+    slope, intercept = np.polyfit(u, ys / sy, 1)
     slope, intercept = float(slope) / sx * sy, float(intercept) * sy
     if not (math.isfinite(slope) and math.isfinite(intercept)):
         raise PhysicsError(f"the fitted line overflows: slope {slope!r}, "
                            f"intercept {intercept!r}")
+    d = u - u.mean()
+    w = 1.0 / u.size - u.mean() * d / np.sum(d * d)
+    noise = u.size * math.ulp(float(np.max(np.abs(ys))))
+    if abs(intercept) <= float(np.sum(np.abs(w))) * noise:
+        return slope, None
     return slope, intercept
 
 
@@ -827,4 +839,4 @@ def optimum_scan(vary: str, values, op: OperatingPoint, system: LaserSystem,
         slope, intercept = _line_fit(xs, ys)
     else:
         slope, intercept = math.nan, math.nan
-    return OptimumScan(vary, tuple(points), float(slope), float(intercept))
+    return OptimumScan(vary, tuple(points), slope, intercept)

@@ -117,11 +117,12 @@ class CorrelationResult:
     total_pairs: int
 
 
-# Thermal synthesis peaks at about 28 bytes per sample (the complex noise,
-# the intensity and the recursion's slabs), so this many samples need about
-# 1.4 GB.  The largest trace of the benchmark workloads and the tests is
-# 6.7e6 samples (g2 at 2 s with tau_c = 3 us).  A longer one is refused
-# before anything is allocated.
+# Thermal synthesis peaks at about 24.5 bytes per sample (the two real noise
+# components, the intensity and the recursion's slab buffers; ru_maxrss at
+# 1e6 and 4e6 samples), so this many samples need about 1.2 GB.  The
+# largest trace of the benchmark workloads and the tests is 6.7e6 samples
+# (g2 at 2 s with tau_c = 3 us).  A longer one is refused before anything
+# is allocated.
 MAX_SAMPLES = 50_000_000
 
 
@@ -190,29 +191,36 @@ def simulate_intensity(regime: str, mean_rate: float, coherence_time: float,
         a = np.exp(-sample_period / coherence_time)
         sigma_field = np.sqrt(mean_rate)
         # exact AR(1) update of the complex field, stationary start; the
-        # noise is (g_re + 1j g_im) * scale, built in place component by
-        # component with the same bits
+        # noise (g_re + 1j g_im) * scale is held as its real and imaginary
+        # parts, each scaled in place with the same bits
         scale = sigma_field * np.sqrt((1.0 - a * a) / 2.0)
-        noise = np.empty(n, complex)
-        g = rng.standard_normal(n)
-        np.multiply(g, scale, out=noise.real)
-        rng.standard_normal(out=g)
-        np.multiply(g, scale, out=noise.imag)
-        del g
+        re = rng.standard_normal(n)
+        re *= scale
+        im = rng.standard_normal(n)
+        im *= scale
         start = (rng.standard_normal() + 1j * rng.standard_normal()) \
             * (sigma_field / np.sqrt(2.0))
-        samples = _ar1_power(noise, a, start)
+        samples = _ar1_power(re, im, a, start)
+        # freed before IntensityTrace's check takes n bytes more
+        del re, im
     return IntensityTrace(sample_period, samples, regime)
 
 
-# The blocked AR(1) recursion runs about this many blocks side by side and
-# transposes this many steps of them at a time.
+# The blocked AR(1) recursion runs about this many blocks side by side.
 _AR1_BLOCKS = 4096
-_AR1_SLAB = 128
+# It advances them by slabs of _AR1_TILE_STEPS steps, each filled, and its
+# |y|^2 drained, in tiles of this many blocks by this many steps: one tile's
+# source rows stay within TLB reach, and a slab of all the blocks (2 MB
+# complex at 4096) within the second-level cache.  Tiles of 96 to 256
+# blocks by 24 to 64 steps ran alike; tiles of all 4096 blocks ran about
+# twice as long.
+_AR1_TILE_BLOCKS = 256
+_AR1_TILE_STEPS = 32
 
 
 def _ar1_layout(n: int, a: float) -> tuple:
-    """(warm, block length) of :func:`_ar1` for ``n`` samples and pole ``a``.
+    """(warm, block length) of :func:`_ar1_power` for ``n`` samples and
+    pole ``a``.
 
     A warm-up of ``warm`` steps shrinks the state it starts from by
     a**warm <= 2**-64, far below the rounding of the state it converges to.
@@ -221,16 +229,16 @@ def _ar1_layout(n: int, a: float) -> tuple:
     return warm, max(4 * warm, -(-n // _AR1_BLOCKS))
 
 
-def _ar1_serial(x, a, state) -> np.ndarray:
+def _ar1_serial(re, im, a, state) -> np.ndarray:
     """y[k] = x[k] + a * y[k - 1] from the complex ``state`` = y[-1], one
-    step at a time, for a contiguous complex ``x``; returns y."""
+    step at a time, for x = re + 1j im; returns y."""
     a = float(a)
-    re, im = state.real, state.imag
+    yr, yi = state.real, state.imag
     res = []
-    for xr, xi in x.view(np.float64).reshape(-1, 2).tolist():
-        re = xr + a * re
-        im = xi + a * im
-        res.append(complex(re, im))
+    for xr, xi in zip(re.tolist(), im.tolist()):
+        yr = xr + a * yr
+        yi = xi + a * yi
+        res.append(complex(yr, yi))
     return np.array(res, complex)
 
 
@@ -246,65 +254,81 @@ def _same(u: float, v: float) -> bool:
     return u == v and math.copysign(1.0, u) == math.copysign(1.0, v)
 
 
-def _ar1_redo(x, p, a, guess, state):
-    """Recompute block ``x`` from its true entering ``state`` next to the
-    chain the main pass ran from ``guess``, until the two meet, and
+def _ar1_redo(re, im, p, a, guess, state):
+    """Recompute block x = re + 1j im from its true entering ``state`` next
+    to the chain the main pass ran from ``guess``, until the two meet, and
     rewrite |y|^2 in ``p`` over the prefix where they differ.
 
     Returns the true state leaving the block if the chains never meet, and
     None if they do: the main pass's values from there on are exact.
     """
     a = float(a)
-    re, im = state.real, state.imag
+    yr, yi = state.real, state.imag
     gr, gi = guess.real, guess.imag
     res = []
-    for xr, xi in x.view(np.float64).reshape(-1, 2).tolist():
-        re = xr + a * re
-        im = xi + a * im
+    for xr, xi in zip(re.tolist(), im.tolist()):
+        yr = xr + a * yr
+        yi = xi + a * yi
         gr = xr + a * gr
         gi = xi + a * gi
-        if _same(re, gr) and _same(im, gi):
+        if _same(yr, gr) and _same(yi, gi):
             break
-        res.append(complex(re, im))
+        res.append(complex(yr, yi))
     if res:
         _power(np.array(res, complex), p[:len(res)])
-    return complex(re, im) if len(res) == x.size else None
+    return complex(yr, yi) if len(res) == re.size else None
 
 
-def _ar1_advance(x2, a, state, power=None):
-    """The state after the steps of the complex (blocks, steps) array
-    ``x2``, from ``state``, the float64 view of one complex state per block
-    (not written to); |y|^2 after each step goes to ``power`` if given.
+def _ar1_advance(re2, im2, a, state, power=None):
+    """The state after the steps of the (blocks, steps) arrays ``re2`` and
+    ``im2``, the real and imaginary parts of x, from ``state``, the float64
+    view of one complex state per block (not written to); |y|^2 after each
+    step goes to ``power`` if given.
 
-    Each slab of steps is transposed so that one step of every block is
-    one contiguous row; the recursion then runs in place over its float64
-    view, and the slab's |y|^2, taken while it is in cache, is written
-    back transposed.
+    Each slab of steps is gathered, tile by tile, into one complex buffer,
+    reused for every slab, in which one step of every block is one
+    contiguous row; the recursion then runs in place over its float64
+    view, and the slab's |y|^2, taken while it is in cache, is written back
+    through the same tiles.
     """
+    blocks, steps = re2.shape
+    tiles = [slice(b, b + _AR1_TILE_BLOCKS)
+             for b in range(0, blocks, _AR1_TILE_BLOCKS)]
+    buffer = np.empty((_AR1_TILE_STEPS, blocks), complex)
+    mag = np.empty(buffer.shape)
     tmp = np.empty_like(state)
-    for k0 in range(0, x2.shape[1], _AR1_SLAB):
-        # a copy even when the transpose is contiguous: x2 stays untouched
-        slab = x2[:, k0:k0 + _AR1_SLAB].T.copy()
+    for k0 in range(0, steps, _AR1_TILE_STEPS):
+        k = slice(k0, k0 + _AR1_TILE_STEPS)
+        slab = buffer[:min(_AR1_TILE_STEPS, steps - k0)]
+        for b in tiles:
+            slab.real[:, b] = re2[b, k].T
+            slab.imag[:, b] = im2[b, k].T
         for row in slab.view(np.float64):
             np.multiply(state, a, out=tmp)
             np.add(row, tmp, out=row)
             state = row
+        # the next slab overwrites the buffer
         state = state.copy()
         if power is not None:
-            mag = np.empty(slab.shape)
-            _power(slab, mag)
-            power[:, k0:k0 + _AR1_SLAB] = mag.T
+            m = mag[:len(slab)]
+            _power(slab, m)
+            for b in tiles:
+                power[b, k] = m[:, b].T
     return state
 
 
-def _ar1_power(x: np.ndarray, a: float, start: complex) -> np.ndarray:
+def _ar1_power(re: np.ndarray, im: np.ndarray, a: float,
+               start: complex) -> np.ndarray:
     """|y|^2 for y[k] = x[k] + a * y[k - 1] with y[-1] = ``start``, per
-    real component, for a contiguous complex128 ``x``; y is never stored.
+    real component, for x = re + 1j im held as two float64 arrays; neither
+    x nor y is ever stored as a complex array of their length.
 
     y is the recursion scipy.signal.lfilter([1], [1, -a], x,
     zi=[a * start]) computes, with the same roundings, so the result equals
     np.abs(lfilter(...)) ** 2 bit for bit.  The samples are split into
-    blocks run side by side as one vector.  Each block after the first
+    blocks run side by side as one vector, advanced by slabs of steps that
+    are filled from ``re`` and ``im`` in tiles (see :func:`_ar1_advance`).
+    Each block after the first
     starts from a warm-up run from zero over the previous block's last
     ``warm`` samples (see :func:`_ar1_layout`).  The blocks are then checked
     in order: a block whose warm-up state differs in any bit from the true
@@ -314,20 +338,21 @@ def _ar1_power(x: np.ndarray, a: float, start: complex) -> np.ndarray:
     induction every sample is exact.  Inputs shorter than two blocks, and
     the samples after the last whole block, run serially.
     """
-    n = x.size
+    n = re.size
     p = np.empty(n)
     warm, length = _ar1_layout(n, a)
     blocks = n // length
     if blocks < 2:
-        _power(_ar1_serial(x, a, complex(start)), p)
+        _power(_ar1_serial(re, im, a, complex(start)), p)
         return p
     end = blocks * length
-    x2, p2 = x[:end].reshape(blocks, length), p[:end].reshape(blocks, length)
+    re2, im2, p2 = (v[:end].reshape(blocks, length) for v in (re, im, p))
     starts = np.empty(blocks, complex)
     starts[0] = start
+    tail = slice(length - warm, None)
     starts.view(np.float64)[2:] = _ar1_advance(
-        x2[:-1, length - warm:], a, np.zeros(2 * (blocks - 1)))
-    ends = _ar1_advance(x2, a, starts.view(np.float64), power=p2)
+        re2[:-1, tail], im2[:-1, tail], a, np.zeros(2 * (blocks - 1)))
+    ends = _ar1_advance(re2, im2, a, starts.view(np.float64), power=p2)
     bad = (starts[1:].view(np.uint64) != ends[:-2].view(np.uint64)) \
         .reshape(-1, 2).any(axis=1).tolist()
     ends = ends.view(complex).tolist()
@@ -335,12 +360,12 @@ def _ar1_power(x: np.ndarray, a: float, start: complex) -> np.ndarray:
     state, changed = ends[0], False
     for j in range(1, blocks):
         if changed or bad[j - 1]:
-            lo = j * length
-            true_end = _ar1_redo(x[lo:lo + length], p[lo:lo + length], a,
+            block = slice(j * length, (j + 1) * length)
+            true_end = _ar1_redo(re[block], im[block], p[block], a,
                                  starts[j], state)
             changed = true_end is not None
         state = true_end if changed else ends[j]
-    _power(_ar1_serial(x[end:], a, state), p[end:])
+    _power(_ar1_serial(re[end:], im[end:], a, state), p[end:])
     return p
 
 

@@ -12,6 +12,8 @@ stands for the cells of its ``tolist()``.  Every cell gets the bytes of
 
 - a column whose cells are all floats or ``None`` goes through
   ``format_e17``, in one call for all such columns of the table;
+- an int64 array of at least ``_SMALL`` non-negative values is written
+  with ``format_e17``'s three-digit words, its leading zeros padded;
 - any other column is written cell by cell with ``format_cell``, or for
   an integer array with ``str`` of its ``tolist()`` ints;
 - the columns are laid side by side in one byte array padded with 0xFF, a
@@ -196,11 +198,35 @@ def _float_cells(column):
     return list(column)
 
 
+def _count_block(v) -> np.ndarray:
+    """str of each value of the non-negative int64 array v, as rows of
+    ASCII padded with 0xFF: "ddd" words of its base-1000 digits, the
+    leading zeros but the last digit turned into padding."""
+    groups, rest = [], v
+    while True:
+        rest, low = np.divmod(rest, 1000)
+        groups.append(low)
+        if not rest.any():
+            break
+    words = _digit_words()[1000 + np.stack(groups[::-1], axis=1)]
+    block = words.view(np.uint8).reshape(v.size, -1)
+    lead = np.logical_and.accumulate((block == ord("0")) | (block == _PAD),
+                                     axis=1)
+    lead[:, -2] = False                 # the last digit, before its pad
+    block[lead] = _PAD
+    return block
+
+
 def _text_block(cells) -> np.ndarray:
     """format_cell of each cell as rows of UTF-8, padded with 0xFF; the
     cells of an integer array are their str."""
-    texts = (map(str, cells.tolist()) if isinstance(cells, np.ndarray)
-             else map(format_cell, cells))
+    if isinstance(cells, np.ndarray):
+        if (cells.dtype == np.int64 and cells.size >= _SMALL
+                and cells.min() >= 0):
+            return _count_block(cells)
+        texts = map(str, cells.tolist())
+    else:
+        texts = map(format_cell, cells)
     encoded = list(map(str.encode, texts))
     lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
     width = max(int(lengths.max()), 1)

@@ -920,13 +920,17 @@ def test_non_finite_extra_b_exit_code(workdir, capsys, field):
 
 def test_shift_scan_near_the_float_limit(workdir, capsys):
     # x**2 overflows in the slope fit: the trap-detuning scan still fits
-    # its unit slope, and a field whose square overflows is refused
+    # its unit slope, and a field whose square overflows is refused.  The
+    # ~5 MHz intercept is far below the ulp of the optima, so it is left
+    # empty, with no other key in its place.
     calibrated(workdir)
     argv = ["--min", "1e300", "--max", "2e300", "--step", "1e300"]
     assert run("shift-scan", "--vary", "mot_detuning", *argv) == 0
     fit = parse_metadata(
         (workdir / "shift_scan.csv.meta.txt").read_text())["fit"]
     assert float(fit["slope_hz_per_hz"]) == pytest.approx(1.0, rel=1e-12)
+    assert fit == {"slope_hz_per_hz": fit["slope_hz_per_hz"],
+                   "intercept_hz": ""}
     capsys.readouterr()
     assert run("--out", "b.csv", "shift-scan", "--vary", "b_offset",
                *argv) == 3

@@ -791,12 +791,13 @@ class TestOptimumScan:
     def test_trap_detuning_scan_near_the_float_limit(self, system, op,
                                                      calib):
         # the cavity optimum is the trap detuning to the last bit up
-        # there, so the fitted slope is 1 although x**2 overflows
+        # there, so the fitted slope is 1 although x**2 overflows, and the
+        # intercept is below the optima's rounding
         scan = optimum_scan("mot_detuning", np.array([1e300, 2e300]), op,
                             system, calib)
         assert [p.cavity_opt for p in scan.points] == [1e300, 2e300]
         assert scan.slope == pytest.approx(1.0, rel=1e-12)
-        assert np.isfinite(scan.intercept)
+        assert scan.intercept is None
 
     def test_negative_lande_factor_mirrors_the_field_scan(self, system, op,
                                                           calib):
@@ -838,6 +839,15 @@ class TestLineFit:
         slope, intercept = gain._line_fit(xs, np.array([5.0, 6.0, 7.0]))
         assert slope * scale == pytest.approx(1.0, rel=1e-12)
         assert intercept == pytest.approx(4.0, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e300])
+    def test_intercept_below_the_rounding_is_unresolved(self, scale):
+        # the intercept of a line through the origin is rounding noise;
+        # one of 1e-10 of the fitted values is resolved
+        xs = np.array([1.0, 2.0, 3.0]) * scale
+        assert gain._line_fit(xs, 2.0 * xs)[1] is None
+        assert gain._line_fit(xs, 2.0 * xs + 1e-10 * scale)[1] == \
+            pytest.approx(1e-10 * scale, rel=1e-3)
 
     def test_overflowing_slope_refused(self):
         with pytest.raises(PhysicsError, match="overflows"):

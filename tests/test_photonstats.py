@@ -134,11 +134,29 @@ class TestAr1:
         for n in (1, length + 3, 2 * length - 1, 2 * length,
                   7 * length + 5):
             x = _noise(n, n)
-            kept = x.copy()
-            got = ps._ar1_power(x, a, 0.7 - 1.3j)
+            re, im = x.real.copy(), x.imag.copy()
+            got = ps._ar1_power(re, im, a, 0.7 - 1.3j)
             want = _lfilter_power(x, a, 0.7 - 1.3j)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-            assert np.array_equal(x, kept)
+            assert np.array_equal(re, x.real) and np.array_equal(im, x.imag)
+
+    @pytest.mark.parametrize("tile", [(3, 5), (2, 4), (7, 89)])
+    def test_partial_tiles(self, monkeypatch, tile):
+        # tiles small enough that the blocks end in a partial tile or a
+        # whole one, and the steps of the warm-up (89) and of the main
+        # pass (356) in a partial slab or a whole one
+        monkeypatch.setattr(ps, "_AR1_TILE_BLOCKS", tile[0])
+        monkeypatch.setattr(ps, "_AR1_TILE_STEPS", tile[1])
+        a = np.exp(-0.5)
+        warm, length = ps._ar1_layout(1, a)
+        assert (warm, length) == (89, 356)
+        for n in (6 * length + 3, 7 * length):
+            x = _noise(n, n)
+            re, im = x.real.copy(), x.imag.copy()
+            got = ps._ar1_power(re, im, a, 0.7 - 1.3j)
+            want = _lfilter_power(x, a, 0.7 - 1.3j)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(re, x.real) and np.array_equal(im, x.imag)
 
     def test_equals_lfilter_at_4096_blocks(self):
         # long enough that the block length follows n, not the warm-up
@@ -146,8 +164,10 @@ class TestAr1:
         n = 1_500_007
         warm, length = ps._ar1_layout(n, a)
         assert length > 4 * warm and n // length == 4087
+        # the last tile of blocks and the last slab of steps are partial
+        assert 4087 % ps._AR1_TILE_BLOCKS and length % ps._AR1_TILE_STEPS
         x = _noise(n, 11) * 1e3
-        got = ps._ar1_power(x, a, 1.0 + 2.0j)
+        got = ps._ar1_power(x.real.copy(), x.imag.copy(), a, 1.0 + 2.0j)
         want = _lfilter_power(x, a, 1.0 + 2.0j)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -173,7 +193,7 @@ class TestAr1:
             return true_end
 
         monkeypatch.setattr(ps, "_ar1_redo", counted)
-        got = ps._ar1_power(x, a, 0.5 + 0.5j)
+        got = ps._ar1_power(x.real.copy(), x.imag.copy(), a, 0.5 + 0.5j)
         want = _lfilter_power(x, a, 0.5 + 0.5j)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         # whole blocks changed, then one met the stored chain part way
@@ -222,17 +242,20 @@ def test_traces_and_clicks_match_pinned_digests(case):
 
 
 def test_thermal_synthesis_peak_memory_per_sample():
-    # the stored noise (16 B/sample) and the intensity (8 B/sample) plus
-    # the recursion's slabs; full-length complex temporaries took 41
-    n = 2_000_000
+    # the two real noise components and the intensity (8 B/sample each),
+    # plus one slab buffer of under 2 MB; a complex noise array took 26.9
+    # and full-length complex temporaries 41
+    n = 1_000_000
     tracemalloc.start()
     try:
         tr = simulate_intensity("thermal", 2e5, 3e-6, n * 3e-7, 3e-7, seed=1)
+        synthesis = tracemalloc.get_traced_memory()[1]
         poissonize(tr, seed=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert tr.samples.size == n
+    assert synthesis <= 24 * n + 2_000_000
     assert peak / n < 30.0
 
 

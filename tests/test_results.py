@@ -186,3 +186,33 @@ def test_columns_write_the_bytes_of_their_rows():
         columns.set_columns(x, counts, y)
     with pytest.raises(ValueError):
         columns.set_columns(x, counts, y, labels[:-1])
+
+
+def _count_lines(values) -> list:
+    """The column's cells as the CSV writer writes them, one per line."""
+    table = ScanResultTable(["n"])
+    table.set_columns(np.asarray(values, np.int64))
+    return table.csv_text().split("\n")[1:-1]
+
+
+def _assert_counts_match_str(values):
+    # repeated up to the size at which the digit words take over
+    values = np.tile(np.asarray(values, np.int64),
+                     -(-results._SMALL // len(values)))
+    assert _count_lines(values) == list(map(str, values.tolist()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=50))
+def test_count_column_matches_str_on_hypothesis_ints(values):
+    _assert_counts_match_str(values)
+
+
+def test_count_column_matches_str_at_powers_of_ten():
+    powers = [10**k for k in range(19)]
+    _assert_counts_match_str(sorted({0, 1, 2**63 - 1, *powers,
+                                     *(p - 1 for p in powers),
+                                     *(p + 1 for p in powers)}))
+    # a column of zeros, and one with a negative value, which str writes
+    _assert_counts_match_str([0])
+    _assert_counts_match_str([5, -1, 2**63 - 1, -2**63])
