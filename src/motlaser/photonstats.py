@@ -295,7 +295,7 @@ def _ar1_advance(re2, im2, a, state, power=None):
     tiles = [slice(b, b + _AR1_TILE_BLOCKS)
              for b in range(0, blocks, _AR1_TILE_BLOCKS)]
     buffer = np.empty((_AR1_TILE_STEPS, blocks), complex)
-    mag = np.empty(buffer.shape)
+    mag = None if power is None else np.empty(buffer.shape)
     tmp = np.empty_like(state)
     for k0 in range(0, steps, _AR1_TILE_STEPS):
         k = slice(k0, k0 + _AR1_TILE_STEPS)

@@ -12,8 +12,8 @@ stands for the cells of its ``tolist()``.  Every cell gets the bytes of
 
 - a column whose cells are all floats or ``None`` goes through
   ``format_e17``, in one call for all such columns of the table;
-- an int64 array of at least ``_SMALL`` non-negative values is written
-  with ``format_e17``'s three-digit words, its leading zeros padded;
+- an int64 array of non-negative values is written with ``format_e17``'s
+  three-digit words, its leading zeros padded;
 - any other column is written cell by cell with ``format_cell``, or for
   an integer array with ``str`` of its ``tolist()`` ints;
 - the columns are laid side by side in one byte array padded with 0xFF, a
@@ -221,8 +221,7 @@ def _text_block(cells) -> np.ndarray:
     """format_cell of each cell as rows of UTF-8, padded with 0xFF; the
     cells of an integer array are their str."""
     if isinstance(cells, np.ndarray):
-        if (cells.dtype == np.int64 and cells.size >= _SMALL
-                and cells.min() >= 0):
+        if cells.dtype == np.int64 and cells.min() >= 0:
             return _count_block(cells)
         texts = map(str, cells.tolist())
     else:

@@ -241,11 +241,9 @@ def test_traces_and_clicks_match_pinned_digests(case):
     assert got == _PINNED[case]
 
 
-def test_thermal_synthesis_peak_memory_per_sample():
-    # the two real noise components and the intensity (8 B/sample each),
-    # plus one slab buffer of under 2 MB; a complex noise array took 26.9
-    # and full-length complex temporaries 41
-    n = 1_000_000
+def _thermal_peaks(n):
+    """tracemalloc's peak after a thermal synthesis of n samples, and
+    after poissonize of it too."""
     tracemalloc.start()
     try:
         tr = simulate_intensity("thermal", 2e5, 3e-6, n * 3e-7, 3e-7, seed=1)
@@ -255,6 +253,25 @@ def test_thermal_synthesis_peak_memory_per_sample():
     finally:
         tracemalloc.stop()
     assert tr.samples.size == n
+    return synthesis, peak
+
+
+def test_thermal_synthesis_peak_memory_per_sample():
+    # the two real noise components and the intensity (8 B/sample each),
+    # plus the slab buffers, under 2 MB; a complex noise array took 26.9
+    # and full-length complex temporaries 41.  poissonize draws this
+    # trace in more than one chunk.
+    n = 2_000_000
+    assert ps._POISSON_CHUNK < n
+    synthesis, peak = _thermal_peaks(n)
+    assert synthesis <= 24 * n + 2_000_000
+    assert peak / n < 30.0
+
+
+def test_thermal_synthesis_peak_memory_at_1e6_samples():
+    # one poissonize chunk holds this whole trace
+    n = 1_000_000
+    synthesis, peak = _thermal_peaks(n)
     assert synthesis <= 24 * n + 2_000_000
     assert peak / n < 30.0
 

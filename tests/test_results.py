@@ -196,10 +196,7 @@ def _count_lines(values) -> list:
 
 
 def _assert_counts_match_str(values):
-    # repeated up to the size at which the digit words take over
-    values = np.tile(np.asarray(values, np.int64),
-                     -(-results._SMALL // len(values)))
-    assert _count_lines(values) == list(map(str, values.tolist()))
+    assert _count_lines(values) == list(map(str, values))
 
 
 @settings(max_examples=200, deadline=None)
