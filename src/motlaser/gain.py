@@ -179,18 +179,16 @@ def _lorentzian(delta_hz, fwhm_rad: float):
 
 
 class _GainKernel:
-    """The gain model over arrays of its four scan variables: the pump and
-    cavity detunings, the pump power and the atom number.
+    """The gain model over arrays of the pump detuning, the two-photon
+    :meth:`detuning`, the pump power and the atom number.
 
-    The factors that depend on none of them are computed once here: per
-    family the coupling C_N and frequency offset, per channel the
-    polarization weight w_m, the Zeeman shift and E_m.  :meth:`channel_gains`
-    then broadcasts the drive w_m * s_pump, rho_ee, the atom-number
-    prefactor and the two-photon Lorentzian over any arrays of the four.
-    The products keep the operand order of the formula in the module
-    docstring, so an element of a scan equals the same point evaluated
-    alone, bit for bit.  Families are kept sorted and distinct, the order
-    in which the steady state sums them.
+    Per family the coupling C_N and frequency offset (:attr:`offsets`), per
+    channel w_m, the Zeeman shift and E_m are computed once here.  Axis 0
+    of every array argument is the family axis, of length 1 (shared) or
+    one row per family; the other axes broadcast behind it.  The products
+    keep the operand order of the module docstring's formula, so an
+    element of a scan equals the same point evaluated alone, bit for bit.
+    Families are sorted and distinct, the order the steady state sums.
     """
 
     def __init__(self, op: OperatingPoint, families, system: LaserSystem,
@@ -199,63 +197,69 @@ class _GainKernel:
         self._op, self._system, self._calib = op, system, calib
         b = np.asarray(op.b_offset, float)
         b_mag = _field_magnitude(b)
-        self._weights = geometry.pump_excitation_weights(
-            op.pump_polarization, b)
+        self._weights = np.array(geometry.pump_excitation_weights(
+            op.pump_polarization, b))
         self._i_sat = atomics.saturation_intensity(system.green)
-        self._channels = []
-        for m in SUBLEVELS:
-            shift = atomics.zeeman_shift(system.green.lande_g_upper, m, b_mag)
-            _, strength = geometry.cavity_emission_jones(m, b)
-            self._channels.append((shift, strength))
-        self._families = []
-        for n in self.families:
-            coupling = geometry.family_coupling(system.ensemble,
-                                                system.cavity, n)
-            offset = geometry.transverse_mode_frequency(
-                n, system.cavity.family_spacing)
-            self._families.append((coupling, offset))
+        self._shifts = np.array([atomics.zeeman_shift(
+            system.green.lande_g_upper, m, b_mag) for m in SUBLEVELS])
+        self._strengths = np.array([geometry.cavity_emission_jones(m, b)[1]
+                                    for m in SUBLEVELS])
+        self._couplings = np.array([geometry.family_coupling(
+            system.ensemble, system.cavity, n) for n in self.families])
+        self.offsets = np.array([geometry.transverse_mode_frequency(
+            n, system.cavity.family_spacing) for n in self.families])
         self._doppler = system.pump_doppler_sigma()
 
-    def channel_gains(self, pump, cavity, pump_power, atoms) -> list:
-        """Gain rates (m = -1, 0, +1) of each family, 1/s, broadcast over
-        the four scan variables."""
+    def _aligned(self, args, channel_axis: int) -> tuple:
+        """``args``, each array as (family, [channel,] its other axes
+        right-aligned), and the number of axes after the family axis."""
+        dims = [getattr(a, "ndim", 0) for a in args]
+        ndim = max(1, *dims) - 1 + channel_axis
+        if any(d and len(a) not in (1, len(self.families))
+               for a, d in zip(args, dims)):
+            raise ValueError(f"a family axis has a length other than 1 or "
+                             f"{len(self.families)}")
+        return [a.reshape(a.shape[:1] + (1,) * (1 + ndim - d) + a.shape[1:])
+                if d else a for a, d in zip(args, dims)], ndim
+
+    def detuning(self, pump, cavity):
+        """Two-photon detuning delta_c,N - delta_p - delta_mot - resonance
+        offset per family, Hz; one that overflows is beyond any line."""
+        (pump, cavity), ndim = self._aligned((pump, cavity), 0)
+        offset = self.offsets.reshape((-1,) + (1,) * ndim)
+        with np.errstate(over="ignore"):
+            return (cavity + offset - pump - self._op.mot_detuning
+                    - self._calib.resonance_offset)
+
+    def channel_gains(self, pump, delta, pump_power, atoms) -> np.ndarray:
+        """Gain rates, 1/s, of shape (family, m = -1, 0, +1, ...)."""
         op, system, calib = self._op, self._system, self._calib
+        (pump, delta, pump_power, atoms), ndim = self._aligned(
+            (pump, delta, pump_power, atoms), 1)
+        family, channel = (-1,) + (1,) * ndim, (1, -1) + (1,) * (ndim - 1)
         linewidth = system.green.linewidth
         s_pump = atomics.saturation_parameter(pump_power, system.pump_waist,
                                               self._i_sat)
-        rho = [atomics.excited_population(pump - shift, w * s_pump,
-                                          linewidth, self._doppler)
-               for w, (shift, _) in zip(self._weights, self._channels)]
-        out = []
-        g_sq = system.cavity.single_atom_coupling**2
-        for coupling, offset in self._families:
-            prefactor = calib.gain_scale * atoms * coupling * g_sq
-            delta_two_photon = (cavity + offset - pump - op.mot_detuning
-                                - calib.resonance_offset)
-            lorentz = _lorentzian(delta_two_photon, system.broad_linewidth)
-            out.append([prefactor * r * strength * op.mot_saturation
-                        * lorentz / linewidth
-                        for r, (_, strength) in zip(rho, self._channels)])
-        return out
+        rho = atomics.excited_population(
+            pump - self._shifts.reshape(channel),
+            self._weights.reshape(channel) * s_pump, linewidth, self._doppler)
+        prefactor = (calib.gain_scale * atoms * self._couplings.reshape(family)
+                     * system.cavity.single_atom_coupling**2)
+        lorentz = _lorentzian(delta, system.broad_linewidth)
+        return (prefactor * rho * self._strengths.reshape(channel)
+                * op.mot_saturation * lorentz / linewidth)
 
-    def gains(self, pump, cavity, pump_power, atoms) -> np.ndarray:
-        """Total gain per family, stacked along axis 0 of the broadcast
-        shape; the channels are summed m = -1, 0, +1."""
-        shape = np.broadcast(pump, cavity, pump_power, atoms).shape
-        out = np.empty((len(self.families),) + shape)
-        for k, (g_minus, g_zero, g_plus) in enumerate(
-                self.channel_gains(pump, cavity, pump_power, atoms)):
-            out[k] = g_minus + g_zero + g_plus
-        return out
+    def gains(self, pump, delta, pump_power, atoms) -> np.ndarray:
+        """Total gain, (family, ...): the channels summed m = -1, 0, +1."""
+        c = self.channel_gains(pump, delta, pump_power, atoms)
+        return c[:, 0] + c[:, 1] + c[:, 2]
 
-    def solve(self, pump, cavity, pump_power, atoms):
-        """Gains, per-family photon numbers and solved mask, broadcast
-        over the four scan variables."""
+    def solve(self, pump, delta, pump_power, atoms):
+        """Gains, per-family photon numbers and solved mask.  A detuning
+        whose square overflows (beyond any line) gives rho_ee and L 0."""
         kappa = self._system.cavity.kappa
-        # a detuning whose square overflows (far beyond any line) gives the
-        # excited population and the two-photon Lorentzian their limit, 0
         with np.errstate(over="ignore"):
-            g = self.gains(pump, cavity, pump_power, atoms)
+            g = self.gains(pump, delta, pump_power, atoms)
         s_tot = _saturation(g, kappa, self._calib.n_sat)
         return g, _photons(g, s_tot, kappa), ~np.isnan(s_tot)
 
@@ -267,8 +271,9 @@ def mode_gain(op: OperatingPoint, family: int, system: LaserSystem,
     Raises :class:`QuantizationAxisError` when the offset field is zero.
     """
     kernel = _GainKernel(op, (family,), system, calib)
-    rates = kernel.channel_gains(op.pump_detuning, op.cavity_detuning,
-                                 op.pump_power, op.total_atoms)[0]
+    delta = kernel.detuning(op.pump_detuning, op.cavity_detuning)
+    rates = kernel.channel_gains(op.pump_detuning, delta, op.pump_power,
+                                 op.total_atoms)[0]
     return GainBreakdown(family, dict(zip(SUBLEVELS, map(float, rates))))
 
 
@@ -374,14 +379,14 @@ def threshold_scan(vary: str, values, op: OperatingPoint, families,
     if np.any(x < 0):
         raise ValueError(f"{vary} must be >= 0")
     if vary == "atoms":
-        pump_power, atoms = op.pump_power, x
+        pump_power, atoms = op.pump_power, x[None]
     elif vary == "pump_power":
-        pump_power, atoms = x, op.total_atoms
+        pump_power, atoms = x[None], op.total_atoms
     else:
         raise ValueError("vary must be 'atoms' or 'pump_power'")
     kernel = _GainKernel(op, families, system, calib)
-    g, n, ok = kernel.solve(op.pump_detuning, op.cavity_detuning,
-                            pump_power, atoms)
+    g, n, ok = kernel.solve(op.pump_detuning, kernel.detuning(
+        op.pump_detuning, op.cavity_detuning), pump_power, atoms)
     if not ok.all():
         raise SolverError("saturation fixed point not found")
     thresholds = _thresholds(kernel, vary, op, system.cavity.kappa)
@@ -470,14 +475,14 @@ def _thresholds(kernel: _GainKernel, vary: str, op: OperatingPoint,
     G is linear in the atom number: the atom threshold is kappa / G(1 atom).
     The pump threshold is the P with G(P) >= kappa > G(the float below P).
     The int64 views of the positive floats rise with their values, so each
-    round probes 63 of them per family in one kernel call, from the
-    interval (0 W, inf) down to adjacent floats in about 11 rounds: the
+    round probes 63 of them per family in one kernel call on a (family, 63)
+    array, from (0 W, inf) down to adjacent floats in about 11 rounds: the
     bits depend on the computed gain alone.  Zero gain, gain saturating
     below the loss and NaN gain (the drive overflows) never reach kappa.
     """
+    delta = kernel.detuning(op.pump_detuning, op.cavity_detuning)
     if vary == "atoms":
-        unit = kernel.gains(op.pump_detuning, op.cavity_detuning,
-                            op.pump_power, 1.0)
+        unit = kernel.gains(op.pump_detuning, delta, op.pump_power, 1.0)
         with np.errstate(divide="ignore"):
             return np.where(unit > 0.0, kappa / unit, math.inf)
     rows, steps = np.arange(len(kernel.families)), np.arange(1, 64)
@@ -488,9 +493,9 @@ def _thresholds(kernel: _GainKernel, vary: str, op: OperatingPoint,
             width = (hi - lo)[:, None]
             probes = (lo[:, None] + (width >> 6) * steps
                       + ((width & 63) * steps >> 6))
-            g = kernel.gains(op.pump_detuning, op.cavity_detuning,
-                             probes.view(np.float64), op.total_atoms)
-            reached = g[rows, rows] >= kappa
+            reached = kernel.gains(op.pump_detuning, delta,
+                                   probes.view(np.float64),
+                                   op.total_atoms) >= kappa
             # index in [lo, probes..., hi] of the first value reaching
             # kappa (hi if no probe does); the value before it stays below
             first = np.where(reached.any(axis=1), reached.argmax(axis=1),
@@ -623,19 +628,17 @@ def detuning_map(op: OperatingPoint, system: LaserSystem,
     cav = np.asarray(cavity_detunings, float)
     kappa = system.cavity.kappa
     kernel = _GainKernel(op, families, system, calib)
-    g, n, ok = kernel.solve(pump[:, None], cav[None, :], op.pump_power,
-                            op.total_atoms)
-    total = np.zeros((pump.size, cav.size))
-    fam_p, fam_las = {}, {}
-    for name, g_k, n_k in zip(kernel.families, g, n):
-        fam_p[name] = output_power(n_k, system.cavity, system.green.wavelength)
-        fam_las[name] = ok & (g_k >= kappa)
-        total = total + fam_p[name]
-    lasing = ok & np.any(g >= kappa, axis=0)
-    return DetuningMap(pump, cav, total,
-                       {name: fam_p[name] for name in families},
-                       {name: fam_las[name] for name in families},
-                       lasing, ok)
+    dp = pump[None, :, None]
+    g, n, ok = kernel.solve(dp, kernel.detuning(dp, cav[None, None, :]),
+                            op.pump_power, op.total_atoms)
+    powers = dict(zip(kernel.families, output_power(
+        n, system.cavity, system.green.wavelength)))
+    above = dict(zip(kernel.families, ok & (g >= kappa)))
+    return DetuningMap(pump, cav,
+                       sum(powers.values(), np.zeros((pump.size, cav.size))),
+                       {name: powers[name] for name in families},
+                       {name: above[name] for name in families},
+                       ok & np.any(g >= kappa, axis=0), ok)
 
 
 @dataclass(frozen=True)
@@ -735,19 +738,15 @@ def _fminbound(func, lo: float, hi: float, xatol: float) -> float:
 
 def _ridge_optimum(op, system, calib, family, pump_lo, pump_hi):
     """Pump and cavity detunings of one family's gain maximum on the
-    two-photon ridge, or (None, None) when no coarse pump point lases."""
+    two-photon ridge, where the two-photon detuning is exactly zero at any
+    field, or (None, None) when no coarse pump point lases."""
     kernel = _GainKernel(op, (family,), system, calib)
-    offset = kernel._families[0][1]
-
-    def ridge(dp):
-        return (two_photon_resonance(dp, op.mot_detuning)
-                + calib.resonance_offset - offset)
 
     def gain_at(dp):
-        return kernel.gains(dp, ridge(dp), op.pump_power, op.total_atoms)[0]
+        return kernel.gains(dp, 0.0, op.pump_power, op.total_atoms)[0]
 
     dps = np.linspace(pump_lo, pump_hi, _COARSE)
-    g = gain_at(dps)
+    g = gain_at(dps[None])
     if not np.any(g >= system.cavity.kappa):
         return None, None
     dp = dps[np.argmax(g)]
@@ -755,7 +754,8 @@ def _ridge_optimum(op, system, calib, family, pump_lo, pump_hi):
     dp = float(_fminbound(lambda x: -float(gain_at(x)),
                           max(pump_lo, dp - 2 * span),
                           min(pump_hi, dp + 2 * span), xatol=1.0))
-    return dp, float(ridge(dp))
+    return dp, float(two_photon_resonance(dp, op.mot_detuning)
+                     + calib.resonance_offset - kernel.offsets[0])
 
 
 def _line_fit(xs, ys) -> tuple:
@@ -801,10 +801,10 @@ def optimum_scan(vary: str, values, op: OperatingPoint, system: LaserSystem,
     Lorentzian, so at any pump detuning G peaks on the ridge delta_c =
     delta_p + delta_mot + resonance_offset - offset_N; and one family's
     photon number rises with G (dn/dG > 0 from (G/(1 + n/n_sat) - kappa) n
-    + G = 0).  So each point evaluates G on the ridge at ``_COARSE`` pumps
-    in [Zeeman/4, 5 Zeeman/2 + 2 MHz], lases if any reaches kappa, and
-    refines the best by one bounded Brent search of -G; no photon number
-    is solved.  A negative Zeeman shift mirrors the interval.
+    + G = 0).  So each point evaluates G at a zero two-photon detuning at
+    ``_COARSE`` pumps in [Zeeman/4, 5 Zeeman/2 + 2 MHz], lases if any
+    reaches kappa, and refines the best by one bounded Brent search of -G;
+    no photon number is solved.  A negative Zeeman shift mirrors it.
     """
     b0 = np.asarray(op.b_offset, float)
     if vary == "b_offset_magnitude":

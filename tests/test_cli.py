@@ -403,6 +403,25 @@ class TestShiftScanCommand:
             pytest.approx(2.10e6, rel=0.01)
         assert float(meta["fit"]["measured_slope_hz_per_gauss"]) == 1.6e6
 
+    @pytest.mark.parametrize("lo,hi,step", [("1e20", "2e20", "1e20"),
+                                            ("1e100", "3e100", "1e100")])
+    def test_field_scan_lases_at_high_fields(self, workdir, lo, hi, step):
+        # the sigma+ lobe lases at any field: the ridge is evaluated at an
+        # exact zero two-photon detuning, not rebuilt from the pump detuning
+        calibrated(workdir)
+        assert run("shift-scan", "--vary", "b_offset", "--min", lo,
+                   "--max", hi, "--step", step) == 0
+        lines = (workdir / "shift_scan.csv").read_text().splitlines()[1:]
+        assert len(lines) == round(float(hi) / float(step))
+        assert all(line.split(",")[1] != "" for line in lines)
+        meta = parse_metadata((workdir / "shift_scan.csv.meta.txt").read_text())
+        slope = float(meta["fit"]["slope_hz_per_gauss"])
+        assert np.isfinite(slope)
+        assert slope == pytest.approx(
+            gain.atomics.zeeman_shift(
+                default_config().system().green.lande_g_upper, 1, 1.0),
+            rel=1e-12)
+
     def test_empty_range_usage_error(self, workdir):
         calibrated(workdir)
         assert run("shift-scan", "--vary", "mot_detuning", "--min=-20MHz",

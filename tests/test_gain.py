@@ -40,6 +40,13 @@ KAPPA = CFG.cavity().kappa
 FAMILIES = (0, 37, 74, 111)
 
 
+def kernel_gains(kernel, pump, cavity, pump_power, atoms):
+    """A gain kernel's family gains at absolute pump and cavity detunings;
+    axis 0 of each array argument is the family axis."""
+    return kernel.gains(pump, kernel.detuning(pump, cavity), pump_power,
+                        atoms)
+
+
 # ---------------------------------------------------------------------------
 # Two-photon resonance
 # ---------------------------------------------------------------------------
@@ -126,23 +133,43 @@ class TestModeGain:
     def test_kernel_at_new_pump_power_bit_for_bit(self, system, op, calib):
         # one kernel takes the pump power as an argument: each power, alone
         # or broadcast as an axis, equals a kernel built at that power
-        pump = np.linspace(-10e6, 10e6, 21)[:, None]
-        cavity = np.linspace(-60e6, 0.0, 31)[None, :]
+        pump = np.linspace(-10e6, 10e6, 21)[None, :, None]
+        cavity = np.linspace(-60e6, 0.0, 31)[None, None, :]
         powers = (0.0, 3e-6, 4e-3, 0.2)
         base = gain._GainKernel(op, (0, 37), system, calib)
-        stacked = base.gains(pump[None], cavity[None],
-                             np.array(powers)[:, None, None], op.total_atoms)
+        stacked = kernel_gains(base, pump[:, None], cavity[:, None],
+                               np.array(powers)[None, :, None, None],
+                               op.total_atoms)
         for k, power in enumerate(powers):
             at = replace(op, pump_power=power)
             fresh = gain._GainKernel(at, (0, 37), system, calib)
-            want = fresh.gains(pump, cavity, at.pump_power, at.total_atoms)
+            want = kernel_gains(fresh, pump, cavity, at.pump_power,
+                                at.total_atoms)
             assert np.array_equal(
-                base.gains(pump, cavity, power, op.total_atoms), want)
+                kernel_gains(base, pump, cavity, power, op.total_atoms), want)
             assert np.array_equal(stacked[:, k], want)
         with pytest.raises(ValueError):
-            base.gains(pump, cavity, -1e-3, op.total_atoms)
+            kernel_gains(base, pump, cavity, -1e-3, op.total_atoms)
         with pytest.raises(ValueError):
-            base.gains(pump, cavity, np.array([1e-3, -1e-3]), op.total_atoms)
+            kernel_gains(base, pump, cavity, np.array([[1e-3, -1e-3]]),
+                         op.total_atoms)
+
+    def test_kernel_rejects_a_foreign_family_axis(self, system, op, calib):
+        # axis 0 of a scan argument is the family axis: one row serves
+        # every family, one row per family serves each its own, and any
+        # other length is an error rather than a silent broadcast
+        kernel = gain._GainKernel(op, (0, 37), system, calib)
+        powers = np.array([[1e-3], [2e-3]])
+        own = kernel_gains(kernel, 0.0, -35e6, powers, op.total_atoms)
+        assert own.shape == (2, 1)
+        for row, power in enumerate(powers[:, 0]):
+            assert own[row, 0] == kernel_gains(
+                kernel, 0.0, -35e6, power, op.total_atoms)[row]
+        for bad in (np.zeros(3), np.zeros((3, 5))):
+            with pytest.raises(ValueError, match="family axis"):
+                kernel.gains(0.0, 0.0, bad, op.total_atoms)
+            with pytest.raises(ValueError, match="family axis"):
+                kernel.detuning(bad, -35e6)
 
     def test_gain_vanishes_far_from_resonance(self, system, op, calib):
         far = replace(op, cavity_detuning=op.cavity_detuning + 5e9)
@@ -318,12 +345,31 @@ class TestThresholds:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(gain.atomics, "excited_population",
                       lambda d, s, *args: np.where(s > 0.0, 0.5, 0.0))
-            saturated = kernel.gains(pump, op.cavity_detuning, 1.0, atoms)
+            saturated = kernel_gains(kernel, pump, op.cavity_detuning, 1.0,
+                                     atoms)
         for n, g_sat in zip(kernel.families, saturated):
             if g_sat < KAPPA * (1 - 1e-6):
                 assert thresholds[n] == np.inf
             elif g_sat > KAPPA * (1 + 1e-6):
                 assert np.isfinite(thresholds[n])
+
+    def test_pump_search_evaluates_each_family_at_its_own_probes(
+            self, system, op, calib, monkeypatch):
+        # each round evaluates a (family, 63) probe array, one gain per
+        # family and probe, not every family at every family's probes
+        kernel = gain._GainKernel(op, FAMILIES, system, calib)
+        sizes = []
+        real = gain._GainKernel.gains
+
+        def counted(self, *args):
+            g = real(self, *args)
+            sizes.append(np.size(g))
+            return g
+
+        monkeypatch.setattr(gain._GainKernel, "gains", counted)
+        gain._thresholds(kernel, "pump_power", op, KAPPA)
+        assert 5 <= len(sizes) <= 64
+        assert sizes == [len(FAMILIES) * 63] * len(sizes)
 
     def test_atom_threshold_outside_range(self, system, op, calib):
         anchor = gain.reference_operating_point(
@@ -735,8 +781,9 @@ class TestOptimumScan:
             kernel = gain._GainKernel(cell, (0,), system, calib)
 
             def grid_max(pumps, cavities):
-                g = kernel.gains(pumps[:, None], cavities[None, :],
-                                 cell.pump_power, cell.total_atoms)[0]
+                g = kernel_gains(kernel, pumps[None, :, None],
+                                 cavities[None, None, :], cell.pump_power,
+                                 cell.total_atoms)[0]
                 i, j = np.unravel_index(np.argmax(g), g.shape)
                 return g[i, j], pumps[i], cavities[j]
 
@@ -747,8 +794,8 @@ class TestOptimumScan:
             fine, _, _ = grid_max(
                 np.linspace(dp - dp_step, dp + dp_step, 201),
                 np.linspace(dc - dc_step, dc + dc_step, 201))
-            found = kernel.gains(p.pump_opt, p.cavity_opt, cell.pump_power,
-                                 cell.total_atoms)[0]
+            found = kernel_gains(kernel, p.pump_opt, p.cavity_opt,
+                                 cell.pump_power, cell.total_atoms)[0]
             assert found >= max(coarse, fine) * (1.0 - 1e-9)
 
     @pytest.mark.parametrize("family,offset", [(0, 0.0), (37, 0.0),
@@ -767,7 +814,8 @@ class TestOptimumScan:
             # and the gain does fall off the ridge on either side
             cell = replace(op, mot_detuning=p.x)
             kernel = gain._GainKernel(cell, (family,), system, shifted)
-            g = kernel.gains(p.pump_opt, ridge + np.array([-1e3, 0.0, 1e3]),
+            g = kernel_gains(kernel, p.pump_opt,
+                             ridge + np.array([[-1e3, 0.0, 1e3]]),
                              cell.pump_power, cell.total_atoms)[0]
             assert g[1] > g[0] and g[1] > g[2]
 
@@ -787,6 +835,21 @@ class TestOptimumScan:
         scan = optimum_scan(*CRITERION_SCANS[1], op, system, calib)
         assert len(scan.valid_points) == len(CRITERION_SCANS[1][1])
         assert calls["saturation"] == 0
+
+    @pytest.mark.parametrize("lo,count", [(1e20, 2), (1e100, 3)],
+                             ids=["1e20", "1e100"])
+    def test_field_scan_lases_at_high_fields(self, system, op, calib, lo,
+                                             count):
+        # the ridge is evaluated at an exact zero two-photon detuning, so
+        # the sigma+ lobe lases although the pump detuning's ulp far
+        # exceeds the trap detuning, and the optima follow the Zeeman line.
+        # The points are the CLI's for --min lo --step lo; at exactly 3e100
+        # G no coarse pump rounds onto the Zeeman shift and the point is dark
+        scan = optimum_scan("b_offset_magnitude", lo + lo * np.arange(count),
+                            op, system, calib)
+        assert all(p.pump_opt is not None for p in scan.points)
+        assert scan.slope == pytest.approx(gain.atomics.zeeman_shift(
+            system.green.lande_g_upper, 1, 1.0), rel=1e-12)
 
     def test_trap_detuning_scan_near_the_float_limit(self, system, op,
                                                      calib):
