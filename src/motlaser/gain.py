@@ -736,24 +736,38 @@ def _fminbound(func, lo: float, hi: float, xatol: float) -> float:
     return xf
 
 
-def _ridge_optimum(op, system, calib, family, pump_lo, pump_hi):
+def _ridge_optimum(op, system, calib, family, zeeman):
     """Pump and cavity detunings of one family's gain maximum on the
     two-photon ridge, where the two-photon detuning is exactly zero at any
-    field, or (None, None) when no coarse pump point lases."""
+    field, searched from the pumps in [zeeman/4, 5 zeeman/2 + 2 MHz] about
+    the sigma+ Zeeman shift ``zeeman``, or (None, None) when neither a
+    coarse pump point nor the shift itself lases."""
     kernel = _GainKernel(op, (family,), system, calib)
 
     def gain_at(dp):
         return kernel.gains(dp, 0.0, op.pump_power, op.total_atoms)[0]
 
+    pump_lo, pump_hi = sorted(
+        (0.25 * zeeman, 2.5 * zeeman + math.copysign(2e6, zeeman)))
     dps = np.linspace(pump_lo, pump_hi, _COARSE)
     g = gain_at(dps[None])
-    if not np.any(g >= system.cavity.kappa):
-        return None, None
-    dp = dps[np.argmax(g)]
+    if np.any(g >= system.cavity.kappa):
+        start = float(dps[np.argmax(g)])
+        best = g.max()
+    else:
+        # once an ulp of the shift exceeds the power-broadened line, only
+        # a coarse pump that rounds onto the shift would see it lase
+        start, best = zeeman, gain_at(zeeman)
+        if not best >= system.cavity.kappa:
+            return None, None
     span = (pump_hi - pump_lo) / (_COARSE - 1)
     dp = float(_fminbound(lambda x: -float(gain_at(x)),
-                          max(pump_lo, dp - 2 * span),
-                          min(pump_hi, dp + 2 * span), xatol=1.0))
+                          max(pump_lo, start - 2 * span),
+                          min(pump_hi, start + 2 * span), xatol=1.0))
+    # Brent never evaluates its start, and its steps of at least
+    # sqrt(eps) |x| can all miss a line narrower than that
+    if gain_at(dp) < best:
+        dp = start
     return dp, float(two_photon_resonance(dp, op.mot_detuning)
                      + calib.resonance_offset - kernel.offsets[0])
 
@@ -803,8 +817,10 @@ def optimum_scan(vary: str, values, op: OperatingPoint, system: LaserSystem,
     photon number rises with G (dn/dG > 0 from (G/(1 + n/n_sat) - kappa) n
     + G = 0).  So each point evaluates G at a zero two-photon detuning at
     ``_COARSE`` pumps in [Zeeman/4, 5 Zeeman/2 + 2 MHz], lases if any
-    reaches kappa, and refines the best by one bounded Brent search of -G;
-    no photon number is solved.  A negative Zeeman shift mirrors it.
+    reaches kappa, or else if G at the Zeeman shift itself does, and
+    refines the best by one bounded Brent search of -G, kept only where it
+    finds a higher G; no photon number is solved.  A negative Zeeman shift
+    mirrors it.
     """
     b0 = np.asarray(op.b_offset, float)
     if vary == "b_offset_magnitude":
@@ -827,8 +843,7 @@ def optimum_scan(vary: str, values, op: OperatingPoint, system: LaserSystem,
         cell = make(float(x))
         b_mag = _field_magnitude(cell.b_offset)
         zeeman = atomics.zeeman_shift(g_upper, 1, b_mag)
-        dp, dc = _ridge_optimum(cell, system, calib, family, *sorted(
-            (0.25 * zeeman, 2.5 * zeeman + math.copysign(2e6, zeeman))))
+        dp, dc = _ridge_optimum(cell, system, calib, family, zeeman)
         points.append(ScanOptimum(float(x), dp, dc))
 
     good = [p for p in points if p.pump_opt is not None]

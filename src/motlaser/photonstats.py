@@ -74,7 +74,9 @@ class IntensityTrace:
             raise ValueError("sample_period must be positive")
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
-        if np.any(self.samples < 0):
+        # skips NaN as np.any(samples < 0) does, without building a mask
+        # of the trace's length
+        if np.fmin.reduce(self.samples, initial=0.0) < 0:
             raise ValueError("intensity samples must be >= 0")
 
     @property
@@ -117,13 +119,19 @@ class CorrelationResult:
     total_pairs: int
 
 
-# Thermal synthesis peaks at about 24.5 bytes per sample (the two real noise
-# components, the intensity and the recursion's slab buffers; ru_maxrss at
-# 1e6 and 4e6 samples), so this many samples need about 1.2 GB.  The
-# largest trace of the benchmark workloads and the tests is 6.7e6 samples
-# (g2 at 2 s with tau_c = 3 us).  A longer one is refused before anything
-# is allocated.
+# Thermal synthesis holds the real noise, which the intensity overwrites
+# (8 bytes per sample), and two chunk buffers (16.8 MB, see
+# _thermal_power); ru_maxrss grew by 8.0 bytes per sample from 1e7 to 2e7
+# samples and was 454 MB at this cap, 36 MB of it the interpreter and
+# imports.  The largest trace of the benchmark workloads and the tests is
+# 6.7e6 samples (g2 at 2 s with tau_c = 3 us).  A longer one is refused
+# before anything is allocated.
 MAX_SAMPLES = 50_000_000
+
+
+# The thermal synthesis draws and filters the imaginary noise, and
+# poissonize draws the counts, of this many samples at a time
+_POISSON_CHUNK = 1 << 20
 
 
 def trace_samples(duration: float, sample_period: float) -> int:
@@ -158,6 +166,12 @@ def simulate_intensity(regime: str, mean_rate: float, coherence_time: float,
     times so the process is neither undersampled nor unconverged.  A
     rate that is not positive and finite, a negative ripple and a trace of
     more than :data:`MAX_SAMPLES` samples raise :class:`PhysicsError`.
+
+    The thermal field's imaginary noise is drawn and filtered in chunks,
+    its intensity written over the real noise; its stationary start,
+    drawn last, is fixed up over chunk 0's first block afterwards, or the
+    synthesis runs again with the start known (see :func:`_thermal_power`).
+    Every sample equals one run of the whole recursion bit for bit.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
@@ -187,23 +201,66 @@ def simulate_intensity(regime: str, mean_rate: float, coherence_time: float,
             raise PhysicsError(
                 f"duration {duration:g} too short for coherence time "
                 f"{coherence_time:g} (need >= 100 tau_c)")
-        rng = _rng(seed)
-        a = np.exp(-sample_period / coherence_time)
-        sigma_field = np.sqrt(mean_rate)
-        # exact AR(1) update of the complex field, stationary start; the
-        # noise (g_re + 1j g_im) * scale is held as its real and imaginary
-        # parts, each scaled in place with the same bits
-        scale = sigma_field * np.sqrt((1.0 - a * a) / 2.0)
-        re = rng.standard_normal(n)
-        re *= scale
-        im = rng.standard_normal(n)
-        im *= scale
-        start = (rng.standard_normal() + 1j * rng.standard_normal()) \
-            * (sigma_field / np.sqrt(2.0))
-        samples = _ar1_power(re, im, a, start)
-        # freed before IntensityTrace's check takes n bytes more
-        del re, im
+        samples = _thermal_power(
+            n, np.exp(-sample_period / coherence_time), np.sqrt(mean_rate),
+            seed)
     return IntensityTrace(sample_period, samples, regime)
+
+
+def _thermal_power(n: int, a: float, sigma_field: float, seed: int,
+                   start=None) -> np.ndarray:
+    """The thermal branch's n intensity samples: |y|^2 of the exact AR(1)
+    update y[k] = x[k] + a * y[k - 1] of the complex field, from the
+    stationary start y[-1] drawn after the noise x.
+
+    The noise (g_re + 1j g_im) * scale is held as its real and imaginary
+    parts, each scaled in place with the same bits.  The real part is
+    drawn whole; the imaginary part is drawn, and the recursion run by
+    :func:`_ar1_power`, one chunk of :data:`_POISSON_CHUNK` samples at a
+    time, each chunk from the exact state leaving the one before, and the
+    chunk's |y|^2 is written over its real noise.  So the synthesis holds
+    the real noise and two chunk buffers, about 8 bytes per sample (24 for
+    a trace of one chunk or less).
+
+    The start is drawn after the last chunk's noise, so chunk 0 runs from
+    y[-1] = 0 and keeps a copy of its first block's noise; once the start
+    is drawn, :func:`_ar1_restart` walks that block from it next to the
+    chain from 0 and rewrites |y|^2 where the two differ.  The chains
+    differ by a**k * start after k steps, and a block spans at least four
+    warm-ups of 2**-64 each (see :func:`_ar1_layout`), so they meet within
+    it unless |y| stays far below |start| throughout.  If they still
+    differ after the block and the trace is longer, the synthesis runs
+    again from a fresh generator with the start known, so every sample is
+    exact.
+    """
+    rng = _rng(seed)
+    scale = sigma_field * np.sqrt((1.0 - a * a) / 2.0)
+    re = rng.standard_normal(n)
+    re *= scale
+    im = np.empty(min(n, _POISSON_CHUNK))
+    p = np.empty_like(im)
+    state = 0j if start is None else start
+    for i0 in range(0, n, _POISSON_CHUNK):
+        x = re[i0:i0 + _POISSON_CHUNK]
+        y = im[:x.size]
+        rng.standard_normal(out=y)
+        y *= scale
+        state = _ar1_power(x, y, a, state, p[:x.size])
+        if i0 == 0 and start is None:
+            block = slice(_ar1_layout(x.size, a)[1])
+            head = x[block].copy(), y[block].copy()
+        x[:] = p[:x.size]
+    if start is not None:
+        return re
+    # the views too, so that a rerun finds only the intensity held
+    del x, y, im, p
+    start = (rng.standard_normal() + 1j * rng.standard_normal()) \
+        * (sigma_field / np.sqrt(2.0))
+    met = _ar1_restart(*head, re[:head[0].size], a, start)
+    if met or head[0].size == n:
+        return re
+    del re, head
+    return _thermal_power(n, a, sigma_field, seed, start)
 
 
 # The blocked AR(1) recursion runs about this many blocks side by side.
@@ -229,9 +286,10 @@ def _ar1_layout(n: int, a: float) -> tuple:
     return warm, max(4 * warm, -(-n // _AR1_BLOCKS))
 
 
-def _ar1_serial(re, im, a, state) -> np.ndarray:
+def _ar1_serial(re, im, a, state, out) -> complex:
     """y[k] = x[k] + a * y[k - 1] from the complex ``state`` = y[-1], one
-    step at a time, for x = re + 1j im; returns y."""
+    step at a time, for x = re + 1j im; writes |y|^2 to ``out`` and returns
+    the state leaving the last step."""
     a = float(a)
     yr, yi = state.real, state.imag
     res = []
@@ -239,7 +297,8 @@ def _ar1_serial(re, im, a, state) -> np.ndarray:
         yr = xr + a * yr
         yi = xi + a * yi
         res.append(complex(yr, yi))
-    return np.array(res, complex)
+    _power(np.array(res, complex), out)
+    return complex(yr, yi)
 
 
 def _power(y, out) -> None:
@@ -277,6 +336,13 @@ def _ar1_redo(re, im, p, a, guess, state):
     if res:
         _power(np.array(res, complex), p[:len(res)])
     return complex(yr, yi) if len(res) == re.size else None
+
+
+def _ar1_restart(re, im, p, a, start) -> bool:
+    """Rewrite |y|^2 in ``p``, run over x = re + 1j im from y[-1] = 0,
+    for y[-1] = ``start`` over the prefix where the two chains differ;
+    False if they still differ after the last sample."""
+    return _ar1_redo(re, im, p, a, 0j, start) is None
 
 
 def _ar1_advance(re2, im2, a, state, power=None):
@@ -317,15 +383,19 @@ def _ar1_advance(re2, im2, a, state, power=None):
     return state
 
 
-def _ar1_power(re: np.ndarray, im: np.ndarray, a: float,
-               start: complex) -> np.ndarray:
+def _ar1_power(re: np.ndarray, im: np.ndarray, a: float, start: complex,
+               out: np.ndarray) -> complex:
     """|y|^2 for y[k] = x[k] + a * y[k - 1] with y[-1] = ``start``, per
-    real component, for x = re + 1j im held as two float64 arrays; neither
-    x nor y is ever stored as a complex array of their length.
+    real component, for x = re + 1j im held as two float64 arrays, written
+    to ``out``; returns the state y[-1] leaving the last sample.  Neither x
+    nor y is ever stored as a complex array of their length, and ``re``
+    and ``im`` are only read.
 
     y is the recursion scipy.signal.lfilter([1], [1, -a], x,
     zi=[a * start]) computes, with the same roundings, so the result equals
-    np.abs(lfilter(...)) ** 2 bit for bit.  The samples are split into
+    np.abs(lfilter(...)) ** 2 bit for bit, and a trace run in pieces, each
+    from the state leaving the one before, equals one run of the whole.
+    The samples are split into
     blocks run side by side as one vector, advanced by slabs of steps that
     are filled from ``re`` and ``im`` in tiles (see :func:`_ar1_advance`).
     Each block after the first
@@ -339,14 +409,12 @@ def _ar1_power(re: np.ndarray, im: np.ndarray, a: float,
     the samples after the last whole block, run serially.
     """
     n = re.size
-    p = np.empty(n)
     warm, length = _ar1_layout(n, a)
     blocks = n // length
     if blocks < 2:
-        _power(_ar1_serial(re, im, a, complex(start)), p)
-        return p
+        return _ar1_serial(re, im, a, complex(start), out)
     end = blocks * length
-    re2, im2, p2 = (v[:end].reshape(blocks, length) for v in (re, im, p))
+    re2, im2, p2 = (v[:end].reshape(blocks, length) for v in (re, im, out))
     starts = np.empty(blocks, complex)
     starts[0] = start
     tail = slice(length - warm, None)
@@ -361,16 +429,12 @@ def _ar1_power(re: np.ndarray, im: np.ndarray, a: float,
     for j in range(1, blocks):
         if changed or bad[j - 1]:
             block = slice(j * length, (j + 1) * length)
-            true_end = _ar1_redo(re[block], im[block], p[block], a,
+            true_end = _ar1_redo(re[block], im[block], out[block], a,
                                  starts[j], state)
             changed = true_end is not None
         state = true_end if changed else ends[j]
-    _power(_ar1_serial(re[end:], im[end:], a, state), p[end:])
-    return p
+    return _ar1_serial(re[end:], im[end:], a, state, out[end:])
 
-
-# poissonize draws the counts of this many samples at a time
-_POISSON_CHUNK = 1 << 20
 
 # Clicks peak at about 30 bytes each (their times, the routing draws and
 # the two streams), so this many clicks need about 1.5 GB.  Criterion 7

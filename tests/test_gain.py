@@ -738,6 +738,20 @@ def _zeeman_and_center(system, cell):
     return zeeman, two_photon_resonance(zeeman, cell.mot_detuning)
 
 
+def _field_optima_lase(system, op, calib, scan):
+    """Every point of a field scan has an optimum at which its family's
+    gain on the ridge reaches kappa."""
+    for p in scan.points:
+        if p.pump_opt is None:
+            return False
+        cell = _scan_cell(op, "b_offset_magnitude", p.x)
+        kernel = gain._GainKernel(cell, (0,), system, calib)
+        if not kernel.gains(p.pump_opt, 0.0, cell.pump_power,
+                            cell.total_atoms)[0] >= KAPPA:
+            return False
+    return True
+
+
 class TestOptimumScan:
     def test_trap_detuning_slope_unity(self, system, op, calib):
         scan = optimum_scan("mot_detuning", np.array([-40e6, -30e6, -20e6]),
@@ -843,11 +857,25 @@ class TestOptimumScan:
         # the ridge is evaluated at an exact zero two-photon detuning, so
         # the sigma+ lobe lases although the pump detuning's ulp far
         # exceeds the trap detuning, and the optima follow the Zeeman line.
-        # The points are the CLI's for --min lo --step lo; at exactly 3e100
-        # G no coarse pump rounds onto the Zeeman shift and the point is dark
+        # The points are the CLI's for --min lo --step lo.  Brent's steps
+        # all miss the line there, so the optimum is the coarse pump
         scan = optimum_scan("b_offset_magnitude", lo + lo * np.arange(count),
                             op, system, calib)
-        assert all(p.pump_opt is not None for p in scan.points)
+        assert _field_optima_lase(system, op, calib, scan)
+        assert scan.slope == pytest.approx(gain.atomics.zeeman_shift(
+            system.green.lande_g_upper, 1, 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("fields", [(3e16, 6e16),
+                                        (3e100, 2.9999999999999998e150)],
+                             ids=["3e16", "3e100"])
+    def test_field_scan_lases_where_no_coarse_pump_meets_the_line(
+            self, system, op, calib, fields):
+        # an ulp of the Zeeman shift far exceeds the power-broadened line
+        # here, and no coarse pump rounds onto the shift; the shift itself
+        # lases (G/kappa = 3.954) and the search refines from it
+        scan = optimum_scan("b_offset_magnitude", np.array(fields), op,
+                            system, calib)
+        assert _field_optima_lase(system, op, calib, scan)
         assert scan.slope == pytest.approx(gain.atomics.zeeman_shift(
             system.green.lande_g_upper, 1, 1.0), rel=1e-12)
 

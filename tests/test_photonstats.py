@@ -110,11 +110,29 @@ class TestSimulateIntensity:
             IntensityTrace(1e-3, -np.ones(3), "poisson")
 
 
+def _lfilter(x, a, start):
+    # the oracle: scipy's direct-form filter with the stationary start
+    return lfilter([1.0], [1.0, -a], x, zi=np.array([a * start]))[0]
+
+
 def _lfilter_power(x, a, start):
-    # the oracle: |y|^2 of scipy's direct-form filter with the stationary
-    # start
-    y = lfilter([1.0], [1.0, -a], x, zi=np.array([a * start]))[0]
-    return np.abs(y) ** 2
+    return np.abs(_lfilter(x, a, start)) ** 2
+
+
+def _ar1_power(re, im, a, start):
+    # |y|^2 and the state leaving the last sample
+    out = np.empty(re.size)
+    return out, ps._ar1_power(re, im, a, start, out)
+
+
+def _thermal_oracle(n, a, mean_rate, seed):
+    # simulate_intensity's thermal branch, rebuilt on lfilter
+    rng = ps._rng(seed)
+    noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
+        * (np.sqrt(mean_rate) * np.sqrt((1.0 - a * a) / 2.0))
+    start = (rng.standard_normal() + 1j * rng.standard_normal()) \
+        * (np.sqrt(mean_rate) / np.sqrt(2.0))
+    return _lfilter_power(noise, a, start)
 
 
 def _noise(n, seed):
@@ -135,9 +153,12 @@ class TestAr1:
                   7 * length + 5):
             x = _noise(n, n)
             re, im = x.real.copy(), x.imag.copy()
-            got = ps._ar1_power(re, im, a, 0.7 - 1.3j)
-            want = _lfilter_power(x, a, 0.7 - 1.3j)
+            got, end = _ar1_power(re, im, a, 0.7 - 1.3j)
+            y = _lfilter(x, a, 0.7 - 1.3j)
+            want = np.abs(y) ** 2
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(np.array([end]).view(np.uint64),
+                                  y[-1:].view(np.uint64))
             assert np.array_equal(re, x.real) and np.array_equal(im, x.imag)
 
     @pytest.mark.parametrize("tile", [(3, 5), (2, 4), (7, 89)])
@@ -153,7 +174,7 @@ class TestAr1:
         for n in (6 * length + 3, 7 * length):
             x = _noise(n, n)
             re, im = x.real.copy(), x.imag.copy()
-            got = ps._ar1_power(re, im, a, 0.7 - 1.3j)
+            got, _ = _ar1_power(re, im, a, 0.7 - 1.3j)
             want = _lfilter_power(x, a, 0.7 - 1.3j)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
             assert np.array_equal(re, x.real) and np.array_equal(im, x.imag)
@@ -167,7 +188,7 @@ class TestAr1:
         # the last tile of blocks and the last slab of steps are partial
         assert 4087 % ps._AR1_TILE_BLOCKS and length % ps._AR1_TILE_STEPS
         x = _noise(n, 11) * 1e3
-        got = ps._ar1_power(x.real.copy(), x.imag.copy(), a, 1.0 + 2.0j)
+        got, _ = _ar1_power(x.real.copy(), x.imag.copy(), a, 1.0 + 2.0j)
         want = _lfilter_power(x, a, 1.0 + 2.0j)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -193,24 +214,56 @@ class TestAr1:
             return true_end
 
         monkeypatch.setattr(ps, "_ar1_redo", counted)
-        got = ps._ar1_power(x.real.copy(), x.imag.copy(), a, 0.5 + 0.5j)
+        got, _ = _ar1_power(x.real.copy(), x.imag.copy(), a, 0.5 + 0.5j)
         want = _lfilter_power(x, a, 0.5 + 0.5j)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         # whole blocks changed, then one met the stored chain part way
         assert redone == [True, True, False]
 
     def test_thermal_trace_unchanged(self):
-        # simulate_intensity's thermal branch, rebuilt on lfilter
-        n, a, mean_rate = 100_000, np.exp(-1e-5 / 1e-4), 1e5
-        rng = ps._rng(8)
-        noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
-            * (np.sqrt(mean_rate) * np.sqrt((1.0 - a * a) / 2.0))
-        start = (rng.standard_normal() + 1j * rng.standard_normal()) \
-            * (np.sqrt(mean_rate) / np.sqrt(2.0))
-        want = _lfilter_power(noise, a, start)
-        got = simulate_intensity("thermal", mean_rate, 1e-4, 1.0, 1e-5,
+        want = _thermal_oracle(100_000, np.exp(-1e-5 / 1e-4), 1e5, 8)
+        got = simulate_intensity("thermal", 1e5, 1e-4, 1.0, 1e-5,
                                  seed=8).samples
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2 * 8192 + 5])
+    @pytest.mark.parametrize("restart_meets", [True, False],
+                             ids=["walk", "rerun"])
+    def test_thermal_trace_exact_at_chunk_edges(self, monkeypatch, extra,
+                                                restart_meets):
+        # chunks of 8192 samples, 4 blocks of 1776 and a serial tail each;
+        # the trace ends one sample short of a chunk, on one, one past it
+        # and 5 past the third.  With the walk from the drawn start forced
+        # to report that its chains never met, the synthesis runs again
+        # from a fresh generator with the start known.
+        chunk = 8192
+        monkeypatch.setattr(ps, "_POISSON_CHUNK", chunk)
+        n, mean_rate, seed = chunk + extra, 1e5, 9
+        a = np.exp(-1e-5 / 1e-4)
+        assert ps._ar1_layout(chunk, a)[1] * 4 < chunk
+        want = _thermal_oracle(n, a, mean_rate, seed)
+
+        generators, walks = [], []
+        real_rng, real_restart = ps._rng, ps._ar1_restart
+
+        def counted_rng(s):
+            generators.append(s)
+            return real_rng(s)
+
+        def restart(*args):
+            walks.append(real_restart(*args))
+            return walks[-1] and restart_meets
+
+        monkeypatch.setattr(ps, "_rng", counted_rng)
+        monkeypatch.setattr(ps, "_ar1_restart", restart)
+        got = simulate_intensity("thermal", mean_rate, 1e-4, n * 1e-5, 1e-5,
+                                 seed=seed).samples
+        assert got.size == n
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # the chains from 0 and from the start meet within chunk 0's first
+        # block; the rerun knows the start and walks nothing
+        assert walks == [True]
+        assert generators == [seed] * (1 if restart_meets else 2)
 
 
 # sha256 of the samples and of both detectors' timestamps, recorded before
@@ -274,6 +327,51 @@ def test_thermal_synthesis_peak_memory_at_1e6_samples():
     synthesis, peak = _thermal_peaks(n)
     assert synthesis <= 24 * n + 2_000_000
     assert peak / n < 30.0
+
+
+@pytest.mark.parametrize("rerun", [False, True], ids=["walk", "rerun"])
+def test_thermal_synthesis_holds_the_real_noise_and_two_chunks(monkeypatch,
+                                                               rerun):
+    # over 6 chunks of 2^15 samples (18 blocks each): the real noise, which
+    # becomes the intensity (8 B/sample), the imaginary noise's and the
+    # intensity's chunk buffers, and one chunk more for the copy of chunk
+    # 0's first block, the slab buffers and the serial tails' lists.  The
+    # three full-length arrays took 24 B/sample.  A rerun holds no more.
+    chunk = 1 << 15
+    monkeypatch.setattr(ps, "_POISSON_CHUNK", chunk)
+    if rerun:
+        walk = ps._ar1_restart
+        monkeypatch.setattr(ps, "_ar1_restart",
+                            lambda *args: walk(*args) and False)
+    assert ps._ar1_layout(chunk, np.exp(-0.1))[1] * 2 < chunk
+    n = 6 * chunk + 5
+    tracemalloc.start()
+    try:
+        tr = simulate_intensity("thermal", 2e5, 3e-6, n * 3e-7, 3e-7, seed=1)
+        synthesis = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.samples.size == n
+    assert synthesis <= 8 * n + 3 * 8 * chunk
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12, 2**40 + 7])
+def test_normal_stream_continues_across_calls(seed):
+    # the thermal synthesis draws the real noise whole, the imaginary noise
+    # a chunk at a time into one buffer, then two scalars for the start;
+    # numpy's compatibility policy does not promise that this is one stream
+    whole = ps._rng(seed)
+    want = np.concatenate([whole.standard_normal(10_007),
+                           [whole.standard_normal(), whole.standard_normal()]])
+    pieces = ps._rng(seed)
+    got = [pieces.standard_normal(3), pieces.standard_normal(1000)]
+    buffer = np.empty(4000)
+    for size in (4000, 1, 3000, 2003):
+        pieces.standard_normal(out=buffer[:size])
+        got.append(buffer[:size].copy())
+    got.append([pieces.standard_normal(), pieces.standard_normal()])
+    got = np.concatenate(got)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
