@@ -466,6 +466,8 @@ def cmd_g2(args) -> int:
         regime, args.rate, coherence, args.duration, sample_period=period,
         seed=seed, laser_ripple=cfg["laser_ripple"])
     det_a, det_b = photonstats.poissonize(trace, (seed + 1) % 2**64)
+    # the trace is the largest array of the run; nothing after needs it
+    del trace
     for stream in (det_a, det_b):
         if stream.timestamps.size == 0:
             raise PhysicsError(
@@ -504,6 +506,7 @@ def cmd_clicks(args) -> int:
         args.regime, args.rate, tau_c, args.duration, sample_period=period,
         seed=seed, laser_ripple=cfg["laser_ripple"])
     det_a, det_b = photonstats.poissonize(trace, (seed + 1) % 2**64)
+    del trace
     stored = []
     for stream, tag in ((det_a, "det0"), (det_b, "det1")):
         if args.format == "bin":

@@ -129,9 +129,15 @@ class CorrelationResult:
 MAX_SAMPLES = 50_000_000
 
 
-# The thermal synthesis draws and filters the imaginary noise, and
-# poissonize draws the counts, of this many samples at a time
-_POISSON_CHUNK = 1 << 20
+# The thermal synthesis draws and filters the imaginary noise about this
+# many samples at a time, in whole AR(1) blocks, and at least this many
+# blocks (see _thermal_chunk)
+_THERMAL_CHUNK = 1 << 20
+_THERMAL_MIN_BLOCKS = 16
+
+# poissonize draws the counts of this many samples at a time through one
+# rate buffer (512 KiB, within the second-level cache)
+_POISSON_CHUNK = 1 << 16
 
 
 def trace_samples(duration: float, sample_period: float) -> int:
@@ -216,11 +222,13 @@ def _thermal_power(n: int, a: float, sigma_field: float, seed: int,
     The noise (g_re + 1j g_im) * scale is held as its real and imaginary
     parts, each scaled in place with the same bits.  The real part is
     drawn whole; the imaginary part is drawn, and the recursion run by
-    :func:`_ar1_power`, one chunk of :data:`_POISSON_CHUNK` samples at a
+    :func:`_ar1_power`, one chunk of :func:`_thermal_chunk` samples at a
     time, each chunk from the exact state leaving the one before, and the
     chunk's |y|^2 is written over its real noise.  So the synthesis holds
     the real noise and two chunk buffers, about 8 bytes per sample (24 for
-    a trace of one chunk or less).
+    a trace of one chunk or less).  This is the peak of a ``g2`` or
+    ``clicks`` run: :func:`poissonize` holds less above the trace, and the
+    CLI releases the trace before the click files and the correlator.
 
     The start is drawn after the last chunk's noise, so chunk 0 runs from
     y[-1] = 0 and keeps a copy of its first block's noise; once the start
@@ -237,11 +245,12 @@ def _thermal_power(n: int, a: float, sigma_field: float, seed: int,
     scale = sigma_field * np.sqrt((1.0 - a * a) / 2.0)
     re = rng.standard_normal(n)
     re *= scale
-    im = np.empty(min(n, _POISSON_CHUNK))
+    chunk = _thermal_chunk(a)
+    im = np.empty(min(n, chunk))
     p = np.empty_like(im)
     state = 0j if start is None else start
-    for i0 in range(0, n, _POISSON_CHUNK):
-        x = re[i0:i0 + _POISSON_CHUNK]
+    for i0 in range(0, n, chunk):
+        x = re[i0:i0 + chunk]
         y = im[:x.size]
         rng.standard_normal(out=y)
         y *= scale
@@ -261,6 +270,16 @@ def _thermal_power(n: int, a: float, sigma_field: float, seed: int,
         return re
     del re, head
     return _thermal_power(n, a, sigma_field, seed, start)
+
+
+def _thermal_chunk(a: float) -> int:
+    """Samples per chunk of :func:`_thermal_power` for pole ``a``: a whole
+    number of the blocks :func:`_ar1_power` splits such a chunk into, about
+    :data:`_THERMAL_CHUNK` samples but at least :data:`_THERMAL_MIN_BLOCKS`
+    blocks.  So no chunk but the last runs a serial tail, and a pole near
+    one, whose blocks are long, still runs many blocks side by side."""
+    length = _ar1_layout(_THERMAL_CHUNK, a)[1]
+    return max(_THERMAL_CHUNK // length, _THERMAL_MIN_BLOCKS) * length
 
 
 # The blocked AR(1) recursion runs about this many blocks side by side.
@@ -436,9 +455,11 @@ def _ar1_power(re: np.ndarray, im: np.ndarray, a: float, start: complex,
     return _ar1_serial(re[end:], im[end:], a, state, out[end:])
 
 
-# Clicks peak at about 30 bytes each (their times, the routing draws and
-# the two streams), so this many clicks need about 1.5 GB.  Criterion 7
-# draws 1.1e7.  A trace that expects more is refused before any draw.
+# Above its trace, poissonize peaks at about 21 bytes per click (the
+# times, the routing mask, the two streams and np.compress's index of one):
+# ru_maxrss grew by 22.0 bytes per click from 1e7 to 2e7 clicks, so this
+# many clicks need about 1.1 GB.  Criterion 7 draws 1.1e7.  A trace that
+# expects more is refused before any draw.
 MAX_CLICKS = 50_000_000
 
 
@@ -451,6 +472,13 @@ def poissonize(trace: IntensityTrace, seed: int) -> tuple:
     float resolution) are dropped to keep streams strictly increasing.
     A trace whose expected click count exceeds :data:`MAX_CLICKS` raises
     :class:`PhysicsError`; the check draws nothing.
+
+    The counts are drawn through one rate buffer of :data:`_POISSON_CHUNK`
+    samples (see :func:`_slot_clicks`), and the click times are assembled
+    in one array of their length, the uniform offsets drawn
+    :data:`_POISSON_CHUNK` at a time.  So above the trace this holds about
+    1 MB and the bytes per click given at :data:`MAX_CLICKS`: less than a
+    thermal synthesis of the trace held (see :func:`_thermal_power`).
     """
     p = trace.sample_period
     expected = trace.samples.sum() * p
@@ -459,28 +487,49 @@ def poissonize(trace: IntensityTrace, seed: int) -> tuple:
             f"{expected:.3g} expected clicks exceed the cap of "
             f"{MAX_CLICKS:g} clicks per trace")
     rng = _rng(seed)
-    # the generator draws in sequence, so chunked calls give the stream of
-    # one call; only the slots with clicks are kept
-    slots, counts = [], []
-    for i0 in range(0, trace.samples.size, _POISSON_CHUNK):
-        c = rng.poisson(trace.samples[i0:i0 + _POISSON_CHUNK] * p)
-        nz = np.flatnonzero(c)
-        slots.append(nz + i0)
-        counts.append(c[nz])
+    # the generator draws in sequence, so chunked calls give the streams of
+    # one call; one list is released before the next is joined
+    starts, counts = _slot_clicks(trace.samples, p, rng)
+    starts = np.concatenate(starts)
     counts = np.concatenate(counts)
-    times = rng.random(int(counts.sum()))
-    times *= p
-    times += np.repeat(np.concatenate(slots) * p, counts)
+    # each time is its slot's start plus uniform * p; the sum commutes, so
+    # the offsets are added to the repeated starts
+    times = np.repeat(starts, counts)
+    del starts, counts
+    offset = np.empty(min(times.size, _POISSON_CHUNK))
+    for i0 in range(0, times.size, _POISSON_CHUNK):
+        u = offset[:times.size - i0]
+        rng.random(out=u)
+        u *= p
+        times[i0:i0 + _POISSON_CHUNK] += u
     times.sort()
     later = times[1:] > times[:-1]
     if not later.all():
         times = times[np.concatenate(([True], later))]
+    del later
     # random() is (raw >> 11) * 2**-53, so this is random() < 0.5 drawn
     # from the same words, without the conversion to float
     to_b = rng.bit_generator.random_raw(times.size) < 2**63
     dur = trace.duration
     return (ClickStream(0, np.compress(~to_b, times), dur),
             ClickStream(1, np.compress(to_b, times), dur))
+
+
+def _slot_clicks(samples: np.ndarray, p: float, rng) -> tuple:
+    """Lists of the start times and the Poisson counts, chunk by chunk, of
+    the sample slots with clicks.  The means samples * p are formed in one
+    rate buffer of :data:`_POISSON_CHUNK` samples, with the rounding of
+    ``samples * p``."""
+    rate = np.empty(min(samples.size, _POISSON_CHUNK))
+    starts, counts = [], []
+    for i0 in range(0, samples.size, _POISSON_CHUNK):
+        r = rate[:samples.size - i0]
+        np.multiply(samples[i0:i0 + _POISSON_CHUNK], p, out=r)
+        c = rng.poisson(r)
+        nz = np.flatnonzero(c)
+        starts.append((nz + i0) * p)
+        counts.append(c[nz])
+    return starts, counts
 
 
 # ---------------------------------------------------------------------------

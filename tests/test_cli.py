@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -677,6 +678,34 @@ def test_bad_g2_window_is_usage_error(workdir, monkeypatch, window):
                         no_synthesis)
     assert run("g2", "--regime", "above", "--rate", "1000", *window) == 2
     assert not (workdir / "g2.csv").exists()
+
+
+@pytest.mark.parametrize("argv,consumer", [
+    (_G2_PINNED["sparse"][0], "g2_cross"),
+    (["clicks", "--regime", "thermal", "--rate", "100kHz", "--duration",
+      "0.1s"], "write_clickstream"),
+], ids=["g2", "clicks"])
+def test_trace_released_before_the_clicks_are_used(workdir, monkeypatch,
+                                                    argv, consumer):
+    # the trace is the largest array of the run: it is gone before the
+    # click files and the correlator allocate theirs
+    traces, alive = [], []
+    synthesize, use = photonstats.simulate_intensity, \
+        getattr(photonstats, consumer)
+
+    def synthesized(*args, **kwargs):
+        trace = synthesize(*args, **kwargs)
+        traces.append(weakref.ref(trace.samples))
+        return trace
+
+    def used(*args, **kwargs):
+        alive.append(traces[0]() is not None)
+        return use(*args, **kwargs)
+
+    monkeypatch.setattr(photonstats, "simulate_intensity", synthesized)
+    monkeypatch.setattr(photonstats, consumer, used)
+    assert run(*argv) == 0
+    assert len(traces) == 1 and alive and not any(alive)
 
 
 @pytest.mark.parametrize("regime", [("above",), ("below", "--tau-c", "1us")],

@@ -1,10 +1,11 @@
 import hashlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.signal import lfilter
 
 from motlaser import photonstats as ps
@@ -231,20 +232,28 @@ class TestAr1:
                              ids=["walk", "rerun"])
     def test_thermal_trace_exact_at_chunk_edges(self, monkeypatch, extra,
                                                 restart_meets):
-        # chunks of 8192 samples, 4 blocks of 1776 and a serial tail each;
-        # the trace ends one sample short of a chunk, on one, one past it
-        # and 5 past the third.  With the walk from the drawn start forced
-        # to report that its chains never met, the synthesis runs again
-        # from a fresh generator with the start known.
-        chunk = 8192
-        monkeypatch.setattr(ps, "_POISSON_CHUNK", chunk)
+        # chunks of the fewest blocks allowed, 4, of 2048 samples at this
+        # pole: 8192 samples.  The trace ends one sample short of a chunk
+        # (3 blocks and a serial tail), on one, one past it and 5 past the
+        # third.  With the walk from the drawn start forced to report that
+        # its chains never met, the synthesis runs again from a fresh
+        # generator with the start known.
+        chunk, period = 8192, 8.67e-6
+        monkeypatch.setattr(ps, "_THERMAL_CHUNK", 1)
+        monkeypatch.setattr(ps, "_THERMAL_MIN_BLOCKS", 4)
         n, mean_rate, seed = chunk + extra, 1e5, 9
-        a = np.exp(-1e-5 / 1e-4)
-        assert ps._ar1_layout(chunk, a)[1] * 4 < chunk
+        a = np.exp(-period / 1e-4)
+        assert ps._ar1_layout(chunk, a)[1] * 4 == ps._thermal_chunk(a) \
+            == chunk
         want = _thermal_oracle(n, a, mean_rate, seed)
 
-        generators, walks = [], []
+        generators, walks, tails = [], [], []
         real_rng, real_restart = ps._rng, ps._ar1_restart
+        real_serial = ps._ar1_serial
+
+        def serial(re, *args):
+            tails.append(re.size)
+            return real_serial(re, *args)
 
         def counted_rng(s):
             generators.append(s)
@@ -256,20 +265,26 @@ class TestAr1:
 
         monkeypatch.setattr(ps, "_rng", counted_rng)
         monkeypatch.setattr(ps, "_ar1_restart", restart)
-        got = simulate_intensity("thermal", mean_rate, 1e-4, n * 1e-5, 1e-5,
-                                 seed=seed).samples
+        monkeypatch.setattr(ps, "_ar1_serial", serial)
+        got = simulate_intensity("thermal", mean_rate, 1e-4, n * period,
+                                 period, seed=seed).samples
         assert got.size == n
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         # the chains from 0 and from the start meet within chunk 0's first
         # block; the rerun knows the start and walks nothing
         assert walks == [True]
         assert generators == [seed] * (1 if restart_meets else 2)
+        # every chunk but the last is whole blocks and runs no serial tail
+        chunks = -(-n // chunk)
+        last = n - (chunks - 1) * chunk
+        tail = last if last < 2 * 2048 else last % 2048
+        assert tails == ([0] * (chunks - 1) + [tail]) * len(generators)
 
 
 # sha256 of the samples and of both detectors' timestamps, recorded before
 # the thermal synthesis and poissonize were rewritten without full-length
-# temporaries.  Both traces are longer than one poissonize chunk and not a
-# multiple of it.
+# temporaries.  Both traces are longer than one poissonize chunk, and the
+# thermal one than one synthesis chunk, and not a multiple of either.
 _PINNED = {
     ("thermal", 2e5, 1e-5, 2.3, 12): (
         "31d6d4995decb9331c587afc163ba4237823a219da140e1314d7e37a29d13971",
@@ -286,8 +301,12 @@ _PINNED = {
 def test_traces_and_clicks_match_pinned_digests(case):
     regime, rate, tau_c, duration, seed = case
     tr = simulate_intensity(regime, rate, tau_c, duration, 1e-6, seed=seed)
-    assert tr.samples.size > ps._POISSON_CHUNK
-    assert tr.samples.size % ps._POISSON_CHUNK
+    chunks = [ps._POISSON_CHUNK]
+    if regime == "thermal":
+        chunks.append(ps._thermal_chunk(np.exp(-1e-6 / tau_c)))
+    for chunk in chunks:
+        assert tr.samples.size > chunk
+        assert tr.samples.size % chunk
     a, b = poissonize(tr, seed=seed + 1)
     got = tuple(hashlib.sha256(x.tobytes()).hexdigest()
                 for x in (tr.samples, a.timestamps, b.timestamps))
@@ -295,55 +314,80 @@ def test_traces_and_clicks_match_pinned_digests(case):
 
 
 def _thermal_peaks(n):
-    """tracemalloc's peak after a thermal synthesis of n samples, and
-    after poissonize of it too."""
+    """tracemalloc's peak in a thermal synthesis of n samples, and its
+    peak in poissonize of that trace above what the trace held."""
     tracemalloc.start()
     try:
         tr = simulate_intensity("thermal", 2e5, 3e-6, n * 3e-7, 3e-7, seed=1)
         synthesis = tracemalloc.get_traced_memory()[1]
-        poissonize(tr, seed=2)
-        peak = tracemalloc.get_traced_memory()[1]
+        drawn = _poissonize_peak(tr)
     finally:
         tracemalloc.stop()
     assert tr.samples.size == n
-    return synthesis, peak
+    return synthesis, drawn
+
+
+def _poissonize_peak(tr):
+    """Clicks poissonize draws from ``tr`` and tracemalloc's peak above
+    the memory held when it starts; tracemalloc must be tracing."""
+    tracemalloc.reset_peak()
+    held = tracemalloc.get_traced_memory()[0]
+    a, b = poissonize(tr, seed=2)
+    peak = tracemalloc.get_traced_memory()[1] - held
+    return a.timestamps.size + b.timestamps.size, peak
 
 
 def test_thermal_synthesis_peak_memory_per_sample():
     # the two real noise components and the intensity (8 B/sample each),
     # plus the slab buffers, under 2 MB; a complex noise array took 26.9
     # and full-length complex temporaries 41.  poissonize draws this
-    # trace in more than one chunk.
+    # trace in many chunks and holds about 21 B per click above it, plus
+    # its chunk buffers; two arrays of a 2^20-sample chunk took 25 MB.
     n = 2_000_000
     assert ps._POISSON_CHUNK < n
-    synthesis, peak = _thermal_peaks(n)
+    synthesis, (clicks, peak) = _thermal_peaks(n)
     assert synthesis <= 24 * n + 2_000_000
-    assert peak / n < 30.0
+    assert peak <= 2_000_000 + 48 * clicks
 
 
 def test_thermal_synthesis_peak_memory_at_1e6_samples():
-    # one poissonize chunk holds this whole trace
+    # one synthesis chunk holds this whole trace
     n = 1_000_000
-    synthesis, peak = _thermal_peaks(n)
+    assert ps._thermal_chunk(np.exp(-0.1)) > n
+    synthesis, (clicks, peak) = _thermal_peaks(n)
     assert synthesis <= 24 * n + 2_000_000
-    assert peak / n < 30.0
+    assert peak <= 2_000_000 + 48 * clicks
+
+
+def test_poissonize_peak_memory_on_a_long_trace_with_few_clicks():
+    # 2^22 samples and about 4000 clicks: the rate buffer and the counts of
+    # one chunk, 1 MB, not two arrays of a 2^20-sample chunk (16.8 MB)
+    tr = IntensityTrace(1e-6, np.full(1 << 22, 1e3), "poisson")
+    tracemalloc.start()
+    try:
+        clicks, peak = _poissonize_peak(tr)
+    finally:
+        tracemalloc.stop()
+    assert 0 < clicks < 5000
+    assert peak <= 2_000_000 + 48 * clicks
 
 
 @pytest.mark.parametrize("rerun", [False, True], ids=["walk", "rerun"])
 def test_thermal_synthesis_holds_the_real_noise_and_two_chunks(monkeypatch,
                                                                rerun):
-    # over 6 chunks of 2^15 samples (18 blocks each): the real noise, which
-    # becomes the intensity (8 B/sample), the imaginary noise's and the
-    # intensity's chunk buffers, and one chunk more for the copy of chunk
-    # 0's first block, the slab buffers and the serial tails' lists.  The
-    # three full-length arrays took 24 B/sample.  A rerun holds no more.
-    chunk = 1 << 15
-    monkeypatch.setattr(ps, "_POISSON_CHUNK", chunk)
+    # over 6 chunks of 18 blocks of 1776 samples (31968 samples, the most
+    # whole blocks within 2^15): the real noise, which becomes the
+    # intensity (8 B/sample), the imaginary noise's and the intensity's
+    # chunk buffers, and one chunk more for the copy of chunk 0's first
+    # block, the slab buffers and the last chunk's serial tail.  The three
+    # full-length arrays took 24 B/sample.  A rerun holds no more.
+    monkeypatch.setattr(ps, "_THERMAL_CHUNK", 1 << 15)
     if rerun:
         walk = ps._ar1_restart
         monkeypatch.setattr(ps, "_ar1_restart",
                             lambda *args: walk(*args) and False)
-    assert ps._ar1_layout(chunk, np.exp(-0.1))[1] * 2 < chunk
+    chunk = ps._thermal_chunk(np.exp(-0.1))
+    assert chunk == 18 * ps._ar1_layout(chunk, np.exp(-0.1))[1]
     n = 6 * chunk + 5
     tracemalloc.start()
     try:
@@ -449,6 +493,27 @@ class TestPoissonize:
         assert got == [
             "d50a6d0c57f610f75a6b1833588ea9d234d6eeb735f9b420a79e085e907ebeda",
             "524019c2fa0835eeef53efb9f7ffa41dc4930e73559993c6d943d5f1fbdd08e6"]
+
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 3e3)),
+                    min_size=1, max_size=300),
+           st.one_of(st.sampled_from([1, 7]), st.integers(1, 400)))
+    @example([2e3] * 50, 1)
+    @example([2e3] * 50, 7)
+    @example([2e3] * 50, 51)
+    @settings(max_examples=60, deadline=None)
+    def test_streams_do_not_depend_on_the_chunk(self, rates, chunk):
+        # the counts and the uniform offsets are drawn a chunk at a time;
+        # a chunk above the trace's length and its click count is one draw
+        # of each
+        tr = IntensityTrace(1e-3, np.array(rates), "poisson")
+        with mock.patch.object(ps, "_POISSON_CHUNK", 1 << 40):
+            want = poissonize(tr, seed=4)
+        with mock.patch.object(ps, "_POISSON_CHUNK", chunk):
+            got = poissonize(tr, seed=4)
+        for g, w in zip(got, want):
+            assert g.detector_id == w.detector_id
+            assert np.array_equal(g.timestamps.view(np.uint64),
+                                  w.timestamps.view(np.uint64))
 
     def test_routing_words_match_uniform_draws(self):
         # random() < 0.5 is raw < 2^63 on the same words, and both leave
