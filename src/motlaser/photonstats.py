@@ -120,12 +120,12 @@ class CorrelationResult:
 
 
 # Thermal synthesis holds the real noise, which the intensity overwrites
-# (8 bytes per sample), and two chunk buffers (16.8 MB, see
-# _thermal_power); ru_maxrss grew by 8.0 bytes per sample from 1e7 to 2e7
-# samples and was 454 MB at this cap, 36 MB of it the interpreter and
-# imports.  The largest trace of the benchmark workloads and the tests is
-# 6.7e6 samples (g2 at 2 s with tau_c = 3 us).  A longer one is refused
-# before anything is allocated.
+# (8 bytes per sample), and one chunk buffer of the imaginary noise
+# (8.4 MB, see _thermal_power); ru_maxrss grew by 8.0 bytes per sample
+# from 1e7 to 2e7 samples, to 207 MB, which extrapolates to about 447 MB
+# at this cap, 37 MB of it the interpreter and imports.  The largest trace of
+# the benchmark workloads and the tests is 6.7e6 samples (g2 at 2 s with
+# tau_c = 3 us).  A longer one is refused before anything is allocated.
 MAX_SAMPLES = 50_000_000
 
 
@@ -214,7 +214,7 @@ def simulate_intensity(regime: str, mean_rate: float, coherence_time: float,
 
 
 def _thermal_power(n: int, a: float, sigma_field: float, seed: int,
-                   start=None) -> np.ndarray:
+                   start=None, spare=False) -> np.ndarray:
     """The thermal branch's n intensity samples: |y|^2 of the exact AR(1)
     update y[k] = x[k] + a * y[k - 1] of the complex field, from the
     stationary start y[-1] drawn after the noise x.
@@ -224,11 +224,17 @@ def _thermal_power(n: int, a: float, sigma_field: float, seed: int,
     drawn whole; the imaginary part is drawn, and the recursion run by
     :func:`_ar1_power`, one chunk of :func:`_thermal_chunk` samples at a
     time, each chunk from the exact state leaving the one before, and the
-    chunk's |y|^2 is written over its real noise.  So the synthesis holds
-    the real noise and two chunk buffers, about 8 bytes per sample (24 for
-    a trace of one chunk or less).  This is the peak of a ``g2`` or
-    ``clicks`` run: :func:`poissonize` holds less above the trace, and the
-    CLI releases the trace before the click files and the correlator.
+    chunk's |y|^2 is written over its real noise as it is drained.  So the
+    synthesis holds the real noise and one chunk buffer, about 8 bytes per
+    sample (16 for a trace of one chunk or less).  This and
+    :func:`poissonize`, which holds about as much above the trace, are the
+    peak of a ``g2`` or ``clicks`` run; the CLI releases the trace before
+    the click files and the correlator.
+
+    A block of :func:`_ar1_power` that has to be redone keeps the noise of
+    only its first steps.  If a redo needs more, the synthesis runs again
+    from a fresh generator with ``spare`` set: each chunk's |y|^2 then
+    goes to a second chunk buffer, and every block keeps its noise.
 
     The start is drawn after the last chunk's noise, so chunk 0 runs from
     y[-1] = 0 and keeps a copy of its first block's noise; once the start
@@ -247,29 +253,36 @@ def _thermal_power(n: int, a: float, sigma_field: float, seed: int,
     re *= scale
     chunk = _thermal_chunk(a)
     im = np.empty(min(n, chunk))
-    p = np.empty_like(im)
+    p = np.empty_like(im) if spare else None
     state = 0j if start is None else start
     for i0 in range(0, n, chunk):
         x = re[i0:i0 + chunk]
         y = im[:x.size]
         rng.standard_normal(out=y)
         y *= scale
-        state = _ar1_power(x, y, a, state, p[:x.size])
         if i0 == 0 and start is None:
+            # before the drain overwrites the real noise
             block = slice(_ar1_layout(x.size, a)[1])
             head = x[block].copy(), y[block].copy()
-        x[:] = p[:x.size]
-    if start is not None:
-        return re
+        state = _ar1_power(x, y, a, state, None if p is None else p[:x.size])
+        if state is None:
+            break
+        if p is not None:
+            x[:] = p[:x.size]
     # the views too, so that a rerun finds only the intensity held
     del x, y, im, p
+    if state is None:
+        del re
+        return _thermal_power(n, a, sigma_field, seed, start, spare=True)
+    if start is not None:
+        return re
     start = (rng.standard_normal() + 1j * rng.standard_normal()) \
         * (sigma_field / np.sqrt(2.0))
     met = _ar1_restart(*head, re[:head[0].size], a, start)
     if met or head[0].size == n:
         return re
     del re, head
-    return _thermal_power(n, a, sigma_field, seed, start)
+    return _thermal_power(n, a, sigma_field, seed, start, spare)
 
 
 def _thermal_chunk(a: float) -> int:
@@ -368,7 +381,9 @@ def _ar1_advance(re2, im2, a, state, power=None):
     """The state after the steps of the (blocks, steps) arrays ``re2`` and
     ``im2``, the real and imaginary parts of x, from ``state``, the float64
     view of one complex state per block (not written to); |y|^2 after each
-    step goes to ``power`` if given.
+    step goes to ``power`` if given.  ``power`` may be ``re2`` itself: a
+    slab's noise is read before its |y|^2 is written, and no later slab
+    reads it.
 
     Each slab of steps is gathered, tile by tile, into one complex buffer,
     reused for every slab, in which one step of every block is one
@@ -403,12 +418,13 @@ def _ar1_advance(re2, im2, a, state, power=None):
 
 
 def _ar1_power(re: np.ndarray, im: np.ndarray, a: float, start: complex,
-               out: np.ndarray) -> complex:
+               out=None) -> complex | None:
     """|y|^2 for y[k] = x[k] + a * y[k - 1] with y[-1] = ``start``, per
     real component, for x = re + 1j im held as two float64 arrays, written
-    to ``out``; returns the state y[-1] leaving the last sample.  Neither x
-    nor y is ever stored as a complex array of their length, and ``re``
-    and ``im`` are only read.
+    to ``out``, or over ``re`` if ``out`` is None; returns the state y[-1]
+    leaving the last sample.  Neither x nor y is ever stored as a complex
+    array of their length, and ``im`` is only read, as is ``re`` when
+    ``out`` is given.
 
     y is the recursion scipy.signal.lfilter([1], [1, -a], x,
     zi=[a * start]) computes, with the same roundings, so the result equals
@@ -426,20 +442,38 @@ def _ar1_power(re: np.ndarray, im: np.ndarray, a: float, start: complex,
     after which they are identical, the state being first order.  By
     induction every sample is exact.  Inputs shorter than two blocks, and
     the samples after the last whole block, run serially.
+
+    Written over ``re``, each block's first two slabs of steps keep their
+    noise: their |y|^2 is held in a buffer of two slabs per block and
+    copied into ``re`` once every redo is done.  A redo whose chains still
+    differ after those steps returns None, with ``re`` holding neither the
+    noise nor |y|^2; the caller runs again with an ``out``.  The 32 redos
+    of g2-sparse's thermal trace at seeds 1-20 met within 27 steps.
     """
     n = re.size
     warm, length = _ar1_layout(n, a)
     blocks = n // length
+    if out is None:
+        out = re
     if blocks < 2:
         return _ar1_serial(re, im, a, complex(start), out)
     end = blocks * length
     re2, im2, p2 = (v[:end].reshape(blocks, length) for v in (re, im, out))
+    # the steps of each block a redo can read, and where their |y|^2 goes
+    if out is re:
+        kept = min(length, 2 * _AR1_TILE_STEPS)
+        held = np.empty((blocks, kept))
+    else:
+        kept, held = length, p2
     starts = np.empty(blocks, complex)
     starts[0] = start
     tail = slice(length - warm, None)
     starts.view(np.float64)[2:] = _ar1_advance(
         re2[:-1, tail], im2[:-1, tail], a, np.zeros(2 * (blocks - 1)))
-    ends = _ar1_advance(re2, im2, a, starts.view(np.float64), power=p2)
+    ends = _ar1_advance(re2[:, :kept], im2[:, :kept], a,
+                        starts.view(np.float64), power=held)
+    ends = _ar1_advance(re2[:, kept:], im2[:, kept:], a, ends,
+                        power=p2[:, kept:])
     bad = (starts[1:].view(np.uint64) != ends[:-2].view(np.uint64)) \
         .reshape(-1, 2).any(axis=1).tolist()
     ends = ends.view(complex).tolist()
@@ -447,18 +481,22 @@ def _ar1_power(re: np.ndarray, im: np.ndarray, a: float, start: complex,
     state, changed = ends[0], False
     for j in range(1, blocks):
         if changed or bad[j - 1]:
-            block = slice(j * length, (j + 1) * length)
-            true_end = _ar1_redo(re[block], im[block], out[block], a,
+            block = slice(j * length, j * length + kept)
+            true_end = _ar1_redo(re[block], im[block], held[j], a,
                                  starts[j], state)
             changed = true_end is not None
+            if changed and kept < length:
+                return None
         state = true_end if changed else ends[j]
+    if held is not p2:
+        p2[:, :kept] = held
     return _ar1_serial(re[end:], im[end:], a, state, out[end:])
 
 
 # Above its trace, poissonize peaks at about 21 bytes per click (the
 # times, the routing mask, the two streams and np.compress's index of one):
-# ru_maxrss grew by 22.0 bytes per click from 1e7 to 2e7 clicks, so this
-# many clicks need about 1.1 GB.  Criterion 7 draws 1.1e7.  A trace that
+# ru_maxrss grew by 20.0 bytes per click from 4e6 to 8e6 clicks over 2^20
+# samples, so this many clicks need about 1.1 GB.  Criterion 7 draws 1.1e7.  A trace that
 # expects more is refused before any draw.
 MAX_CLICKS = 50_000_000
 
@@ -474,11 +512,14 @@ def poissonize(trace: IntensityTrace, seed: int) -> tuple:
     :class:`PhysicsError`; the check draws nothing.
 
     The counts are drawn through one rate buffer of :data:`_POISSON_CHUNK`
-    samples (see :func:`_slot_clicks`), and the click times are assembled
-    in one array of their length, the uniform offsets drawn
+    samples, and each chunk's slot starts, repeated by their counts, are
+    written into one times array sized from the expected count (see
+    :func:`_slot_clicks`); the uniform offsets are added to it
     :data:`_POISSON_CHUNK` at a time.  So above the trace this holds about
-    1 MB and the bytes per click given at :data:`MAX_CLICKS`: less than a
-    thermal synthesis of the trace held (see :func:`_thermal_power`).
+    1 MB and the bytes per click given at :data:`MAX_CLICKS`, about what a
+    thermal synthesis of the trace held above it (see
+    :func:`_thermal_power`): 9.0 against 9.2 MB for the 6.7e6 samples and
+    4.0e5 clicks of a 2 s ``g2`` at tau_c = 3 us.
     """
     p = trace.sample_period
     expected = trace.samples.sum() * p
@@ -488,14 +529,9 @@ def poissonize(trace: IntensityTrace, seed: int) -> tuple:
             f"{MAX_CLICKS:g} clicks per trace")
     rng = _rng(seed)
     # the generator draws in sequence, so chunked calls give the streams of
-    # one call; one list is released before the next is joined
-    starts, counts = _slot_clicks(trace.samples, p, rng)
-    starts = np.concatenate(starts)
-    counts = np.concatenate(counts)
-    # each time is its slot's start plus uniform * p; the sum commutes, so
-    # the offsets are added to the repeated starts
-    times = np.repeat(starts, counts)
-    del starts, counts
+    # one call.  Each time is its slot's start plus uniform * p; the sum
+    # commutes, so the offsets are added to the repeated starts
+    times = _slot_clicks(trace.samples, p, rng, expected)
     offset = np.empty(min(times.size, _POISSON_CHUNK))
     for i0 in range(0, times.size, _POISSON_CHUNK):
         u = offset[:times.size - i0]
@@ -515,21 +551,36 @@ def poissonize(trace: IntensityTrace, seed: int) -> tuple:
             ClickStream(1, np.compress(to_b, times), dur))
 
 
-def _slot_clicks(samples: np.ndarray, p: float, rng) -> tuple:
-    """Lists of the start times and the Poisson counts, chunk by chunk, of
-    the sample slots with clicks.  The means samples * p are formed in one
-    rate buffer of :data:`_POISSON_CHUNK` samples, with the rounding of
-    ``samples * p``."""
+def _click_capacity(expected: float) -> int:
+    """Clicks the times array of :func:`poissonize` is first allocated for:
+    ``expected`` and ten of its Poisson standard deviations, and 1024."""
+    return int(expected + 10.0 * math.sqrt(expected) + 1024)
+
+
+def _slot_clicks(samples: np.ndarray, p: float, rng,
+                 expected: float) -> np.ndarray:
+    """The start time of each sample slot, repeated by its Poisson count,
+    in one array first allocated for :func:`_click_capacity` clicks and
+    grown if they are more.  The means samples * p are formed in one rate
+    buffer of :data:`_POISSON_CHUNK` samples, with the rounding of
+    ``samples * p``, and each chunk's repeated starts are written into the
+    array."""
     rate = np.empty(min(samples.size, _POISSON_CHUNK))
-    starts, counts = [], []
+    times = np.empty(_click_capacity(expected))
+    end = 0
     for i0 in range(0, samples.size, _POISSON_CHUNK):
         r = rate[:samples.size - i0]
         np.multiply(samples[i0:i0 + _POISSON_CHUNK], p, out=r)
         c = rng.poisson(r)
-        nz = np.flatnonzero(c)
-        starts.append((nz + i0) * p)
-        counts.append(c[nz])
-    return starts, counts
+        nz = np.flatnonzero(c != 0)
+        slots = np.repeat((nz + i0) * p, c[nz])
+        if end + slots.size > times.size:
+            grown = np.empty(max(2 * times.size, end + slots.size))
+            grown[:end] = times[:end]
+            times = grown
+        times[end:end + slots.size] = slots
+        end += slots.size
+    return times[:end]
 
 
 # ---------------------------------------------------------------------------

@@ -121,9 +121,14 @@ def _lfilter_power(x, a, start):
 
 
 def _ar1_power(re, im, a, start):
-    # |y|^2 and the state leaving the last sample
+    # |y|^2 and the state leaving the last sample, written to an out array
+    # and, from a copy of re, over the real noise; the two agree bit for bit
     out = np.empty(re.size)
-    return out, ps._ar1_power(re, im, a, start, out)
+    end = ps._ar1_power(re, im, a, start, out)
+    drained = re.copy()
+    assert ps._ar1_power(drained, im, a, start) == end
+    assert np.array_equal(drained.view(np.uint64), out.view(np.uint64))
+    return out, end
 
 
 def _thermal_oracle(n, a, mean_rate, seed):
@@ -139,6 +144,25 @@ def _thermal_oracle(n, a, mean_rate, seed):
 def _noise(n, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _short_warm_ups(monkeypatch, warm):
+    # warm-ups of ``warm`` steps, blocks of their usual length
+    layout = ps._ar1_layout
+    monkeypatch.setattr(ps, "_ar1_layout",
+                        lambda n, a: (warm, layout(n, a)[1]))
+
+
+def _counted_generators(monkeypatch):
+    # the seeds of the generators built from here on
+    seeds, real = [], ps._rng
+
+    def counted(seed):
+        seeds.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(ps, "_rng", counted)
+    return seeds
 
 
 class TestAr1:
@@ -215,11 +239,17 @@ class TestAr1:
             return true_end
 
         monkeypatch.setattr(ps, "_ar1_redo", counted)
-        got, _ = _ar1_power(x.real.copy(), x.imag.copy(), a, 0.5 + 0.5j)
+        out = np.empty(n)
+        ps._ar1_power(x.real.copy(), x.imag.copy(), a, 0.5 + 0.5j, out)
         want = _lfilter_power(x, a, 0.5 + 0.5j)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
         # whole blocks changed, then one met the stored chain part way
         assert redone == [True, True, False]
+        # written over the real noise, block 5 keeps the noise of only its
+        # first two slabs, and its chains are still apart after them
+        redone.clear()
+        assert ps._ar1_power(x.real.copy(), x.imag, a, 0.5 + 0.5j) is None
+        assert redone == [True]
 
     def test_thermal_trace_unchanged(self):
         want = _thermal_oracle(100_000, np.exp(-1e-5 / 1e-4), 1e5, 8)
@@ -280,6 +310,74 @@ class TestAr1:
         tail = last if last < 2 * 2048 else last % 2048
         assert tails == ([0] * (chunks - 1) + [tail]) * len(generators)
 
+    @pytest.mark.parametrize("warm, runs", [(370, 1), (300, 2)],
+                             ids=["kept", "spare"])
+    def test_thermal_redos_over_the_drained_noise(self, monkeypatch, warm,
+                                                  runs):
+        # warm-ups of 370 steps instead of 444 leave the chains apart in
+        # the last bits, so blocks are redone, each within the two slabs
+        # whose noise it keeps; after 300 steps a redo needs more, and the
+        # synthesis runs again with a spare buffer
+        n, period, seed = 60_000, 3e-7, 3
+        want = _thermal_oracle(n, np.exp(-period / 3e-6), 2e5, seed)
+        _short_warm_ups(monkeypatch, warm)
+        generators = _counted_generators(monkeypatch)
+        redos = []
+        real = ps._ar1_redo
+
+        def counted(re, *args):
+            redos.append(re.size)
+            return real(re, *args)
+
+        monkeypatch.setattr(ps, "_ar1_redo", counted)
+        got = simulate_intensity("thermal", 2e5, 3e-6, n * period, period,
+                                 seed=seed).samples
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert generators == [seed] * runs
+        # in place, a redo reads the kept slabs; with a spare buffer, and
+        # for the start, a whole block
+        assert 2 * ps._AR1_TILE_STEPS in redos
+
+    @pytest.mark.parametrize("restart_meets", [True, False],
+                             ids=["walk", "rerun"])
+    def test_thermal_spare_rerun_when_a_redo_outruns_the_kept_noise(
+            self, monkeypatch, restart_meets):
+        # one redo over the drained noise is made to report its chains
+        # still apart after the kept slabs: the first redo of the
+        # synthesis, or, with the walk from the drawn start made to fail,
+        # the first of the run with the start known.  That run is made
+        # again from a fresh generator with a spare buffer.
+        n, period, seed = 60_000, 3e-7, 3
+        want = _thermal_oracle(n, np.exp(-period / 3e-6), 2e5, seed)
+        _short_warm_ups(monkeypatch, 370)
+        drained = simulate_intensity("thermal", 2e5, 3e-6, n * period,
+                                     period, seed=seed).samples
+        generators = _counted_generators(monkeypatch)
+        armed, forced = [restart_meets], []
+        real_redo, real_restart = ps._ar1_redo, ps._ar1_restart
+
+        def redo(re, im, p, a, guess, state):
+            true_end = real_redo(re, im, p, a, guess, state)
+            if armed[0] and re.size == 2 * ps._AR1_TILE_STEPS:
+                armed[0] = False
+                forced.append(true_end)
+                return state
+            return true_end
+
+        def restart(*args):
+            armed[0] = True
+            return real_restart(*args) and restart_meets
+
+        monkeypatch.setattr(ps, "_ar1_redo", redo)
+        monkeypatch.setattr(ps, "_ar1_restart", restart)
+        got = simulate_intensity("thermal", 2e5, 3e-6, n * period, period,
+                                 seed=seed).samples
+        # the forced redo had in truth met within the kept slabs
+        assert forced == [None]
+        assert generators == [seed] * (2 if restart_meets else 3)
+        for other in (want, drained):
+            assert np.array_equal(got.view(np.uint64), other.view(np.uint64))
+
 
 # sha256 of the samples and of both detectors' timestamps, recorded before
 # the thermal synthesis and poissonize were rewritten without full-length
@@ -338,24 +436,27 @@ def _poissonize_peak(tr):
 
 
 def test_thermal_synthesis_peak_memory_per_sample():
-    # the two real noise components and the intensity (8 B/sample each),
-    # plus the slab buffers, under 2 MB; a complex noise array took 26.9
-    # and full-length complex temporaries 41.  poissonize draws this
-    # trace in many chunks and holds about 21 B per click above it, plus
-    # its chunk buffers; two arrays of a 2^20-sample chunk took 25 MB.
+    # the real noise, which becomes the intensity (8 B/sample), and one
+    # chunk of the imaginary noise, about half the trace here, plus the
+    # slab buffers, under 2 MB; three full-length arrays took 24 B/sample,
+    # a complex noise array 26.9 and full-length complex temporaries 41.
+    # poissonize draws this trace in many chunks and holds about 21 B per
+    # click above it, plus its chunk buffers; two arrays of a 2^20-sample
+    # chunk took 25 MB.
     n = 2_000_000
-    assert ps._POISSON_CHUNK < n
+    assert ps._POISSON_CHUNK < n < 2 * ps._thermal_chunk(np.exp(-0.1))
     synthesis, (clicks, peak) = _thermal_peaks(n)
-    assert synthesis <= 24 * n + 2_000_000
+    assert synthesis <= 16 * n + 2_000_000
     assert peak <= 2_000_000 + 48 * clicks
 
 
 def test_thermal_synthesis_peak_memory_at_1e6_samples():
-    # one synthesis chunk holds this whole trace
+    # one synthesis chunk holds this whole trace: the real noise, which
+    # becomes the intensity, and the imaginary noise, 8 B/sample each
     n = 1_000_000
     assert ps._thermal_chunk(np.exp(-0.1)) > n
     synthesis, (clicks, peak) = _thermal_peaks(n)
-    assert synthesis <= 24 * n + 2_000_000
+    assert synthesis <= 16 * n + 2_000_000
     assert peak <= 2_000_000 + 48 * clicks
 
 
@@ -377,10 +478,11 @@ def test_thermal_synthesis_holds_the_real_noise_and_two_chunks(monkeypatch,
                                                                rerun):
     # over 6 chunks of 18 blocks of 1776 samples (31968 samples, the most
     # whole blocks within 2^15): the real noise, which becomes the
-    # intensity (8 B/sample), the imaginary noise's and the intensity's
-    # chunk buffers, and one chunk more for the copy of chunk 0's first
-    # block, the slab buffers and the last chunk's serial tail.  The three
-    # full-length arrays took 24 B/sample.  A rerun holds no more.
+    # intensity (8 B/sample), the imaginary noise's chunk buffer, and one
+    # chunk more for the copy of chunk 0's first block, the |y|^2 of each
+    # block's first two slabs, the slab buffers and the last chunk's
+    # serial tail.  The three full-length arrays took 24 B/sample, and an
+    # intensity chunk buffer one chunk more.  A rerun holds no more.
     monkeypatch.setattr(ps, "_THERMAL_CHUNK", 1 << 15)
     if rerun:
         walk = ps._ar1_restart
@@ -396,7 +498,7 @@ def test_thermal_synthesis_holds_the_real_noise_and_two_chunks(monkeypatch,
     finally:
         tracemalloc.stop()
     assert tr.samples.size == n
-    assert synthesis <= 8 * n + 3 * 8 * chunk
+    assert synthesis <= 8 * n + 2 * 8 * chunk
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12, 2**40 + 7])
@@ -510,6 +612,24 @@ class TestPoissonize:
             want = poissonize(tr, seed=4)
         with mock.patch.object(ps, "_POISSON_CHUNK", chunk):
             got = poissonize(tr, seed=4)
+        for g, w in zip(got, want):
+            assert g.detector_id == w.detector_id
+            assert np.array_equal(g.timestamps.view(np.uint64),
+                                  w.timestamps.view(np.uint64))
+
+    @pytest.mark.parametrize("capacity", [0, 1, 1000])
+    def test_times_buffer_grows_past_its_capacity(self, monkeypatch,
+                                                  capacity):
+        # the times array is allocated for the expected count and ten
+        # standard deviations more; one allocated for fewer clicks, even
+        # none or fewer than one chunk brings, grows and draws the same
+        tr = simulate_intensity("thermal", 2e5, 1e-5, 0.7, 1e-6, seed=3)
+        want = poissonize(tr, seed=4)
+        clicks = sum(s.timestamps.size for s in want)
+        assert tr.samples.size > 4 * ps._POISSON_CHUNK
+        assert clicks < ps._click_capacity(tr.samples.sum() * 1e-6)
+        monkeypatch.setattr(ps, "_click_capacity", lambda expected: capacity)
+        got = poissonize(tr, seed=4)
         for g, w in zip(got, want):
             assert g.detector_id == w.detector_id
             assert np.array_equal(g.timestamps.view(np.uint64),
