@@ -182,13 +182,21 @@ class _GainKernel:
     """The gain model over arrays of the pump detuning, the two-photon
     :meth:`detuning`, the pump power and the atom number.
 
-    Per family the coupling C_N and frequency offset (:attr:`offsets`), per
-    channel w_m, the Zeeman shift and E_m are computed once here.  Axis 0
-    of every array argument is the family axis, of length 1 (shared) or
-    one row per family; the other axes broadcast behind it.  The products
-    keep the operand order of the module docstring's formula, so an
-    element of a scan equals the same point evaluated alone, bit for bit.
-    Families are sorted and distinct, the order the steady state sums.
+    Terms are computed at three levels.  Per field direction, shared by
+    every kernel with that direction: the channels' w_m (per pump
+    polarization too) and E_m, read-only arrays from
+    :func:`geometry.channel_geometry`.  Per kernel, here: per family the
+    coupling C_N and frequency offset (:attr:`offsets`), per channel the
+    Zeeman shift of |B|, and the saturation intensity and Doppler width.
+    Per evaluation: the drive, rho_ee, the prefactor and the Lorentzian
+    of :meth:`channel_gains`.
+
+    Axis 0 of every array argument is the family axis, of length 1
+    (shared) or one row per family; the other axes broadcast behind it.
+    The products keep the operand order of the module docstring's
+    formula, so an element of a scan equals the same point evaluated
+    alone, bit for bit.  Families are sorted and distinct, the order the
+    steady state sums.
     """
 
     def __init__(self, op: OperatingPoint, families, system: LaserSystem,
@@ -197,13 +205,11 @@ class _GainKernel:
         self._op, self._system, self._calib = op, system, calib
         b = np.asarray(op.b_offset, float)
         b_mag = _field_magnitude(b)
-        self._weights = np.array(geometry.pump_excitation_weights(
-            op.pump_polarization, b))
+        self._weights, self._strengths = geometry.channel_geometry(
+            op.pump_polarization, b)
         self._i_sat = atomics.saturation_intensity(system.green)
         self._shifts = np.array([atomics.zeeman_shift(
             system.green.lande_g_upper, m, b_mag) for m in SUBLEVELS])
-        self._strengths = np.array([geometry.cavity_emission_jones(m, b)[1]
-                                    for m in SUBLEVELS])
         self._couplings = np.array([geometry.family_coupling(
             system.ensemble, system.cavity, n) for n in self.families])
         self.offsets = np.array([geometry.transverse_mode_frequency(
@@ -806,7 +812,8 @@ def optimum_scan(vary: str, values, op: OperatingPoint, system: LaserSystem,
     """Track the power optimum in (pump, cavity) detuning along a scan.
 
     ``vary`` is ``b_offset_magnitude`` (gauss, scaled along the operating
-    point's field direction; the scan follows the sigma+ lobe) or
+    point's :func:`geometry.field_direction`, which a field too small or
+    too large to square still has; the scan follows the sigma+ lobe) or
     ``mot_detuning`` (Hz).  Points where nothing lases are kept with None
     optima.  The fitted slope/intercept describe pump_opt(B) for the field
     scan and cavity_opt(mot detuning) for the trap-detuning scan.
@@ -822,12 +829,8 @@ def optimum_scan(vary: str, values, op: OperatingPoint, system: LaserSystem,
     finds a higher G; no photon number is solved.  A negative Zeeman shift
     mirrors it.
     """
-    b0 = np.asarray(op.b_offset, float)
     if vary == "b_offset_magnitude":
-        b_mag0 = _field_magnitude(b0)
-        if b_mag0 == 0:
-            raise ValueError("operating point needs a nonzero field direction")
-        b_dir = b0 / b_mag0
+        b_dir = geometry.field_direction(op.b_offset)
 
         def make(x):
             return replace(op, b_offset=tuple(b_dir * x))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -96,14 +96,18 @@ class PolarizationLabel:
 NO_EMISSION = PolarizationLabel("none")
 
 
-def _spherical_basis(b_dir):
-    """Unit vectors (e_minus, e_zero, e_plus) about the field direction."""
+def field_direction(b_dir) -> np.ndarray:
+    """Unit vector along the field, b / |b|.
+
+    Where |b|^2 over- or underflows, b is first rescaled so that its
+    largest finite component is 1, which keeps the direction; elsewhere
+    the result is b / |b| bit for bit.  Raises
+    :class:`QuantizationAxisError` on zero field.
+    """
     b = np.asarray(b_dir, float)
     with np.errstate(over="ignore", under="ignore"):
         norm = np.linalg.norm(b)
     if not 0 < norm < np.inf:
-        # the sum of squares over- or underflowed: rescale so that the
-        # largest finite component is 1, which keeps the direction
         finite = np.abs(b[np.isfinite(b)])
         if finite.size and finite.max() > 0:
             b = b / finite.max()
@@ -112,14 +116,89 @@ def _spherical_basis(b_dir):
         raise QuantizationAxisError(
             "quantization axis undefined: magnetic field is zero; "
             "supply an offset field")
-    b = b / norm
+    return b / norm
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class FieldGeometry(NamedTuple):
+    """What the Zeeman channels m = -1, 0, +1 owe to one field direction.
+
+    ``basis`` holds the unit vectors (e_minus, e_zero, e_plus) about the
+    field, ``jones`` each channel's emission in the cavity's (H, V) basis
+    (shape (3, 2)) and ``strengths`` its relative strength E_m, 0 where
+    below 1e-12.  Every array is read-only.
+    """
+
+    basis: tuple
+    jones: np.ndarray
+    strengths: np.ndarray
+
+
+# at most this many directions (and direction-polarization pairs) are
+# kept; a scan that only rescales the field, or keeps it, uses one
+_CACHED_DIRECTIONS = 64
+
+
+@lru_cache(maxsize=_CACHED_DIRECTIONS)
+def _field_geometry(unit: bytes) -> FieldGeometry:
+    """The geometry about the unit vector whose float64 bytes are ``unit``.
+
+    Keyed on the bits, not the values: (1, -0.0, 0) and (1, 0.0, 0) are
+    equal but give e_zero vectors with different bits, so a hit returns
+    exactly what a fresh computation would.
+
+    Emission along the cavity axis, classical dipole picture: the pi
+    transition (m = 0) radiates a linear dipole along B, the sigma
+    transitions rotating dipoles in the plane normal to B.  Projecting
+    onto the plane transverse to the cavity axis gives strength
+    sin^2(theta) for pi and (1 + cos^2(theta))/2 for sigma (theta = angle
+    between B and the axis), normalized to 1 at the respective maxima.
+    """
+    b = np.frombuffer(unit)
     ref = Z_AXIS if abs(np.dot(b, Z_AXIS)) < 0.9 else X_AXIS
     e1 = ref - np.dot(ref, b) * b
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(b, e1)
     e_plus = -(e1 + 1j * e2) / np.sqrt(2.0)
     e_minus = (e1 - 1j * e2) / np.sqrt(2.0)
-    return e_minus, b.astype(complex), e_plus
+    basis = tuple(map(_read_only, (e_minus, b.astype(complex), e_plus)))
+    transverse = [d - X_AXIS * np.dot(X_AXIS, d) for d in basis]
+    # Jones components in the (H, V) = (y, z) basis of the cavity axis
+    jones = np.array([[np.dot(Y_AXIS, t), np.dot(Z_AXIS, t)]
+                      for t in transverse])
+    strengths = np.array([0.0 if s < 1e-12 else s for s in
+                          (float(np.real(np.vdot(t, t))) for t in transverse)])
+    return FieldGeometry(basis, _read_only(jones), _read_only(strengths))
+
+
+@lru_cache(maxsize=_CACHED_DIRECTIONS)
+def _pump_weights(unit: bytes, polarization: bytes) -> np.ndarray:
+    """Read-only (w_minus, w_zero, w_plus) about the unit vector whose
+    float64 bytes are ``unit``, for the complex128 Jones pair whose bytes
+    are ``polarization``."""
+    j = np.frombuffer(polarization, complex)
+    eps = j[0] * X_AXIS + j[1] * Y_AXIS
+    return _read_only(np.array([abs(np.dot(np.conj(e), eps)) ** 2
+                                for e in _field_geometry(unit).basis]))
+
+
+def field_geometry(b_dir) -> FieldGeometry:
+    """The shared :class:`FieldGeometry` of the direction of ``b_dir``;
+    raises :class:`QuantizationAxisError` on zero field."""
+    return _field_geometry(field_direction(b_dir).tobytes())
+
+
+def channel_geometry(polarization, b_dir) -> tuple:
+    """Read-only arrays (w_m, E_m) of the channels m = -1, 0, +1, shared
+    by every caller with the same field direction and pump polarization.
+    Raises :class:`QuantizationAxisError` on zero field."""
+    unit = field_direction(b_dir).tobytes()
+    return (_pump_weights(unit, np.asarray(polarization, complex).tobytes()),
+            _field_geometry(unit).strengths)
 
 
 def pump_excitation_weights(polarization, b_dir) -> tuple:
@@ -131,35 +210,20 @@ def pump_excitation_weights(polarization, b_dir) -> tuple:
     for a unit-norm pair.  Raises :class:`QuantizationAxisError` on zero
     field.
     """
-    e_minus, e_zero, e_plus = _spherical_basis(b_dir)
-    j = np.asarray(polarization, complex)
-    eps = j[0] * X_AXIS + j[1] * Y_AXIS
-    w = tuple(abs(np.dot(np.conj(e), eps)) ** 2
-              for e in (e_minus, e_zero, e_plus))
-    return w
+    return tuple(channel_geometry(polarization, b_dir)[0])
 
 
 def cavity_emission_jones(m: int, b_dir):
-    """Polarization and relative strength of emission along the cavity axis.
-
-    Classical dipole picture: the pi transition (m = 0) radiates a linear
-    dipole along B, the sigma transitions rotating dipoles in the plane
-    normal to B.  Projecting onto the plane transverse to the cavity axis
-    gives strength sin^2(theta) for pi and (1 + cos^2(theta))/2 for sigma
-    (theta = angle between B and the axis), normalized to 1 at the
-    respective maxima.  Strength 0 yields the ``none`` label.
-    """
+    """Polarization label and relative strength E_m of emission along the
+    cavity axis (see :func:`_field_geometry`); strength 0 yields the
+    ``none`` label."""
     if abs(m) > 1:
         raise ValueError(f"m={m} outside the J=1 level scheme")
-    e_minus, e_zero, e_plus = _spherical_basis(b_dir)
-    dipole = {-1: e_minus, 0: e_zero, 1: e_plus}[m]
-    transverse = dipole - X_AXIS * np.dot(X_AXIS, dipole)
-    strength = float(np.real(np.vdot(transverse, transverse)))
-    if strength < 1e-12:
+    geo = field_geometry(b_dir)
+    k = (-1, 0, 1).index(m)
+    if geo.strengths[k] == 0.0:
         return NO_EMISSION, 0.0
-    # Jones components in the (H, V) = (y, z) basis of the cavity axis
-    jones = np.array([np.dot(Y_AXIS, transverse), np.dot(Z_AXIS, transverse)])
-    return classify_jones(jones), strength
+    return classify_jones(geo.jones[k]), float(geo.strengths[k])
 
 
 def classify_jones(jones) -> PolarizationLabel:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from motlaser import cli, gain, photonstats
+from motlaser import cli, gain, geometry, photonstats
 from motlaser.atomics import MASS_YB174
 from motlaser.cli import (MAX_POINTS, build_parser, load_calibration, main,
                           render_polarization_table)
@@ -422,6 +422,36 @@ class TestShiftScanCommand:
             gain.atomics.zeeman_shift(
                 default_config().system().green.lande_g_upper, 1, 1.0),
             rel=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ("--vary", "b_offset", "--min", "1.5", "--max", "4.5", "--step", "1"),
+        ("--vary", "mot_detuning", "--min=-40MHz", "--max=-20MHz",
+         "--step=2MHz"),
+    ], ids=["b_offset", "mot_detuning"])
+    def test_geometry_computed_once_per_scan(self, workdir, argv):
+        # the default field lies along x, so every magnitude has the unit
+        # vector (1, 0, 0) exactly, and a trap-detuning scan keeps its field
+        calibrated(workdir)
+        geometry._field_geometry.cache_clear()
+        geometry._pump_weights.cache_clear()
+        assert run("shift-scan", *argv) == 0
+        assert geometry._field_geometry.cache_info().misses == 1
+        assert geometry._pump_weights.cache_info().misses == 1
+
+    def test_field_scan_where_the_squared_field_underflows(self, workdir):
+        # |B|^2 of the configured field is 0 in floats; the scan direction
+        # is the field's own, rescaled as the spherical basis rescales it
+        (workdir / "tiny.cfg").write_text(
+            "b_offset_x = 1e-200 G\nb_offset_y = 1e-200 G\n")
+        assert run("--config", "tiny.cfg", "calibrate") == 0
+        assert run("--config", "tiny.cfg", "shift-scan", "--vary",
+                   "b_offset", "--min", "1", "--max", "3", "--step", "1") == 0
+        lines = (workdir / "shift_scan.csv").read_text().splitlines()[1:]
+        assert len(lines) == 3
+        assert all(line.split(",")[1] != "" for line in lines)
+        meta = parse_metadata((workdir / "shift_scan.csv.meta.txt").read_text())
+        assert float(meta["fit"]["slope_hz_per_gauss"]) == \
+            pytest.approx(2.10e6, rel=0.01)
 
     def test_empty_range_usage_error(self, workdir):
         calibrated(workdir)
@@ -1345,13 +1375,21 @@ def contract_files(tmp_path_factory):
     base = tmp_path_factory.mktemp("contract")
     cwd = os.getcwd()
     os.chdir(base)
+    tiny = "b_offset_x = 1e-200 G\nb_offset_y = 1e-200 G\n"
+    (base / "tiny.cfg").write_text(tiny)
     try:
         assert main(["calibrate"]) == 0
+        assert main(["--config", "tiny.cfg", "--out", "tiny_calibration.txt",
+                     "calibrate"]) == 0
     finally:
         os.chdir(cwd)
     text = (base / "calibration.txt").read_text()
     stored = parse_metadata(text)["provenance"]["config_hash"]
     return {"calibration.txt": text,
+            # a field whose square underflows, and its own calibration
+            "tiny.cfg": tiny,
+            "tiny_calibration.txt":
+                (base / "tiny_calibration.txt").read_text(),
             "stale.txt": text.replace(stored, "0" * len(stored)),
             "ripple.cfg": "laser_ripple = 1e300\n",
             "tame.cfg": "laser_ripple = 0.02\nseed = 7\n",
@@ -1383,6 +1421,9 @@ _COORDINATES = {"map": ("map.csv", 2), "threshold": ("threshold.csv", 1),
                "--max", "2e300", "--step", "1e300"])
 @example(argv=["shift-scan", "--vary", "b_offset", "--min", "1e300",
                "--max", "2e300", "--step", "1e300"])
+@example(argv=["--config=tiny.cfg", "--calibration=tiny_calibration.txt",
+               "shift-scan", "--vary", "b_offset", "--min", "1", "--max",
+               "3", "--step", "1"])
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_exit_code_contract_on_hostile_argv(contract_files, tmp_path_factory,

@@ -184,6 +184,96 @@ class TestModeGain:
             assert mode_gain(probe, 0, system, calib).total >= 0.0
 
 
+def _clear_field_geometry():
+    geometry._field_geometry.cache_clear()
+    geometry._pump_weights.cache_clear()
+
+
+def _kernel_bits(op, system, calib, b_offset):
+    """The bytes of a kernel's w_m, E_m and channel gains over a small
+    detuning grid, and of the spherical basis about its field."""
+    cell = replace(op, b_offset=b_offset)
+    kernel = gain._GainKernel(cell, FAMILIES, system, calib)
+    pump = np.linspace(-8e6, 8e6, 9)[None, :, None]
+    delta = kernel.detuning(pump, np.linspace(-45e6, -25e6, 11)[None, None])
+    rates = kernel.channel_gains(pump, delta, cell.pump_power,
+                                 cell.total_atoms)
+    return [a.tobytes() for a in (kernel._weights, kernel._strengths, rates,
+                                  *geometry.field_geometry(b_offset).basis)]
+
+
+class TestSharedFieldGeometry:
+    """The geometry of a field direction is computed once and shared by
+    every kernel with that direction; a shared result is the bits a fresh
+    computation gives."""
+
+    @pytest.mark.parametrize("b_offset", [(2.38, 0.0, 0.0), (1.0, 1.0, 0.3)],
+                             ids=["x", "oblique"])
+    def test_cold_and_warm_kernels_agree_bit_for_bit(self, system, op, calib,
+                                                     b_offset):
+        _clear_field_geometry()
+        cold = _kernel_bits(op, system, calib, b_offset)
+        assert geometry._field_geometry.cache_info().misses == 1
+        warm = _kernel_bits(op, system, calib, b_offset)
+        assert geometry._field_geometry.cache_info().misses == 1
+        assert warm == cold
+
+    @pytest.mark.parametrize("pair", [
+        ((1.0, 0.0, 0.0), (1.0, -0.0, 0.0)),
+        ((2.38, 0.0, 0.0), (2.38, 0.0, -0.0)),
+        ((0.0, 0.0, -1.0), (-0.0, 0.0, -1.0)),
+    ], ids=["y", "z", "vertical"])
+    def test_signed_zeros_are_distinct_directions(self, system, op, calib,
+                                                  pair):
+        # the two fields compare equal but e_zero differs in its bits, so
+        # a cache keyed on values would hand one the other's basis
+        cold = []
+        for b_offset in pair:
+            _clear_field_geometry()
+            cold.append(_kernel_bits(op, system, calib, b_offset))
+        assert cold[0] != cold[1]
+        _clear_field_geometry()
+        for _ in range(2):
+            for b_offset, want in zip(pair, cold):
+                assert _kernel_bits(op, system, calib, b_offset) == want
+        assert geometry._field_geometry.cache_info().misses == 2
+
+    def test_zero_field_raises_on_every_call(self, system, op, calib):
+        _clear_field_geometry()
+        zero = replace(op, b_offset=(0.0, -0.0, 0.0))
+        for _ in range(2):
+            with pytest.raises(QuantizationAxisError):
+                gain._GainKernel(zero, (0,), system, calib)
+            with pytest.raises(QuantizationAxisError):
+                geometry.cavity_emission_jones(1, zero.b_offset)
+        assert geometry._field_geometry.cache_info().currsize == 0
+        assert geometry._pump_weights.cache_info().currsize == 0
+
+    def test_shared_arrays_cannot_be_written(self, system, op, calib):
+        kernel = gain._GainKernel(op, (0,), system, calib)
+        geo = geometry.field_geometry(op.b_offset)
+        for shared in (kernel._weights, kernel._strengths, geo.jones,
+                       geo.strengths, *geo.basis):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 0.5
+
+    def test_kernel_build_classifies_no_polarization(self, system, op, calib,
+                                                     monkeypatch):
+        calls = []
+        monkeypatch.setattr(geometry, "classify_jones",
+                            lambda jones: calls.append(jones))
+        _clear_field_geometry()
+        gain._GainKernel(op, FAMILIES, system, calib)
+        assert calls == []
+
+    def test_public_views_match_the_kernel(self, system, op, calib):
+        kernel = gain._GainKernel(op, (0,), system, calib)
+        assert geometry.pump_excitation_weights(
+            op.pump_polarization, op.b_offset) == tuple(kernel._weights)
+        assert tuple(geometry.cavity_emission_jones(m, op.b_offset)[1]
+                     for m in gain.SUBLEVELS) == tuple(kernel._strengths)
+
+
 # ---------------------------------------------------------------------------
 # Calibration
 # ---------------------------------------------------------------------------
