@@ -413,11 +413,12 @@ def cmd_polarization_table(args) -> int:
     return 0
 
 
-def _resolve_tau_c(args, cfg: RunConfig, calib) -> float:
+def _resolve_tau_c(args, cfg: RunConfig) -> float:
     if args.tau_c is not None:
         return args.tau_c
     if args.washout_g2 is not None:
         return photonstats.invert_washout(args.washout_g2, args.bin)
+    calib = load_calibration(args.calibration, cfg)
     from . import gain
     system = cfg.system()
     g0 = gain.mode_gain(cfg.operating_point(), 0, system, calib).total
@@ -434,6 +435,9 @@ def _resolve_tau_c(args, cfg: RunConfig, calib) -> float:
 
 
 def cmd_g2(args) -> int:
+    # options that would change no output are refused
+    if args.regime == "above" and {args.tau_c, args.washout_g2} != {None}:
+        raise ConfigError("--tau-c and --washout-g2 need --regime below")
     if args.washout_g2 is not None and not 1.0 < args.washout_g2 < 2.0:
         raise ConfigError("--washout-g2 must be strictly between 1 and 2")
     cfg = _load_cfg(args)
@@ -444,10 +448,7 @@ def cmd_g2(args) -> int:
     _check_writable(out, out + ".meta.txt", *clicks_paths)
     seed = cfg.seed()
     if args.regime == "below":
-        calib = None
-        if args.tau_c is None and args.washout_g2 is None:
-            calib = load_calibration(args.calibration, cfg)
-        tau_c = _resolve_tau_c(args, cfg, calib)
+        tau_c = _resolve_tau_c(args, cfg)
         regime, coherence, period = "thermal", tau_c, tau_c / 10.0
     else:
         tau_c = None
@@ -497,7 +498,14 @@ def cmd_g2(args) -> int:
 
 
 def cmd_clicks(args) -> int:
+    if args.regime != "thermal" and args.tau_c is not None:
+        raise ConfigError("--tau-c needs --regime thermal")
     cfg = _load_cfg(args)
+    out = args.out or "clicks_summary.csv"
+    suffix = "clks" if args.format == "bin" else "txt"
+    paths = [f"{args.prefix}_{tag}.{suffix}" for tag in ("det0", "det1")]
+    # fail before the synthesis, not after it
+    _check_writable(out, out + ".meta.txt", *paths)
     seed = cfg.seed()
     tau_c = args.tau_c if args.tau_c is not None else 100e-6
     period = tau_c / 10.0 if args.regime == "thermal" \
@@ -508,16 +516,13 @@ def cmd_clicks(args) -> int:
     det_a, det_b = photonstats.poissonize(trace, (seed + 1) % 2**64)
     del trace
     stored = []
-    for stream, tag in ((det_a, "det0"), (det_b, "det1")):
-        if args.format == "bin":
-            path = f"{args.prefix}_{tag}.clks"
-            with _output(path):
+    for stream, path in zip((det_a, det_b), paths):
+        with _output(path):
+            if args.format == "bin":
                 count = photonstats.write_clickstream(stream, path)
-        else:
-            path = f"{args.prefix}_{tag}.txt"
-            with _output(path):
+            else:
                 photonstats.write_clickstream_text(stream, path)
-            count = stream.timestamps.size
+                count = stream.timestamps.size
         stored.append((path, count))
     table = ScanResultTable(["detector", "path", "clicks"])
     table.set_columns(range(len(stored)), *zip(*stored))
@@ -526,7 +531,6 @@ def cmd_clicks(args) -> int:
         "duration": repr(args.duration), "tau_c": repr(tau_c),
         "format": args.format})
     table.metadata = meta
-    out = args.out or "clicks_summary.csv"
     _write_table(table, out)
     print(f"click streams written: "
           + ", ".join(f"{p} ({c})" for p, c in stored))
@@ -622,10 +626,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total detected rate, counts/s")
     p.add_argument("--bin", type=_quantity, required=True)
     p.add_argument("--max-lag", type=_quantity, required=True)
-    p.add_argument("--tau-c", type=_quantity, default=None,
-                   help="override the below-threshold coherence time")
-    p.add_argument("--washout-g2", type=float, default=None,
-                   help="set tau_c by inverting the bin-washout prediction")
+    tau = p.add_mutually_exclusive_group()
+    tau.add_argument("--tau-c", type=_quantity, default=None,
+                     help="override the below-threshold coherence time")
+    tau.add_argument("--washout-g2", type=float, default=None,
+                     help="set tau_c by inverting the bin-washout prediction")
     p.add_argument("--emit-clicks", metavar="PREFIX",
                    help="also store the raw click streams")
     p.set_defaults(func=cmd_g2)

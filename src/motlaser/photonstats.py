@@ -173,11 +173,10 @@ def simulate_intensity(regime: str, mean_rate: float, coherence_time: float,
     rate that is not positive and finite, a negative ripple and a trace of
     more than :data:`MAX_SAMPLES` samples raise :class:`PhysicsError`.
 
-    The thermal field's imaginary noise is drawn and filtered in chunks,
-    its intensity written over the real noise; its stationary start,
-    drawn last, is fixed up over chunk 0's first block afterwards, or the
-    synthesis runs again with the start known (see :func:`_thermal_power`).
-    Every sample equals one run of the whole recursion bit for bit.
+    The thermal field is filtered in chunks, its intensity written over
+    its real noise; its start, drawn last, is fixed by one walk, and at
+    most one rerun follows (see :func:`_thermal_power`).  Every sample
+    equals one run of the whole recursion bit for bit.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
@@ -214,7 +213,7 @@ def simulate_intensity(regime: str, mean_rate: float, coherence_time: float,
 
 
 def _thermal_power(n: int, a: float, sigma_field: float, seed: int,
-                   start=None, spare=False) -> np.ndarray:
+                   start=None) -> np.ndarray:
     """The thermal branch's n intensity samples: |y|^2 of the exact AR(1)
     update y[k] = x[k] + a * y[k - 1] of the complex field, from the
     stationary start y[-1] drawn after the noise x.
@@ -231,68 +230,60 @@ def _thermal_power(n: int, a: float, sigma_field: float, seed: int,
     peak of a ``g2`` or ``clicks`` run; the CLI releases the trace before
     the click files and the correlator.
 
-    A block of :func:`_ar1_power` that has to be redone keeps the noise of
-    only its first steps.  If a redo needs more, the synthesis runs again
-    from a fresh generator with ``spare`` set: each chunk's |y|^2 then
-    goes to a second chunk buffer, and every block keeps its noise.
-
-    The start is drawn after the last chunk's noise, so chunk 0 runs from
-    y[-1] = 0 and keeps a copy of its first block's noise; once the start
-    is drawn, :func:`_ar1_restart` walks that block from it next to the
-    chain from 0 and rewrites |y|^2 where the two differ.  The chains
-    differ by a**k * start after k steps, and a block spans at least four
-    warm-ups of 2**-64 each (see :func:`_ar1_layout`), so they meet within
-    it unless |y| stays far below |start| throughout.  If they still
-    differ after the block and the trace is longer, the synthesis runs
-    again from a fresh generator with the start known, so every sample is
-    exact.
+    The first pass runs from y[-1] = 0 and keeps a copy of chunk 0's first
+    block, which :func:`_ar1_walk` then walks from the drawn start until
+    that chain meets the one from 0: they differ by a**k * start after k
+    steps, and a block spans four warm-ups of 2**-64 each (see
+    :func:`_ar1_layout`).  If they do not meet in the block and the trace
+    is longer, or if a block redo outran the noise it keeps (the pass then
+    only draws the rest of the noise, so that the start comes from the
+    same place in the stream), the synthesis runs once more with the start
+    known.  That pass writes |y|^2 to a chunk buffer of its own, so no redo
+    can fail, in chunks of half as many blocks, so that its two buffers
+    hold no more than the first pass's one.
     """
     rng = _rng(seed)
     scale = sigma_field * np.sqrt((1.0 - a * a) / 2.0)
     re = rng.standard_normal(n)
     re *= scale
-    chunk = _thermal_chunk(a)
+    chunk = _thermal_chunk(a, 1 if start is None else 2)
     im = np.empty(min(n, chunk))
-    p = np.empty_like(im) if spare else None
-    state = 0j if start is None else start
+    state, p = (0j, None) if start is None else (start, np.empty_like(im))
     for i0 in range(0, n, chunk):
         x = re[i0:i0 + chunk]
         y = im[:x.size]
         rng.standard_normal(out=y)
+        if state is None:
+            continue
         y *= scale
         if i0 == 0 and start is None:
             # before the drain overwrites the real noise
             block = slice(_ar1_layout(x.size, a)[1])
             head = x[block].copy(), y[block].copy()
         state = _ar1_power(x, y, a, state, None if p is None else p[:x.size])
-        if state is None:
-            break
         if p is not None:
             x[:] = p[:x.size]
-    # the views too, so that a rerun finds only the intensity held
-    del x, y, im, p
-    if state is None:
-        del re
-        return _thermal_power(n, a, sigma_field, seed, start, spare=True)
     if start is not None:
         return re
     start = (rng.standard_normal() + 1j * rng.standard_normal()) \
         * (sigma_field / np.sqrt(2.0))
-    met = _ar1_restart(*head, re[:head[0].size], a, start)
-    if met or head[0].size == n:
+    if state is not None and (_ar1_walk(*head, re[block], a, start, 0j)
+                              is None or block.stop >= n):
         return re
-    del re, head
-    return _thermal_power(n, a, sigma_field, seed, start, spare)
+    # the views too, so that the rerun finds nothing of this pass held
+    del x, y, im, re, head
+    return _thermal_power(n, a, sigma_field, seed, start)
 
 
-def _thermal_chunk(a: float) -> int:
+def _thermal_chunk(a: float, buffers: int = 1) -> int:
     """Samples per chunk of :func:`_thermal_power` for pole ``a``: a whole
     number of the blocks :func:`_ar1_power` splits such a chunk into, about
     :data:`_THERMAL_CHUNK` samples but at least :data:`_THERMAL_MIN_BLOCKS`
-    blocks.  So no chunk but the last runs a serial tail, and a pole near
-    one, whose blocks are long, still runs many blocks side by side."""
-    length = _ar1_layout(_THERMAL_CHUNK, a)[1]
-    return max(_THERMAL_CHUNK // length, _THERMAL_MIN_BLOCKS) * length
+    blocks over ``buffers`` chunk buffers.  So no chunk but the last runs a
+    serial tail, and a pole near one, whose blocks are long, still runs
+    many blocks side by side."""
+    block = _ar1_layout(_THERMAL_CHUNK, a)[1]
+    return max(_THERMAL_CHUNK // block, _THERMAL_MIN_BLOCKS) // buffers * block
 
 
 # The blocked AR(1) recursion runs about this many blocks side by side.
@@ -318,21 +309,6 @@ def _ar1_layout(n: int, a: float) -> tuple:
     return warm, max(4 * warm, -(-n // _AR1_BLOCKS))
 
 
-def _ar1_serial(re, im, a, state, out) -> complex:
-    """y[k] = x[k] + a * y[k - 1] from the complex ``state`` = y[-1], one
-    step at a time, for x = re + 1j im; writes |y|^2 to ``out`` and returns
-    the state leaving the last step."""
-    a = float(a)
-    yr, yi = state.real, state.imag
-    res = []
-    for xr, xi in zip(re.tolist(), im.tolist()):
-        yr = xr + a * yr
-        yi = xi + a * yi
-        res.append(complex(yr, yi))
-    _power(np.array(res, complex), out)
-    return complex(yr, yi)
-
-
 def _power(y, out) -> None:
     # |y|^2 as np.abs(y) ** 2 rounds it; np.abs gives the same bits for
     # any memory layout, np.hypot(re, im) does not
@@ -345,17 +321,16 @@ def _same(u: float, v: float) -> bool:
     return u == v and math.copysign(1.0, u) == math.copysign(1.0, v)
 
 
-def _ar1_redo(re, im, p, a, guess, state):
-    """Recompute block x = re + 1j im from its true entering ``state`` next
-    to the chain the main pass ran from ``guess``, until the two meet, and
-    rewrite |y|^2 in ``p`` over the prefix where they differ.
-
-    Returns the true state leaving the block if the chains never meet, and
-    None if they do: the main pass's values from there on are exact.
-    """
+def _ar1_walk(re, im, p, a, state, guess=None):
+    """Walk y[k] = x[k] + a * y[k - 1], x = re + 1j im, one step at a time
+    from the complex ``state`` = y[-1], writing |y|^2 to ``p``; return the
+    state leaving the last sample.  Given the ``guess`` of y[-1] that
+    ``p`` was filled from, stop where the two chains meet, as they are
+    identical from there on, and return None."""
     a = float(a)
     yr, yi = state.real, state.imag
-    gr, gi = guess.real, guess.imag
+    # a NaN chain meets no other
+    gr, gi = (math.nan,) * 2 if guess is None else (guess.real, guess.imag)
     res = []
     for xr, xi in zip(re.tolist(), im.tolist()):
         yr = xr + a * yr
@@ -365,16 +340,8 @@ def _ar1_redo(re, im, p, a, guess, state):
         if _same(yr, gr) and _same(yi, gi):
             break
         res.append(complex(yr, yi))
-    if res:
-        _power(np.array(res, complex), p[:len(res)])
+    _power(np.array(res, complex), p[:len(res)])
     return complex(yr, yi) if len(res) == re.size else None
-
-
-def _ar1_restart(re, im, p, a, start) -> bool:
-    """Rewrite |y|^2 in ``p``, run over x = re + 1j im from y[-1] = 0,
-    for y[-1] = ``start`` over the prefix where the two chains differ;
-    False if they still differ after the last sample."""
-    return _ar1_redo(re, im, p, a, 0j, start) is None
 
 
 def _ar1_advance(re2, im2, a, state, power=None):
@@ -430,25 +397,23 @@ def _ar1_power(re: np.ndarray, im: np.ndarray, a: float, start: complex,
     zi=[a * start]) computes, with the same roundings, so the result equals
     np.abs(lfilter(...)) ** 2 bit for bit, and a trace run in pieces, each
     from the state leaving the one before, equals one run of the whole.
-    The samples are split into
-    blocks run side by side as one vector, advanced by slabs of steps that
-    are filled from ``re`` and ``im`` in tiles (see :func:`_ar1_advance`).
-    Each block after the first
-    starts from a warm-up run from zero over the previous block's last
-    ``warm`` samples (see :func:`_ar1_layout`).  The blocks are then checked
-    in order: a block whose warm-up state differs in any bit from the true
-    state leaving the previous block is recomputed from that true state,
-    next to the chain from its warm-up state, until the two chains meet,
-    after which they are identical, the state being first order.  By
-    induction every sample is exact.  Inputs shorter than two blocks, and
-    the samples after the last whole block, run serially.
+    The samples are split into blocks run side by side as one vector,
+    advanced by slabs of steps that are filled from ``re`` and ``im`` in
+    tiles (see :func:`_ar1_advance`).  Each block after the first starts
+    from a warm-up run from zero over the previous block's last ``warm``
+    samples (see :func:`_ar1_layout`).  Then, in order, a block whose
+    warm-up state differs in any bit from the true state leaving the
+    previous block is walked again from that true state by
+    :func:`_ar1_walk` until the chains meet, so by induction every sample
+    is exact.  Inputs shorter than two blocks, and the samples after the
+    last whole block, are walked serially.
 
     Written over ``re``, each block's first two slabs of steps keep their
     noise: their |y|^2 is held in a buffer of two slabs per block and
     copied into ``re`` once every redo is done.  A redo whose chains still
     differ after those steps returns None, with ``re`` holding neither the
-    noise nor |y|^2; the caller runs again with an ``out``.  The 32 redos
-    of g2-sparse's thermal trace at seeds 1-20 met within 27 steps.
+    noise nor |y|^2; with an ``out``, no redo can fail.  The 32 redos of
+    g2-sparse's thermal trace at seeds 1-20 met within 27 steps.
     """
     n = re.size
     warm, length = _ar1_layout(n, a)
@@ -456,7 +421,7 @@ def _ar1_power(re: np.ndarray, im: np.ndarray, a: float, start: complex,
     if out is None:
         out = re
     if blocks < 2:
-        return _ar1_serial(re, im, a, complex(start), out)
+        return _ar1_walk(re, im, out, a, complex(start))
     end = blocks * length
     re2, im2, p2 = (v[:end].reshape(blocks, length) for v in (re, im, out))
     # the steps of each block a redo can read, and where their |y|^2 goes
@@ -482,15 +447,15 @@ def _ar1_power(re: np.ndarray, im: np.ndarray, a: float, start: complex,
     for j in range(1, blocks):
         if changed or bad[j - 1]:
             block = slice(j * length, j * length + kept)
-            true_end = _ar1_redo(re[block], im[block], held[j], a,
-                                 starts[j], state)
+            true_end = _ar1_walk(re[block], im[block], held[j], a,
+                                 state, starts[j])
             changed = true_end is not None
             if changed and kept < length:
                 return None
         state = true_end if changed else ends[j]
     if held is not p2:
         p2[:, :kept] = held
-    return _ar1_serial(re[end:], im[end:], a, state, out[end:])
+    return _ar1_walk(re[end:], im[end:], out[end:], a, state)
 
 
 # Above its trace, poissonize peaks at about 21 bytes per click (the

@@ -911,11 +911,21 @@ def test_infinite_map_step_exit_code(workdir, capsys):
     ("--out", "taken", "g2", "--regime", "above", "--rate", "50kHz",
      "--bin", "2.6us", "--max-lag", "20us", "--duration", "0.05s"),
     ("--out", "taken", "polarization-table"),
+    ("--out", "missing/c.csv", "clicks", "--regime", "poisson", "--rate",
+     "1000", "--duration", "0.1s"),
+    ("--out", "taken", "clicks", "--regime", "poisson", "--rate", "1000",
+     "--duration", "0.1s"),
+    ("clicks", "--regime", "poisson", "--rate", "1000", "--duration", "0.1s",
+     "--prefix", "missing/c"),
+    ("clicks", "--regime", "thermal", "--rate", "1000", "--duration", "0.1s",
+     "--format", "txt", "--prefix", "missing/c"),
 ], ids=["map-missing-dir", "map-onto-dir", "g2-missing-dir",
-        "g2-emit-clicks", "g2-onto-dir", "polarization-table-onto-dir"])
+        "g2-emit-clicks", "g2-onto-dir", "polarization-table-onto-dir",
+        "clicks-missing-dir", "clicks-onto-dir", "clicks-prefix",
+        "clicks-text-prefix"])
 def test_unwritable_output_exit_code(workdir, monkeypatch, capsys, argv):
     def no_synthesis(*args, **kwargs):
-        raise AssertionError("g2 must check its outputs before synthesis")
+        raise AssertionError("outputs must be checked before synthesis")
 
     monkeypatch.setattr("motlaser.cli.photonstats.simulate_intensity",
                         no_synthesis)
@@ -928,6 +938,33 @@ def test_unwritable_output_exit_code(workdir, monkeypatch, capsys, argv):
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
     assert "missing/" in err or "taken" in err
     # no output, no temporary and no probe file is left behind
+    assert sorted(workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ("g2", "--regime", "below", "--tau-c", "3us", "--washout-g2", "1.6"),
+    ("g2", "--regime", "above", "--tau-c", "3us"),
+    ("g2", "--regime", "above", "--washout-g2", "1.6"),
+    ("clicks", "--regime", "poisson", "--tau-c", "5us"),
+    ("clicks", "--regime", "laser", "--tau-c", "5us"),
+], ids=["g2-tau-c-and-washout", "g2-above-tau-c", "g2-above-washout",
+        "clicks-poisson-tau-c", "clicks-laser-tau-c"])
+def test_coherence_option_that_changes_no_output_exit_code(
+        workdir, monkeypatch, argv):
+    # the washout target would be dropped, and a coherence time outside
+    # the thermal regime would only be written into the sidecar
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("options must be checked before synthesis")
+
+    monkeypatch.setattr("motlaser.cli.photonstats.simulate_intensity",
+                        no_synthesis)
+    calibrated(workdir)
+    before = sorted(workdir.iterdir())
+    command = argv[0]
+    lengths = ("--bin", "2.6us", "--max-lag", "13us") if command == "g2" \
+        else ()
+    assert exit_code(*argv, "--rate", "1000", "--duration", "0.1s",
+                     *lengths) == 2
     assert sorted(workdir.iterdir()) == before
 
 

@@ -165,6 +165,26 @@ def _counted_generators(monkeypatch):
     return seeds
 
 
+def _start_walks(monkeypatch, generators, length, meets=True):
+    # whether each walk from the drawn start met the chain from 0; with
+    # ``meets`` False each is made to report that it did not.  That walk is
+    # told apart by its length, one block, in the first pass, whose redos
+    # read two slabs; not by its guess, 0j, which a block's warm-up state
+    # can equal (see test_redo_path)
+    walks, real = [], ps._ar1_walk
+
+    def walk(re, im, p, a, state, guess=None):
+        true_end = real(re, im, p, a, state, guess)
+        if guess is not None and re.size == length and len(generators) == 1:
+            walks.append(true_end is None)
+            if not meets:
+                return state
+        return true_end
+
+    monkeypatch.setattr(ps, "_ar1_walk", walk)
+    return walks
+
+
 class TestAr1:
     """|y|^2 of the blocked recursion against scipy.signal.lfilter, bit
     for bit."""
@@ -222,29 +242,33 @@ class TestAr1:
         # 7: the warm-up of block 5 sees only zeros and starts it from
         # exactly 0, but the true state leaving block 4 is the spike's
         # tail, ~1e-52 (it never underflows to 0: a > 1/2 keeps the
-        # smallest subnormals).  Blocks 5 and 6 are recomputed whole;
-        # block 7 until the noise resumes and swamps the tail.
+        # smallest subnormals).  Blocks 5 and 6 are walked again whole;
+        # block 7 until the noise resumes and swamps the tail.  Block 5's
+        # guess is 0j, as a walk from the drawn start's is.
         a = np.exp(-0.1)
         _, length = ps._ar1_layout(1, a)
         n = 12 * length + 5
         x = _noise(n, 4)
         x[4 * length:7 * length + 10] = 0.0
         x[4 * length + 5] = 1e25
-        redone = []
-        real = ps._ar1_redo
+        redone, guesses = [], []
+        real = ps._ar1_walk
 
-        def counted(*args):
-            true_end = real(*args)
-            redone.append(true_end is not None)
+        def counted(re, im, p, a, state, guess=None):
+            true_end = real(re, im, p, a, state, guess)
+            if guess is not None:
+                redone.append(true_end is not None)
+                guesses.append(guess)
             return true_end
 
-        monkeypatch.setattr(ps, "_ar1_redo", counted)
+        monkeypatch.setattr(ps, "_ar1_walk", counted)
         out = np.empty(n)
         ps._ar1_power(x.real.copy(), x.imag.copy(), a, 0.5 + 0.5j, out)
         want = _lfilter_power(x, a, 0.5 + 0.5j)
         assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
         # whole blocks changed, then one met the stored chain part way
         assert redone == [True, True, False]
+        assert guesses[0] == 0j
         # written over the real noise, block 5 keeps the noise of only its
         # first two slabs, and its chains are still apart after them
         redone.clear()
@@ -266,115 +290,114 @@ class TestAr1:
         # pole: 8192 samples.  The trace ends one sample short of a chunk
         # (3 blocks and a serial tail), on one, one past it and 5 past the
         # third.  With the walk from the drawn start forced to report that
-        # its chains never met, the synthesis runs again from a fresh
-        # generator with the start known.
-        chunk, period = 8192, 8.67e-6
+        # its chains never met, the synthesis runs once more from a fresh
+        # generator with the start known, in chunks of 2 blocks.
+        chunk, length, period = 8192, 2048, 8.67e-6
         monkeypatch.setattr(ps, "_THERMAL_CHUNK", 1)
         monkeypatch.setattr(ps, "_THERMAL_MIN_BLOCKS", 4)
         n, mean_rate, seed = chunk + extra, 1e5, 9
         a = np.exp(-period / 1e-4)
-        assert ps._ar1_layout(chunk, a)[1] * 4 == ps._thermal_chunk(a) \
-            == chunk
+        assert ps._ar1_layout(chunk, a)[1] == length
+        assert ps._thermal_chunk(a) == chunk == 2 * ps._thermal_chunk(a, 2)
         want = _thermal_oracle(n, a, mean_rate, seed)
 
-        generators, walks, tails = [], [], []
-        real_rng, real_restart = ps._rng, ps._ar1_restart
-        real_serial = ps._ar1_serial
+        generators = _counted_generators(monkeypatch)
+        walks = _start_walks(monkeypatch, generators, length, restart_meets)
+        tails, walk = [], ps._ar1_walk
 
-        def serial(re, *args):
-            tails.append(re.size)
-            return real_serial(re, *args)
+        def serial(re, im, p, a, state, guess=None):
+            if guess is None:
+                tails.append(re.size)
+            return walk(re, im, p, a, state, guess)
 
-        def counted_rng(s):
-            generators.append(s)
-            return real_rng(s)
-
-        def restart(*args):
-            walks.append(real_restart(*args))
-            return walks[-1] and restart_meets
-
-        monkeypatch.setattr(ps, "_rng", counted_rng)
-        monkeypatch.setattr(ps, "_ar1_restart", restart)
-        monkeypatch.setattr(ps, "_ar1_serial", serial)
+        monkeypatch.setattr(ps, "_ar1_walk", serial)
         got = simulate_intensity("thermal", mean_rate, 1e-4, n * period,
                                  period, seed=seed).samples
         assert got.size == n
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         # the chains from 0 and from the start meet within chunk 0's first
-        # block; the rerun knows the start and walks nothing
+        # block; the rerun knows the start and walks nothing from it
         assert walks == [True]
         assert generators == [seed] * (1 if restart_meets else 2)
-        # every chunk but the last is whole blocks and runs no serial tail
-        chunks = -(-n // chunk)
-        last = n - (chunks - 1) * chunk
-        tail = last if last < 2 * 2048 else last % 2048
-        assert tails == ([0] * (chunks - 1) + [tail]) * len(generators)
+
+        def pass_tails(chunk):
+            # every chunk but the last is whole blocks and runs no serial
+            # tail
+            chunks = -(-n // chunk)
+            last = n - (chunks - 1) * chunk
+            tail = last if last < 2 * length else last % length
+            return [0] * (chunks - 1) + [tail]
+
+        assert tails == pass_tails(chunk) \
+            + ([] if restart_meets else pass_tails(chunk // 2))
 
     @pytest.mark.parametrize("warm, runs", [(370, 1), (300, 2)],
-                             ids=["kept", "spare"])
+                             ids=["kept", "rerun"])
     def test_thermal_redos_over_the_drained_noise(self, monkeypatch, warm,
                                                   runs):
         # warm-ups of 370 steps instead of 444 leave the chains apart in
         # the last bits, so blocks are redone, each within the two slabs
         # whose noise it keeps; after 300 steps a redo needs more, and the
-        # synthesis runs again with a spare buffer
+        # synthesis runs once more with an intensity buffer of its own
         n, period, seed = 60_000, 3e-7, 3
         want = _thermal_oracle(n, np.exp(-period / 3e-6), 2e5, seed)
         _short_warm_ups(monkeypatch, warm)
         generators = _counted_generators(monkeypatch)
         redos = []
-        real = ps._ar1_redo
+        real = ps._ar1_walk
 
-        def counted(re, *args):
-            redos.append(re.size)
-            return real(re, *args)
+        def counted(re, im, p, a, state, guess=None):
+            if guess is not None:
+                redos.append(re.size)
+            return real(re, im, p, a, state, guess)
 
-        monkeypatch.setattr(ps, "_ar1_redo", counted)
+        monkeypatch.setattr(ps, "_ar1_walk", counted)
         got = simulate_intensity("thermal", 2e5, 3e-6, n * period, period,
                                  seed=seed).samples
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert generators == [seed] * runs
-        # in place, a redo reads the kept slabs; with a spare buffer, and
-        # for the start, a whole block
+        # in place, a redo reads the kept slabs; with an intensity buffer,
+        # and from the start, a whole block
         assert 2 * ps._AR1_TILE_STEPS in redos
+        assert ps._ar1_layout(n, np.exp(-period / 3e-6))[1] in redos
 
     @pytest.mark.parametrize("restart_meets", [True, False],
                              ids=["walk", "rerun"])
     def test_thermal_spare_rerun_when_a_redo_outruns_the_kept_noise(
             self, monkeypatch, restart_meets):
-        # one redo over the drained noise is made to report its chains
-        # still apart after the kept slabs: the first redo of the
-        # synthesis, or, with the walk from the drawn start made to fail,
-        # the first of the run with the start known.  That run is made
-        # again from a fresh generator with a spare buffer.
+        # over three chunks of 16 blocks, the first redo over the drained
+        # noise is made to report its chains still apart after the kept
+        # slabs.  The pass then only draws the rest of the noise and the
+        # start, walks nothing from the start, and the synthesis runs once
+        # more with the start known and an intensity buffer of its own.  A
+        # walk from the start made to fail as well adds no pass: the worst
+        # case takes two.
+        monkeypatch.setattr(ps, "_THERMAL_CHUNK", 1 << 14)
         n, period, seed = 60_000, 3e-7, 3
         want = _thermal_oracle(n, np.exp(-period / 3e-6), 2e5, seed)
         _short_warm_ups(monkeypatch, 370)
         drained = simulate_intensity("thermal", 2e5, 3e-6, n * period,
                                      period, seed=seed).samples
         generators = _counted_generators(monkeypatch)
-        armed, forced = [restart_meets], []
-        real_redo, real_restart = ps._ar1_redo, ps._ar1_restart
+        length = ps._ar1_layout(n, np.exp(-period / 3e-6))[1]
+        walks = _start_walks(monkeypatch, generators, length, restart_meets)
+        forced, walk = [], ps._ar1_walk
 
-        def redo(re, im, p, a, guess, state):
-            true_end = real_redo(re, im, p, a, guess, state)
-            if armed[0] and re.size == 2 * ps._AR1_TILE_STEPS:
-                armed[0] = False
+        def redo(re, im, p, a, state, guess=None):
+            true_end = walk(re, im, p, a, state, guess)
+            if not forced and re.size == 2 * ps._AR1_TILE_STEPS:
                 forced.append(true_end)
                 return state
             return true_end
 
-        def restart(*args):
-            armed[0] = True
-            return real_restart(*args) and restart_meets
-
-        monkeypatch.setattr(ps, "_ar1_redo", redo)
-        monkeypatch.setattr(ps, "_ar1_restart", restart)
+        monkeypatch.setattr(ps, "_ar1_walk", redo)
         got = simulate_intensity("thermal", 2e5, 3e-6, n * period, period,
                                  seed=seed).samples
+        assert -(-n // ps._thermal_chunk(np.exp(-period / 3e-6))) == 3
         # the forced redo had in truth met within the kept slabs
         assert forced == [None]
-        assert generators == [seed] * (2 if restart_meets else 3)
+        assert walks == []
+        assert generators == [seed] * 2
         for other in (want, drained):
             assert np.array_equal(got.view(np.uint64), other.view(np.uint64))
 
@@ -481,15 +504,15 @@ def test_thermal_synthesis_holds_the_real_noise_and_two_chunks(monkeypatch,
     # intensity (8 B/sample), the imaginary noise's chunk buffer, and one
     # chunk more for the copy of chunk 0's first block, the |y|^2 of each
     # block's first two slabs, the slab buffers and the last chunk's
-    # serial tail.  The three full-length arrays took 24 B/sample, and an
-    # intensity chunk buffer one chunk more.  A rerun holds no more.
+    # serial tail.  The three full-length arrays took 24 B/sample.  A
+    # rerun holds an intensity buffer next to the noise's, each of 9
+    # blocks, and no more.
     monkeypatch.setattr(ps, "_THERMAL_CHUNK", 1 << 15)
-    if rerun:
-        walk = ps._ar1_restart
-        monkeypatch.setattr(ps, "_ar1_restart",
-                            lambda *args: walk(*args) and False)
     chunk = ps._thermal_chunk(np.exp(-0.1))
-    assert chunk == 18 * ps._ar1_layout(chunk, np.exp(-0.1))[1]
+    length = ps._ar1_layout(chunk, np.exp(-0.1))[1]
+    assert chunk == 18 * length == 2 * ps._thermal_chunk(np.exp(-0.1), 2)
+    generators = _counted_generators(monkeypatch)
+    _start_walks(monkeypatch, generators, length, meets=not rerun)
     n = 6 * chunk + 5
     tracemalloc.start()
     try:
@@ -498,6 +521,7 @@ def test_thermal_synthesis_holds_the_real_noise_and_two_chunks(monkeypatch,
     finally:
         tracemalloc.stop()
     assert tr.samples.size == n
+    assert generators == [1] * (2 if rerun else 1)
     assert synthesis <= 8 * n + 2 * 8 * chunk
 
 
