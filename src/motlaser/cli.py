@@ -28,8 +28,8 @@ from .config import (RunConfig, default_config, describe_keys, load_config,
                      parse_quantity, parse_seed)
 from .errors import (ConfigError, IntegrityError, PhysicsError,
                      QuantizationAxisError)
-from .results import (ScanResultTable, parse_metadata, sections_text,
-                      write_files)
+from .results import (Indexed, ScanResultTable, parse_metadata,
+                      sections_text, write_files)
 
 if TYPE_CHECKING:
     from .gain import CalibrationConstants
@@ -198,11 +198,12 @@ def _map_power_columns(result, families) -> list:
             + [result.family_powers[n] for n in families]]
 
 
-def _lasing_labels(result, families) -> np.ndarray:
+def _lasing_labels(result, families) -> Indexed:
     """Each cell's lasing families joined by ';', "" where a cell failed.
 
-    The per-family masks become one bit code per cell, and each code that
-    occurs is labelled once.
+    The per-family masks become one bit code per cell; each code that
+    occurs is labelled once, and the column holds those labels with the
+    cells' indices into them.
     """
     dtype = np.int64 if len(families) < 63 else object
     code = np.zeros(result.ok.size, dtype)
@@ -210,10 +211,8 @@ def _lasing_labels(result, families) -> np.ndarray:
         code |= (result.family_lasing[n] & result.ok).ravel().astype(dtype) \
             << bit
     codes, index = np.unique(code, return_inverse=True)
-    labels = np.array([";".join(str(n) for bit, n in enumerate(families)
-                                if int(c) >> bit & 1) for c in codes],
-                      dtype=object)
-    return labels[index]
+    return Indexed([";".join(str(n) for bit, n in enumerate(families)
+                             if int(c) >> bit & 1) for c in codes], index)
 
 
 def cmd_map(args) -> int:
@@ -233,8 +232,9 @@ def cmd_map(args) -> int:
     if pump.size and cav.size:
         result = gain.detuning_map(cfg.operating_point(), system, calib,
                                    pump, cav, families)
-        # row-major columns: pump outer, cavity inner
-        table.set_columns(np.repeat(pump, cav.size), np.tile(cav, pump.size),
+        # row-major cells: pump outer, cavity inner
+        pump_at, cav_at = np.divmod(np.arange(pump.size * cav.size), cav.size)
+        table.set_columns(Indexed(pump, pump_at), Indexed(cav, cav_at),
                           *_map_power_columns(result, families),
                           _lasing_labels(result, families))
     meta = _base_metadata(cfg, "map", {

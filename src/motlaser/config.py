@@ -111,6 +111,9 @@ def _parse_families(text: str) -> tuple:
         raise ConfigError(f"malformed integer list {text!r}") from exc
     if any(v < 0 for v in values):
         raise ConfigError(f"family indices must be >= 0, got {text!r}")
+    if len(set(values)) < len(values):
+        # each family is one power column and one threshold entry
+        raise ConfigError(f"family indices must be distinct, got {text!r}")
     return values
 
 

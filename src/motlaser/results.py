@@ -7,7 +7,8 @@ in full-precision scientific notation; missing cells become empty fields,
 never NaN strings.
 
 A table holds one sequence per column (``set_columns``); a numpy array
-stands for the cells of its ``tolist()``.  Every cell gets the bytes of
+stands for the cells of its ``tolist()``, and an ``Indexed(values, index)``
+for the cells ``values[index]``.  Every cell gets the bytes of
 ``format_cell``, written column by column:
 
 - a column whose cells are all floats or ``None`` goes through
@@ -16,6 +17,8 @@ stands for the cells of its ``tolist()``.  Every cell gets the bytes of
   three-digit words, its leading zeros padded;
 - any other column is written cell by cell with ``format_cell``, or for
   an integer array with ``str`` of its ``tolist()`` ints;
+- an ``Indexed`` column is written as its ``values`` would be, each value
+  formatted once, and its rows of bytes are gathered by ``index``;
 - the columns are laid side by side in one byte array padded with 0xFF, a
   byte that UTF-8 never produces, and one ``bytes.translate`` deletes the
   padding.
@@ -234,6 +237,33 @@ def _text_block(cells) -> np.ndarray:
     return block
 
 
+class Indexed(Sequence):
+    """A column whose cells are ``values[index]``: a few distinct values
+    repeated over many rows, written with each value formatted once."""
+
+    def __init__(self, values, index):
+        self.values, self.index = values, np.asarray(index)
+
+    def __len__(self):
+        return len(self.index)
+
+    def __getitem__(self, k):
+        return self.values[self.index[k]]
+
+    def check(self):
+        """Raise ValueError unless index is 1-D integers into values."""
+        index = self.index
+        if index.ndim != 1 or index.dtype.kind not in "iu":
+            raise ValueError("an index must be a 1-D integer array")
+        if index.size and (index.min() < 0
+                           or index.max() >= len(self.values)):
+            raise ValueError("an index falls outside its values")
+
+
+def _is_float(cells) -> bool:
+    return isinstance(cells, np.ndarray) and cells.dtype == np.float64
+
+
 class _Columns(Sequence):
     """The rows of a table held as one sequence per column."""
 
@@ -257,6 +287,9 @@ class ScanResultTable:
         """Hold the table as one sequence per column."""
         if len(data) != len(self.columns) or len(set(map(len, data))) > 1:
             raise ValueError("columns do not match the column schema")
+        for column in data:
+            if isinstance(column, Indexed):
+                column.check()
         self.rows = _Columns(data)
 
     def _csv_bytes(self) -> bytes:
@@ -265,22 +298,30 @@ class ScanResultTable:
         n = len(self.rows)
         if not n:
             return header
-        cells = [_float_cells(column) for column in self.rows.data]
-        floats = [c for c in cells if isinstance(c, np.ndarray)
-                  and c.dtype == np.float64]
+        columns = self.rows.data
+        cells = [_float_cells(c.values if isinstance(c, Indexed) else c)
+                 for c in columns]
+        floats = [c for c in cells if _is_float(c)]
         if floats:
             formatted = format_e17(np.concatenate(floats))
-        comma = np.full((n, 1), ord(","), np.uint8)
-        parts, k = [], 0
+        blocks, k = [], 0
         for c in cells:
-            if isinstance(c, np.ndarray) and c.dtype == np.float64:
-                parts += [formatted[k:k + n], comma]
-                k += n
+            if _is_float(c):
+                blocks.append(formatted[k:k + c.size])
+                k += c.size
             else:
-                parts += [_text_block(c), comma]
-        parts[-1:] = [np.full((n, 1), ord("\n"), np.uint8)]
-        body = np.concatenate(parts, axis=1).tobytes()
-        return header + body.translate(None, bytes([_PAD]))
+                blocks.append(_text_block(c))
+        # each block, then its comma; the last comma becomes the newline
+        out = np.empty((n, sum(b.shape[1] + 1 for b in blocks)), np.uint8)
+        at = 0
+        for column, block in zip(columns, blocks):
+            width = block.shape[1]
+            out[:, at:at + width] = (block[column.index]
+                                     if isinstance(column, Indexed) else block)
+            out[:, at + width] = ord(",")
+            at += width + 1
+        out[:, -1] = ord("\n")
+        return header + out.tobytes().translate(None, bytes([_PAD]))
 
     def csv_text(self) -> str:
         return self._csv_bytes().decode()

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from motlaser import cli, gain, geometry, photonstats
+from motlaser import cli, gain, geometry, photonstats, results
 from motlaser.atomics import MASS_YB174
 from motlaser.cli import (MAX_POINTS, build_parser, load_calibration, main,
                           render_polarization_table)
@@ -284,6 +284,32 @@ class TestMapCommand:
         assert all(row.endswith(",") for row in rows)  # lasing column empty
         # the config file itself is never touched by a command
         assert cfg.read_text() == "pump_polarization = linear:0deg\n"
+
+    def test_default_map_formats_each_distinct_cell_once(self, workdir,
+                                                         monkeypatch):
+        # the axes and the lasing labels reach the writer as their distinct
+        # values: one kernel call for the 21 pump and 61 cavity values and
+        # the five power columns of 1281 cells, and one text per label
+        calibrated(workdir)
+        sizes, texts = [], []
+        format_e17, format_cell = results.format_e17, results.format_cell
+
+        def counted_e17(values):
+            sizes.append(np.size(values))
+            return format_e17(values)
+
+        def counted_cell(value):
+            texts.append(value)
+            return format_cell(value)
+
+        monkeypatch.setattr(results, "format_e17", counted_e17)
+        monkeypatch.setattr(results, "format_cell", counted_cell)
+        assert run("map") == 0
+        assert sizes == [21 + 61 + 5 * 1281] == [6487]
+        rows = (workdir / "map.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1281
+        labels = [row.rsplit(",", 1)[1] for row in rows]
+        assert sorted(texts) == sorted(set(labels))
 
 
 class TestThresholdCommand:
@@ -751,8 +777,9 @@ def test_empty_click_stream_exit_code(workdir, capsys, regime):
 
 @pytest.mark.parametrize("line", ["pump_power = -1mW", "cloud_radius = 0",
                                   "total_atoms = -10", "pump_waist = 0",
-                                  "families = 0,-37", "seed = -1",
-                                  "atom_mass = -1", "laser_ripple = -0.5"])
+                                  "families = 0,-37", "families = 0,0,37",
+                                  "seed = -1", "atom_mass = -1",
+                                  "laser_ripple = -0.5"])
 def test_out_of_range_config_value_exit_code(workdir, monkeypatch, capsys,
                                              line):
     def no_synthesis(*args, **kwargs):

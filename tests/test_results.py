@@ -213,3 +213,71 @@ def test_count_column_matches_str_at_powers_of_ten():
     # a column of zeros, and one with a negative value, which str writes
     _assert_counts_match_str([0])
     _assert_counts_match_str([5, -1, 2**63 - 1, -2**63])
+
+
+_INDEXED_VALUES = st.one_of(
+    st.lists(st.one_of(_FLOAT_CELLS, st.none()), min_size=1, max_size=8),
+    st.lists(_FLOAT_CELLS, min_size=1, max_size=8).map(np.array),
+    st.lists(st.integers(-2**63, 2**63 - 1), min_size=1,
+             max_size=8).map(lambda v: np.array(v, np.int64)),
+    st.lists(st.text(st.characters(blacklist_characters=",\n\r",
+                                   blacklist_categories=("Cs",))),
+             min_size=1, max_size=8))
+
+
+def _expanded(values, index):
+    """The cells of Indexed(values, index) as a plain column."""
+    if isinstance(values, np.ndarray):
+        return values[index]
+    return [values[k] for k in index.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@example(([0.5, math.nan, None, -0.0, math.inf, -math.inf],
+          [5, 0, 1, 2, 3, 4]))
+@example((np.array([1e-300, -0.0, math.nan]), [2, 2, 0, 1] * 200))
+@example((np.array([0, 7, -3, 2**40], np.int64), [3, 2, 1, 0, 0]))
+@example((["", "0;37", "74"], [1, 0, 2, 1]))
+@given(_INDEXED_VALUES.flatmap(lambda values: st.tuples(
+    st.just(values),
+    st.lists(st.integers(0, len(values) - 1), max_size=600))))
+def test_indexed_column_writes_its_expanded_column(values_index):
+    values, index = values_index
+    index = np.array(index, np.intp)
+    other = np.linspace(0.0, 1.0, index.size)
+    indexed, expanded = (ScanResultTable(["v", "w"]) for _ in range(2))
+    indexed.set_columns(results.Indexed(values, index), other)
+    expanded.set_columns(_expanded(values, index), other)
+    assert indexed.csv_text() == expanded.csv_text()
+    assert len(indexed.rows) == len(expanded.rows) == index.size
+    # repr: the same cells, of the same types, NaN included
+    assert repr(list(indexed.rows)) == repr(list(expanded.rows))
+
+
+def test_indexed_columns_keep_rows_and_empty_tables():
+    pump, cav = np.array([1e6, 2e6]), np.array([-3e7, -2e7, -1e7])
+    at_pump, at_cav = np.divmod(np.arange(6), 3)
+    labels = results.Indexed(["", "0;37"], [0, 1, 1, 0, 0, 1])
+    table = ScanResultTable(["p", "c", "f"])
+    table.set_columns(results.Indexed(pump, at_pump),
+                      results.Indexed(cav, at_cav), labels)
+    assert len(table.rows) == 6
+    assert table.rows[4] == (2e6, -2e7, "")
+    assert table.rows[-1] == (2e6, -1e7, "0;37")
+    assert table.csv_text().splitlines()[2] == (
+        "1.00000000000000000e+06,-2.00000000000000000e+07,0;37")
+    empty = results.Indexed(["x"], np.array([], np.intp))
+    table.set_columns(empty, results.Indexed(cav, at_cav[:0]), [])
+    assert len(table.rows) == 0
+    assert table.csv_text() == "p,c,f\n"
+
+
+@pytest.mark.parametrize("index", [
+    np.zeros((2, 3), np.intp), np.array([0.0, 1.0]), np.array([True, False]),
+    [0, 1, 2], [-1, 0], [0.5]],
+    ids=["2-D", "float", "bool", "past-the-end", "negative", "float-list"])
+def test_bad_index_is_refused_at_set_columns(index):
+    column = results.Indexed(["a", "b"], index)
+    table = ScanResultTable(["s"])
+    with pytest.raises(ValueError):
+        table.set_columns(column)
