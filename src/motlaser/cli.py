@@ -46,17 +46,6 @@ def _calibration_entries(calib: CalibrationConstants) -> dict:
             "resonance_offset": repr(calib.resonance_offset)}
 
 
-def write_calibration(path, calib: CalibrationConstants, cfg: RunConfig,
-                      anchors: dict) -> None:
-    """Write the calibration file in the sidecar format; it replaces the
-    previous file only once it is written in full."""
-    sections = {"calibration": _calibration_entries(calib),
-                "provenance": {"version": __version__,
-                               "config_hash": cfg.config_hash(), **anchors},
-                "config": _config_snapshot(cfg)}
-    write_files((path, sections_text(sections).encode()))
-
-
 def load_calibration(path, cfg: RunConfig) -> CalibrationConstants:
     from .gain import CalibrationConstants
     try:
@@ -177,14 +166,17 @@ def _range_values(lo, step, size: float):
 def cmd_calibrate(args) -> int:
     from . import gain
     cfg = _load_cfg(args)
-    system = cfg.system()
-    calib = gain.calibrate(system, cfg.operating_point())
-    anchors = {"reference_atoms": gain.REFERENCE_ATOMS,
-               "reference_photons": gain.REFERENCE_PHOTONS,
-               "reference_pump_power": gain.REFERENCE_PUMP_POWER}
+    calib = gain.calibrate(cfg.system(), cfg.operating_point())
+    provenance = {"version": __version__, "config_hash": cfg.config_hash(),
+                  "reference_atoms": gain.REFERENCE_ATOMS,
+                  "reference_photons": gain.REFERENCE_PHOTONS,
+                  "reference_pump_power": gain.REFERENCE_PUMP_POWER}
+    # the calibration file has the sidecar format
+    sections = {"calibration": _calibration_entries(calib),
+                "provenance": provenance, "config": _config_snapshot(cfg)}
     out = args.out or "calibration.txt"
     with _output(out):
-        write_calibration(out, calib, cfg, anchors)
+        write_files((out, sections_text(sections).encode()))
     print(f"calibration written to {out}: gain_scale={calib.gain_scale:.6g} "
           f"n_sat={calib.n_sat:.6g}")
     return 0
@@ -404,9 +396,8 @@ def cmd_polarization_table(args) -> int:
         extra.append(parts)
     text = render_polarization_table(cfg, extra)
     if args.out:
-        with _output(args.out), \
-                open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with _output(args.out):
+            write_files((args.out, text.encode()))
         print(f"selection-rule table written to {args.out}")
     else:
         sys.stdout.write(text)
@@ -434,6 +425,37 @@ def _resolve_tau_c(args, cfg: RunConfig) -> float:
     return float(2.0 / (kappa - g0))
 
 
+def _sample_period(regime: str, tau_c, duration: float) -> float:
+    # a tenth of the coherence time for thermal light, else at most 1 ms
+    return tau_c / 10.0 if regime == "thermal" else min(1e-3, duration / 100.0)
+
+
+def _click_streams(args, cfg: RunConfig, regime: str, tau_c, paths, write,
+                   need_clicks: bool = False) -> tuple:
+    """The two click streams of one synthesis, each written to its path of
+    ``paths`` by ``write``, and what each write returned; ``need_clicks``
+    refuses an empty stream before anything is written."""
+    seed = cfg.seed()
+    trace = photonstats.simulate_intensity(
+        regime, args.rate, tau_c or 0.0, args.duration,
+        sample_period=_sample_period(regime, tau_c, args.duration),
+        seed=seed, laser_ripple=cfg["laser_ripple"])
+    streams = photonstats.poissonize(trace, (seed + 1) % 2**64)
+    # the trace is the largest array of the run; nothing after needs it
+    del trace
+    empty = [s.detector_id for s in streams if s.timestamps.size == 0]
+    if need_clicks and empty:
+        raise PhysicsError(
+            f"detector {empty[0]} recorded no clicks in {args.duration:g} s "
+            f"at {args.rate:g} clicks/s: no pairs to correlate; raise --rate "
+            f"or --duration")
+    stored = []
+    for stream, path in zip(streams, paths):
+        with _output(path):
+            stored.append(write(stream, path))
+    return streams, stored
+
+
 def cmd_g2(args) -> int:
     # options that would change no output are refused
     if args.regime == "above" and {args.tau_c, args.washout_g2} != {None}:
@@ -446,16 +468,11 @@ def cmd_g2(args) -> int:
                      for tag in ("det0", "det1")] if args.emit_clicks else [])
     # fail before the synthesis, not after it
     _check_writable(out, out + ".meta.txt", *clicks_paths)
-    seed = cfg.seed()
-    if args.regime == "below":
-        tau_c = _resolve_tau_c(args, cfg)
-        regime, coherence, period = "thermal", tau_c, tau_c / 10.0
-    else:
-        tau_c = None
-        regime, coherence = "laser", 0.0
-        period = min(1e-3, args.duration / 100.0)
+    regime = "thermal" if args.regime == "below" else "laser"
+    tau_c = _resolve_tau_c(args, cfg) if regime == "thermal" else None
     # the correlator's window, checked before any synthesis against the
     # duration the trace will have
+    period = _sample_period(regime, tau_c, args.duration)
     samples = photonstats.trace_samples(args.duration, period)
     try:
         kmax = photonstats.lag_window(period * samples, args.bin,
@@ -463,21 +480,9 @@ def cmd_g2(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"g2 window: {exc}") from None
     _check_points("g2 lags", 2 * kmax + 1)
-    trace = photonstats.simulate_intensity(
-        regime, args.rate, coherence, args.duration, sample_period=period,
-        seed=seed, laser_ripple=cfg["laser_ripple"])
-    det_a, det_b = photonstats.poissonize(trace, (seed + 1) % 2**64)
-    # the trace is the largest array of the run; nothing after needs it
-    del trace
-    for stream in (det_a, det_b):
-        if stream.timestamps.size == 0:
-            raise PhysicsError(
-                f"detector {stream.detector_id} recorded no clicks in "
-                f"{args.duration:g} s at {args.rate:g} clicks/s: no pairs to "
-                f"correlate; raise --rate or --duration")
-    for stream, path in zip((det_a, det_b), clicks_paths):
-        with _output(path):
-            photonstats.write_clickstream(stream, path)
+    (det_a, det_b), _ = _click_streams(args, cfg, regime, tau_c, clicks_paths,
+                                       photonstats.write_clickstream,
+                                       need_clicks=True)
     result = photonstats.g2_cross(det_a, det_b, args.bin, args.max_lag,
                                   shards=args.threads)
     table = ScanResultTable(["lag_s", "g2", "sigma", "pairs"])
@@ -506,34 +511,24 @@ def cmd_clicks(args) -> int:
     paths = [f"{args.prefix}_{tag}.{suffix}" for tag in ("det0", "det1")]
     # fail before the synthesis, not after it
     _check_writable(out, out + ".meta.txt", *paths)
-    seed = cfg.seed()
-    tau_c = args.tau_c if args.tau_c is not None else 100e-6
-    period = tau_c / 10.0 if args.regime == "thermal" \
-        else min(1e-3, args.duration / 100.0)
-    trace = photonstats.simulate_intensity(
-        args.regime, args.rate, tau_c, args.duration, sample_period=period,
-        seed=seed, laser_ripple=cfg["laser_ripple"])
-    det_a, det_b = photonstats.poissonize(trace, (seed + 1) % 2**64)
-    del trace
-    stored = []
-    for stream, path in zip((det_a, det_b), paths):
-        with _output(path):
-            if args.format == "bin":
-                count = photonstats.write_clickstream(stream, path)
-            else:
-                photonstats.write_clickstream_text(stream, path)
-                count = stream.timestamps.size
-        stored.append((path, count))
+    # thermal light's coherence time; --tau-c is refused for the others
+    tau_c = 100e-6 if args.regime == "thermal" and args.tau_c is None \
+        else args.tau_c
+    write = photonstats.write_clickstream if args.format == "bin" \
+        else photonstats.write_clickstream_text
+    streams, counts = _click_streams(args, cfg, args.regime, tau_c, paths,
+                                     write)
+    if args.format == "txt":            # the text format drops no click
+        counts = [s.timestamps.size for s in streams]
     table = ScanResultTable(["detector", "path", "clicks"])
-    table.set_columns(range(len(stored)), *zip(*stored))
-    meta = _base_metadata(cfg, "clicks", {
+    table.set_columns(range(len(paths)), paths, counts)
+    table.metadata = _base_metadata(cfg, "clicks", {
         "regime": args.regime, "rate": repr(args.rate),
-        "duration": repr(args.duration), "tau_c": repr(tau_c),
-        "format": args.format})
-    table.metadata = meta
+        "duration": repr(args.duration),
+        "tau_c": "" if tau_c is None else repr(tau_c), "format": args.format})
     _write_table(table, out)
     print(f"click streams written: "
-          + ", ".join(f"{p} ({c})" for p, c in stored))
+          + ", ".join(f"{p} ({c})" for p, c in zip(paths, counts)))
     return 0
 
 

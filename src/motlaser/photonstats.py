@@ -46,6 +46,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Generator, Philox
 
 from .errors import ConfigError, PhysicsError
+from .results import write_files
 
 # numba is not used; perfbench/worker.py still reports this flag.
 _HAVE_NUMBA = False
@@ -477,14 +478,13 @@ def poissonize(trace: IntensityTrace, seed: int) -> tuple:
     :class:`PhysicsError`; the check draws nothing.
 
     The counts are drawn through one rate buffer of :data:`_POISSON_CHUNK`
-    samples, and each chunk's slot starts, repeated by their counts, are
-    written into one times array sized from the expected count (see
-    :func:`_slot_clicks`); the uniform offsets are added to it
-    :data:`_POISSON_CHUNK` at a time.  So above the trace this holds about
-    1 MB and the bytes per click given at :data:`MAX_CLICKS`, about what a
-    thermal synthesis of the trace held above it (see
-    :func:`_thermal_power`): 9.0 against 9.2 MB for the 6.7e6 samples and
-    4.0e5 clicks of a 2 s ``g2`` at tau_c = 3 us.
+    samples, and each chunk's slot starts, repeated by their counts, make
+    up one times array (see :func:`_slot_clicks`); the uniform offsets
+    are added to it :data:`_POISSON_CHUNK` at a time.  So above the trace
+    this holds about 1 MB and the bytes per click given at
+    :data:`MAX_CLICKS`, about what a thermal synthesis of the trace held
+    above it (see :func:`_thermal_power`): 9.0 against 9.2 MB for the
+    6.7e6 samples and 4.0e5 clicks of a 2 s ``g2`` at tau_c = 3 us.
     """
     p = trace.sample_period
     expected = trace.samples.sum() * p
@@ -524,21 +524,23 @@ def _click_capacity(expected: float) -> int:
 
 def _slot_clicks(samples: np.ndarray, p: float, rng,
                  expected: float) -> np.ndarray:
-    """The start time of each sample slot, repeated by its Poisson count,
-    in one array first allocated for :func:`_click_capacity` clicks and
-    grown if they are more.  The means samples * p are formed in one rate
-    buffer of :data:`_POISSON_CHUNK` samples, with the rounding of
-    ``samples * p``, and each chunk's repeated starts are written into the
-    array."""
+    """The start time of each sample slot, repeated by its Poisson count.
+    The means samples * p are formed in one rate buffer of
+    :data:`_POISSON_CHUNK` samples, with the rounding of ``samples * p``.
+    A trace of one chunk returns that chunk's repeated starts; a longer
+    one writes each chunk's into one array first allocated for
+    :func:`_click_capacity` clicks and grown if they are more."""
     rate = np.empty(min(samples.size, _POISSON_CHUNK))
-    times = np.empty(_click_capacity(expected))
-    end = 0
+    one_chunk = samples.size <= _POISSON_CHUNK
+    times, end = np.empty(0 if one_chunk else _click_capacity(expected)), 0
     for i0 in range(0, samples.size, _POISSON_CHUNK):
         r = rate[:samples.size - i0]
         np.multiply(samples[i0:i0 + _POISSON_CHUNK], p, out=r)
         c = rng.poisson(r)
         nz = np.flatnonzero(c != 0)
         slots = np.repeat((nz + i0) * p, c[nz])
+        if one_chunk:
+            return slots
         if end + slots.size > times.size:
             grown = np.empty(max(2 * times.size, end + slots.size))
             grown[:end] = times[:end]
@@ -649,10 +651,12 @@ def _pair_hist_dense(fa, fb, kmax, hist, block=_DENSE_BLOCK,
     hist += acc.astype(np.int64)
 
 
-def _pair_hist_numpy(fa, fb, kmax, hist, chunk=500_000):
+def _pair_hist_numpy(fa, fb, kmax, hist, chunk=None):
     """Add the delay histogram into ``hist`` by sweeping each a-click's lag
     window in ``fb``, chunked so the materialized pair index never exceeds
-    ~chunk entries."""
+    ~chunk entries: by default 2**16, or the lag count if larger, since
+    each chunk's bincount costs one pass over the lags."""
+    chunk = chunk or max(1 << 16, hist.size)
     lo = np.searchsorted(fb, fa - kmax, side="left")
     hi = np.searchsorted(fb, fa + kmax, side="right")
     counts = hi - lo
@@ -840,19 +844,17 @@ def write_clickstream(stream: ClickStream, path) -> int:
     Little-endian header (magic "CLKS", version u32, detector u32,
     count u64, duration u64 in ns) followed by count u64 nanosecond
     timestamps, strictly increasing.  Sub-nanosecond collisions created by
-    quantization are dropped (at most one click per nanosecond).
+    quantization are dropped (at most one click per nanosecond).  The
+    file lands whole or not at all (see :func:`results.write_files`).
     """
-    ns = np.round(stream.timestamps * 1e9).astype(np.uint64)
-    if ns.size:
-        keep = np.empty(ns.size, bool)
-        keep[0] = True
-        keep[1:] = ns[1:] > ns[:-1]
-        ns = ns[keep]
+    ns = np.round(stream.timestamps * 1e9).astype("<u8")
+    keep = np.ones(ns.size, bool)
+    keep[1:] = ns[1:] > ns[:-1]
+    ns = ns[keep]
     duration_ns = int(round(stream.duration * 1e9))
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_CLICKS_MAGIC, _CLICKS_VERSION,
-                              stream.detector_id, ns.size, duration_ns))
-        fh.write(ns.astype("<u8").tobytes())
+    header = _HEADER.pack(_CLICKS_MAGIC, _CLICKS_VERSION, stream.detector_id,
+                          ns.size, duration_ns)
+    write_files((path, b"".join((header, ns))))
     return int(ns.size)
 
 
@@ -874,9 +876,10 @@ def read_clickstream(path) -> ClickStream:
 
 
 def write_clickstream_text(stream: ClickStream, path) -> None:
-    """Plain-text format: one timestamp in seconds per line, as repr."""
-    with open(path, "w") as fh:
-        fh.write("".join(map("{!r}\n".format, stream.timestamps.tolist())))
+    """Plain-text format: one timestamp in seconds per line, as repr;
+    written whole or not at all, like the binary format."""
+    text = "".join(map("{!r}\n".format, stream.timestamps.tolist()))
+    write_files((path, text.encode()))
 
 
 def read_clickstream_text(path, detector_id: int = 0, *,

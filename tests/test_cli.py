@@ -2,6 +2,7 @@ import argparse
 import ast
 import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -718,6 +719,20 @@ class TestClicksCommand:
         b = (workdir / "s2_det0.clks").read_bytes()
         assert a != b
 
+    @pytest.mark.parametrize("regime,tau_c", [
+        (("laser",), ""), (("poisson",), ""), (("thermal",), "0.0001"),
+        (("thermal", "--tau-c", "20us"), "2e-05")],
+        ids=["laser", "poisson", "thermal-default", "thermal"])
+    def test_sidecar_tau_c_only_for_thermal_light(self, workdir, regime,
+                                                  tau_c):
+        # laser and Poisson light have no coherence time: the sidecar
+        # leaves it empty, as g2 --regime above does
+        assert run("clicks", "--regime", *regime, "--rate", "20kHz",
+                   "--duration", "0.05s") == 0
+        meta = parse_metadata(
+            (workdir / "clicks_summary.csv.meta.txt").read_text())
+        assert meta["run"]["tau_c"] == tau_c
+
 
 @pytest.mark.parametrize("window", [
     ("--bin", "0", "--max-lag", "13us", "--duration", "1s"),
@@ -1022,6 +1037,59 @@ def test_table_and_sidecar_land_as_a_pair(workdir, capsys, monkeypatch):
     assert capsys.readouterr().err == \
         "error: cannot write calibration.txt: Permission denied\n"
     assert _files(workdir) == before
+
+
+_G2_EMIT = ("g2", "--regime", "above", "--rate", "50kHz", "--bin", "2.6us",
+            "--max-lag", "20us", "--duration", "0.05s", "--emit-clicks", "c")
+_CLICKS = ("clicks", "--regime", "poisson", "--rate", "50kHz", "--duration",
+           "0.05s", "--prefix", "c")
+
+
+class _FullDisk(io.FileIO):
+    """A file whose first write stores half its bytes, then fails."""
+
+    def write(self, data):
+        super().write(bytes(data)[:len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), self.name)
+
+
+@pytest.mark.parametrize("failure", ["write", "replace"])
+@pytest.mark.parametrize("argv,target", [
+    (_G2_EMIT, "c_det0.clks"), (_G2_EMIT, "c_det1.clks"),
+    (_CLICKS, "c_det1.clks"), (_CLICKS + ("--format", "txt"), "c_det0.txt"),
+    (("--out", "table.txt", "polarization-table"), "table.txt"),
+], ids=["g2-det0", "g2-det1", "clicks-bin", "clicks-txt",
+        "polarization-table"])
+def test_failed_output_write_leaves_the_previous_file(
+        workdir, monkeypatch, capsys, argv, target, failure):
+    # a click file or table that fails part-way through its write, or
+    # cannot be renamed into place, keeps the file it replaces byte for
+    # byte and leaves no temporary
+    (workdir / target).write_bytes(b"previous")
+    if failure == "write":
+        def open_(path, mode):
+            kind = _FullDisk if path.startswith(target + ".") else io.FileIO
+            return kind(path, mode)
+
+        monkeypatch.setattr(results, "open", open_, raising=False)
+    else:
+        replace = os.replace
+
+        def refuse(src, dst):
+            if dst == target:
+                raise PermissionError(errno.EACCES,
+                                      os.strerror(errno.EACCES), src)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    reason = "No space left on device" if failure == "write" \
+        else "Permission denied"
+    assert capsys.readouterr().err == f"error: cannot write {target}: " \
+        f"{reason}\n"
+    assert (workdir / target).read_bytes() == b"previous"
+    assert not list(workdir.glob("*.tmp"))
 
 
 @pytest.mark.parametrize("argv", [
