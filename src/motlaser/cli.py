@@ -430,15 +430,15 @@ def _sample_period(regime: str, tau_c, duration: float) -> float:
     return tau_c / 10.0 if regime == "thermal" else min(1e-3, duration / 100.0)
 
 
-def _click_streams(args, cfg: RunConfig, regime: str, tau_c, paths, write,
-                   need_clicks: bool = False) -> tuple:
-    """The two click streams of one synthesis, each written to its path of
-    ``paths`` by ``write``, and what each write returned; ``need_clicks``
-    refuses an empty stream before anything is written."""
+def _click_streams(args, cfg: RunConfig, regime: str, tau_c, period: float,
+                   paths, write, need_clicks: bool = False) -> tuple:
+    """The two click streams of one synthesis sampled every ``period``
+    (see :func:`_sample_period`), each written to its path of ``paths`` by
+    ``write``, and what each write returned; ``need_clicks`` refuses an
+    empty stream before anything is written."""
     seed = cfg.seed()
     trace = photonstats.simulate_intensity(
-        regime, args.rate, tau_c or 0.0, args.duration,
-        sample_period=_sample_period(regime, tau_c, args.duration),
+        regime, args.rate, tau_c or 0.0, args.duration, sample_period=period,
         seed=seed, laser_ripple=cfg["laser_ripple"])
     streams = photonstats.poissonize(trace, (seed + 1) % 2**64)
     # the trace is the largest array of the run; nothing after needs it
@@ -480,7 +480,8 @@ def cmd_g2(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"g2 window: {exc}") from None
     _check_points("g2 lags", 2 * kmax + 1)
-    (det_a, det_b), _ = _click_streams(args, cfg, regime, tau_c, clicks_paths,
+    (det_a, det_b), _ = _click_streams(args, cfg, regime, tau_c, period,
+                                       clicks_paths,
                                        photonstats.write_clickstream,
                                        need_clicks=True)
     result = photonstats.g2_cross(det_a, det_b, args.bin, args.max_lag,
@@ -516,10 +517,9 @@ def cmd_clicks(args) -> int:
         else args.tau_c
     write = photonstats.write_clickstream if args.format == "bin" \
         else photonstats.write_clickstream_text
-    streams, counts = _click_streams(args, cfg, args.regime, tau_c, paths,
-                                     write)
-    if args.format == "txt":            # the text format drops no click
-        counts = [s.timestamps.size for s in streams]
+    _, counts = _click_streams(
+        args, cfg, args.regime, tau_c,
+        _sample_period(args.regime, tau_c, args.duration), paths, write)
     table = ScanResultTable(["detector", "path", "clicks"])
     table.set_columns(range(len(paths)), paths, counts)
     table.metadata = _base_metadata(cfg, "clicks", {

@@ -478,13 +478,14 @@ def poissonize(trace: IntensityTrace, seed: int) -> tuple:
     :class:`PhysicsError`; the check draws nothing.
 
     The counts are drawn through one rate buffer of :data:`_POISSON_CHUNK`
-    samples, and each chunk's slot starts, repeated by their counts, make
-    up one times array (see :func:`_slot_clicks`); the uniform offsets
-    are added to it :data:`_POISSON_CHUNK` at a time.  So above the trace
-    this holds about 1 MB and the bytes per click given at
-    :data:`MAX_CLICKS`, about what a thermal synthesis of the trace held
-    above it (see :func:`_thermal_power`): 9.0 against 9.2 MB for the
-    6.7e6 samples and 4.0e5 clicks of a 2 s ``g2`` at tau_c = 3 us.
+    samples, and each chunk's slot starts, repeated by their counts, are
+    written into one times array sized from the expected count (see
+    :func:`_slot_clicks`); the uniform offsets are added to it
+    :data:`_POISSON_CHUNK` at a time.  So above the trace this holds about
+    1 MB and the bytes per click given at :data:`MAX_CLICKS`, about what a
+    thermal synthesis of the trace held above it (see
+    :func:`_thermal_power`): 9.0 against 9.2 MB for the 6.7e6 samples and
+    4.0e5 clicks of a 2 s ``g2`` at tau_c = 3 us.
     """
     p = trace.sample_period
     expected = trace.samples.sum() * p
@@ -524,23 +525,21 @@ def _click_capacity(expected: float) -> int:
 
 def _slot_clicks(samples: np.ndarray, p: float, rng,
                  expected: float) -> np.ndarray:
-    """The start time of each sample slot, repeated by its Poisson count.
-    The means samples * p are formed in one rate buffer of
-    :data:`_POISSON_CHUNK` samples, with the rounding of ``samples * p``.
-    A trace of one chunk returns that chunk's repeated starts; a longer
-    one writes each chunk's into one array first allocated for
-    :func:`_click_capacity` clicks and grown if they are more."""
+    """The start time of each sample slot, repeated by its Poisson count,
+    in one array first allocated for :func:`_click_capacity` clicks and
+    grown if they are more.  The means samples * p are formed in one rate
+    buffer of :data:`_POISSON_CHUNK` samples, with the rounding of
+    ``samples * p``, and each chunk's repeated starts are written into the
+    array."""
     rate = np.empty(min(samples.size, _POISSON_CHUNK))
-    one_chunk = samples.size <= _POISSON_CHUNK
-    times, end = np.empty(0 if one_chunk else _click_capacity(expected)), 0
+    times = np.empty(_click_capacity(expected))
+    end = 0
     for i0 in range(0, samples.size, _POISSON_CHUNK):
         r = rate[:samples.size - i0]
         np.multiply(samples[i0:i0 + _POISSON_CHUNK], p, out=r)
         c = rng.poisson(r)
         nz = np.flatnonzero(c != 0)
         slots = np.repeat((nz + i0) * p, c[nz])
-        if one_chunk:
-            return slots
         if end + slots.size > times.size:
             grown = np.empty(max(2 * times.size, end + slots.size))
             grown[:end] = times[:end]
@@ -875,11 +874,13 @@ def read_clickstream(path) -> ClickStream:
     return ClickStream(det, data.astype(np.float64) * 1e-9, duration_ns * 1e-9)
 
 
-def write_clickstream_text(stream: ClickStream, path) -> None:
+def write_clickstream_text(stream: ClickStream, path) -> int:
     """Plain-text format: one timestamp in seconds per line, as repr;
-    written whole or not at all, like the binary format."""
+    written whole or not at all, like the binary format.  Returns the
+    number of timestamps written: the text format drops no click."""
     text = "".join(map("{!r}\n".format, stream.timestamps.tolist()))
     write_files((path, text.encode()))
+    return int(stream.timestamps.size)
 
 
 def read_clickstream_text(path, detector_id: int = 0, *,
