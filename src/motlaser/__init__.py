@@ -19,9 +19,9 @@ _EXPORTS = {
     "atomics": ("AtomEnsemble", "TransitionSpec", "doppler_sigma",
                 "excited_population", "saturation_intensity",
                 "saturation_parameter", "zeeman_shift"),
-    "gain": ("CalibrationConstants", "GainBreakdown", "LaserSolution",
-             "LaserSystem", "OperatingPoint", "calibrate", "detuning_map",
-             "mode_gain", "optimum_scan", "output_power", "steady_state",
+    "gain": ("CalibrationConstants", "LaserSolution", "LaserSystem",
+             "OperatingPoint", "calibrate", "detuning_map", "mode_gain",
+             "optimum_scan", "output_power", "steady_state",
              "threshold_solve", "two_photon_resonance"),
     "geometry": ("CavityGeometry", "PolarizationLabel",
                  "cavity_emission_jones", "family_coupling",

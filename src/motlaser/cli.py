@@ -412,7 +412,7 @@ def _resolve_tau_c(args, cfg: RunConfig) -> float:
     calib = load_calibration(args.calibration, cfg)
     from . import gain
     system = cfg.system()
-    g0 = gain.mode_gain(cfg.operating_point(), 0, system, calib).total
+    g0 = gain.mode_gain(cfg.operating_point(), 0, system, calib)
     kappa = system.cavity.kappa
     if g0 >= kappa:
         raise PhysicsError(

@@ -133,18 +133,6 @@ UNIT_CALIBRATION = CalibrationConstants()
 
 
 @dataclass(frozen=True)
-class GainBreakdown:
-    """Per-channel gain rates of one TEM family, 1/s."""
-
-    family: int
-    per_channel: dict            # m -> rate
-
-    @property
-    def total(self) -> float:
-        return sum(self.per_channel.values())
-
-
-@dataclass(frozen=True)
 class LaserSolution:
     """Steady state of the coupled family rate equations; along a scan,
     each value is an array over the scan points."""
@@ -271,16 +259,17 @@ class _GainKernel:
 
 
 def mode_gain(op: OperatingPoint, family: int, system: LaserSystem,
-              calib: CalibrationConstants = UNIT_CALIBRATION) -> GainBreakdown:
-    """Gain rates of the three Zeeman channels for one TEM family.
+              calib: CalibrationConstants) -> float:
+    """Gain rate, 1/s, of one TEM family at one operating point: its three
+    Zeeman channels summed m = -1, 0, +1, as :meth:`_GainKernel.gains`
+    sums them.
 
     Raises :class:`QuantizationAxisError` when the offset field is zero.
     """
     kernel = _GainKernel(op, (family,), system, calib)
     delta = kernel.detuning(op.pump_detuning, op.cavity_detuning)
-    rates = kernel.channel_gains(op.pump_detuning, delta, op.pump_power,
-                                 op.total_atoms)[0]
-    return GainBreakdown(family, dict(zip(SUBLEVELS, map(float, rates))))
+    return float(kernel.gains(op.pump_detuning, delta, op.pump_power,
+                              op.total_atoms)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +441,7 @@ def calibrate(system: LaserSystem,
     """
     anchor = replace(reference_operating_point(op, system, ANCHOR_PUMP_POWER),
                      total_atoms=REFERENCE_ATOMS)
-    g_unit = mode_gain(anchor, 0, system, UNIT_CALIBRATION).total
+    g_unit = mode_gain(anchor, 0, system, UNIT_CALIBRATION)
     if not np.isfinite(g_unit) or g_unit <= 0.0:
         raise CalibrationError(
             "calibration failed: gain at the reference point is not positive "
@@ -461,7 +450,7 @@ def calibrate(system: LaserSystem,
 
     photon_anchor = reference_operating_point(op, system, REFERENCE_PUMP_POWER)
     scaled = CalibrationConstants(gain_scale, 1.0)
-    g_ref = mode_gain(photon_anchor, 0, system, scaled).total
+    g_ref = mode_gain(photon_anchor, 0, system, scaled)
     kappa = system.cavity.kappa
     if g_ref <= kappa:
         raise CalibrationError(
@@ -521,17 +510,16 @@ def threshold_reason(threshold: float, lo: float, hi: float) -> str:
 
 
 def threshold_solve(vary: str, op: OperatingPoint, system: LaserSystem,
-                    calib: CalibrationConstants, family: int = 0,
-                    lo: float = 0.0, hi: float = math.inf) -> float:
+                    calib: CalibrationConstants, family: int = 0) -> float:
     """Value of ``atoms`` or ``pump_power`` at which family gain meets loss.
 
-    The one-family case of :func:`threshold_scan`'s thresholds, so the
-    same bits for any ``lo`` and ``hi``.  Raises :class:`NoThresholdError`
-    with the :func:`threshold_reason` when it is inf or outside them.
+    The one-family case of :func:`threshold_scan`'s thresholds, the same
+    bits.  Raises :class:`NoThresholdError` when it is inf (gain saturates
+    below loss); :func:`threshold_reason` places it against a range.
     """
     threshold = threshold_scan(vary, (), op, (family,), system,
                                calib).thresholds[family]
-    reason = threshold_reason(threshold, lo, hi)
+    reason = threshold_reason(threshold, 0.0, math.inf)
     if reason:
         raise NoThresholdError(f"no {vary} threshold: {reason}")
     return threshold

@@ -538,7 +538,7 @@ def _slot_clicks(samples: np.ndarray, p: float, rng,
         r = rate[:samples.size - i0]
         np.multiply(samples[i0:i0 + _POISSON_CHUNK], p, out=r)
         c = rng.poisson(r)
-        nz = np.flatnonzero(c != 0)
+        nz = np.flatnonzero(c)
         slots = np.repeat((nz + i0) * p, c[nz])
         if end + slots.size > times.size:
             grown = np.empty(max(2 * times.size, end + slots.size))
@@ -673,7 +673,7 @@ def _pair_hist_numpy(fa, fb, kmax, hist, chunk=None):
             starts = np.repeat(cum[i0:i1] - cum[i0], c)
             idx = np.repeat(lo[i0:i1], c) + np.arange(block) - starts
             delta = fb[idx] - np.repeat(fa[i0:i1], c) + kmax
-            hist += np.bincount(delta, minlength=hist.size).astype(np.int64)
+            hist += np.bincount(delta, minlength=hist.size)
         i0 = i1
 
 

@@ -86,7 +86,7 @@ def test_criterion_02_two_photon_invariance(system, op, calib):
 
         def neg_gain(dc, probe=probe):
             return -mode_gain(replace(probe, cavity_detuning=dc), 0, system,
-                              calib).total
+                              calib)
 
         res = minimize_scalar(neg_gain, method="bounded",
                               bounds=(center - 25e6, center + 25e6),

@@ -571,7 +571,7 @@ class TestG2Command:
         system, op = cfg.system(), cfg.operating_point()
         calib = load_calibration("calibration.txt", cfg)
         kappa, n_sat = system.cavity.kappa, calib.n_sat
-        g = gain.mode_gain(op, 0, system, calib).total
+        g = gain.mode_gain(op, 0, system, calib)
         n = float(gain.steady_state(op, (0,), system, calib).photons[0])
         assert 0.2 < g / kappa < 0.8
 

@@ -47,6 +47,15 @@ def kernel_gains(kernel, pump, cavity, pump_power, atoms):
                         atoms)
 
 
+def channel_rates(op, family, system, calib):
+    """One family's gain rates of the channels m = -1, 0, +1 at an
+    operating point, from a one-family kernel."""
+    kernel = gain._GainKernel(op, (family,), system, calib)
+    delta = kernel.detuning(op.pump_detuning, op.cavity_detuning)
+    return kernel.channel_gains(op.pump_detuning, delta, op.pump_power,
+                                op.total_atoms)[0]
+
+
 # ---------------------------------------------------------------------------
 # Two-photon resonance
 # ---------------------------------------------------------------------------
@@ -72,18 +81,16 @@ class TestTwoPhotonResonance:
 
 class TestModeGain:
     def test_sigma_plus_dominates_at_blue_lobe(self, system, op, calib):
-        g = mode_gain(op, 0, system, calib)
-        others = max(g.per_channel[-1], g.per_channel[0])
-        assert g.per_channel[1] >= 10 * others
+        minus, pi, plus = channel_rates(op, 0, system, calib)
+        assert plus >= 10 * max(minus, pi)
 
     def test_axial_pi_pumping_gives_no_gain(self, system, op, calib):
         dead = replace(op, pump_polarization=geometry.jones_linear(0.0))
-        g = mode_gain(dead, 0, system, calib)
-        assert g.total == 0.0
+        assert mode_gain(dead, 0, system, calib) == 0.0
 
     def test_no_trap_light_no_gain(self, system, op, calib):
-        g = mode_gain(replace(op, mot_saturation=0.0), 0, system, calib)
-        assert g.total == 0.0
+        assert mode_gain(replace(op, mot_saturation=0.0), 0, system,
+                         calib) == 0.0
 
     def test_zero_field_rejected(self, system, op, calib):
         with pytest.raises(QuantizationAxisError):
@@ -113,17 +120,17 @@ class TestModeGain:
         moved = replace(op, pump_detuning=op.pump_detuning + a,
                         cavity_detuning=op.cavity_detuning + a,
                         b_offset=tuple(np.asarray(op.b_offset) * shift_scale))
-        g0 = mode_gain(op, 0, system, calib)
-        g1 = mode_gain(moved, 0, system, calib)
+        g0 = channel_rates(op, 0, system, calib)
+        g1 = channel_rates(moved, 0, system, calib)
         # the sigma+ channel sees identical detunings in both settings
-        assert g1.per_channel[1] == pytest.approx(g0.per_channel[1], rel=1e-12)
+        assert g1[2] == pytest.approx(g0[2], rel=1e-12)
 
     def test_cavity_argmax_on_two_photon_resonance(self, system, op, calib):
         center = two_photon_resonance(op.pump_detuning, op.mot_detuning)
 
         def neg_gain(dc):
             return -mode_gain(replace(op, cavity_detuning=dc), 0, system,
-                              calib).total
+                              calib)
 
         res = minimize_scalar(neg_gain, method="bounded",
                               bounds=(center - 30e6, center + 30e6),
@@ -173,15 +180,15 @@ class TestModeGain:
 
     def test_gain_vanishes_far_from_resonance(self, system, op, calib):
         far = replace(op, cavity_detuning=op.cavity_detuning + 5e9)
-        assert mode_gain(far, 0, system, calib).total < \
-            1e-4 * mode_gain(op, 0, system, calib).total
+        assert mode_gain(far, 0, system, calib) < \
+            1e-4 * mode_gain(op, 0, system, calib)
 
     def test_nonnegative_over_random_detunings(self, system, op, calib):
         rng = np.random.default_rng(3)
         for _ in range(25):
             probe = replace(op, pump_detuning=rng.uniform(-30e6, 30e6),
                             cavity_detuning=rng.uniform(-80e6, 20e6))
-            assert mode_gain(probe, 0, system, calib).total >= 0.0
+            assert mode_gain(probe, 0, system, calib) >= 0.0
 
 
 def _clear_field_geometry():
@@ -288,8 +295,42 @@ class TestCalibrate:
         # already sit within a factor 10 of the cavity loss
         anchor = replace(gain.reference_operating_point(
             op, system, gain.ANCHOR_PUMP_POWER), total_atoms=5000.0)
-        g = mode_gain(anchor, 0, system, CalibrationConstants()).total
+        g = mode_gain(anchor, 0, system, CalibrationConstants())
         assert KAPPA / 10 <= g <= KAPPA * 10
+
+    def test_mode_gain_is_the_kernel_family_gain_bit_for_bit(self, system,
+                                                             op, calib):
+        # at both anchors calibrate reads, and at cells of the default map,
+        # mode_gain is the one-family kernel's gain, which is also the sum
+        # of its channels in the order -1, 0, +1 as Python floats
+        anchor = replace(gain.reference_operating_point(
+            op, system, gain.ANCHOR_PUMP_POWER),
+            total_atoms=gain.REFERENCE_ATOMS)
+        photon_anchor = gain.reference_operating_point(
+            op, system, gain.REFERENCE_PUMP_POWER)
+        points = [(anchor, CalibrationConstants()),
+                  (photon_anchor, CalibrationConstants(calib.gain_scale))]
+        for pump, cavity in [(-5e6, -40e6), (0.0, -35e6), (5e6, -30e6),
+                             (10e6, 0.0), (-10e6, -60e6)]:
+            points.append((replace(op, pump_detuning=pump,
+                                   cavity_detuning=cavity), calib))
+        for point, constants in points:
+            for family in FAMILIES:
+                kernel = gain._GainKernel(point, (family,), system,
+                                          constants)
+                want = float(kernel_gains(
+                    kernel, point.pump_detuning, point.cavity_detuning,
+                    point.pump_power, point.total_atoms)[0])
+                got = mode_gain(point, family, system, constants)
+                assert type(got) is float
+                assert got.hex() == want.hex()
+                assert got.hex() == sum(map(float, channel_rates(
+                    point, family, system, constants))).hex()
+        # the constants those anchors give, recorded before mode_gain
+        # returned a float
+        assert calib.gain_scale.hex() == "0x1.dc1b3a42171d1p-1"
+        assert calib.n_sat.hex() == "0x1.8bf38b44badf4p+17"
+        assert calib.resonance_offset == 0.0
 
     def test_threshold_reproduces_anchor(self, system, op, calib):
         anchor = gain.reference_operating_point(
@@ -354,7 +395,7 @@ class TestThresholds:
 
         def excess(x):
             return mode_gain(replace(anchor, total_atoms=x), 0, system,
-                             calib).total - KAPPA
+                             calib) - KAPPA
 
         lo, hi = 1.0, max(anchor.total_atoms, 10.0)
         while excess(hi) < 0.0:
@@ -389,8 +430,7 @@ class TestThresholds:
                      total_atoms=atoms)
 
         def g(n, p):
-            return mode_gain(replace(op, pump_power=p), n, system,
-                             calib).total
+            return mode_gain(replace(op, pump_power=p), n, system, calib)
 
         for n, p in self._pump_thresholds(op, system, calib).items():
             if p != np.inf:
@@ -408,15 +448,9 @@ class TestThresholds:
                                         np.linspace(lo, hi, 5))
             assert {n: p.hex() for n, p in got.items()} == \
                 {n: p.hex() for n, p in reference.items()}
-            for n, p in reference.items():
-                reason = gain.threshold_reason(p, lo, hi)
-                if not reason:
-                    assert threshold_solve("pump_power", op, system, calib,
-                                           n, lo, hi) == p
-                else:
-                    with pytest.raises(NoThresholdError, match=reason):
-                        threshold_solve("pump_power", op, system, calib,
-                                        n, lo, hi)
+        for n, p in reference.items():
+            assert threshold_solve("pump_power", op, system, calib,
+                                   n).hex() == p.hex()
 
     @given(pump=st.floats(-10e6, 10e6), angle=st.floats(0.0, 180.0),
            atoms=st.floats(1e2, 1e5))
@@ -464,15 +498,15 @@ class TestThresholds:
     def test_atom_threshold_outside_range(self, system, op, calib):
         anchor = gain.reference_operating_point(
             op, system, gain.ANCHOR_PUMP_POWER)
-        with pytest.raises(NoThresholdError, match="below range"):
-            threshold_solve("atoms", anchor, system, calib, lo=6000.0)
+        th = threshold_solve("atoms", anchor, system, calib)
+        assert gain.threshold_reason(th, 6000.0, np.inf) == "below range"
+        assert gain.threshold_reason(th, 0.0, 6000.0) == ""
         # 3e-9 of the trap drive moves the threshold to 5e12 atoms, which
         # no cap hides; a range below it classifies it
         weak = replace(anchor, mot_saturation=3e-9)
-        assert threshold_solve("atoms", weak, system, calib) == \
-            pytest.approx(5e12, rel=1e-3)
-        with pytest.raises(NoThresholdError, match="above range"):
-            threshold_solve("atoms", weak, system, calib, hi=1e12)
+        th_weak = threshold_solve("atoms", weak, system, calib)
+        assert th_weak == pytest.approx(5e12, rel=1e-3)
+        assert gain.threshold_reason(th_weak, 0.0, 1e12) == "above range"
         dead = replace(anchor, pump_polarization=geometry.jones_linear(0.0))
         with pytest.raises(NoThresholdError,
                            match="gain saturates below loss"):
