@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -211,12 +212,20 @@ _HASH_EXCLUDED = {"seed", "pump_detuning", "cavity_detuning", "pump_power",
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Typed view of a configuration; build with :func:`load_config`."""
+    """Typed view of a configuration; build with :func:`load_config`.
+
+    Its lookup table, canonical text and hash are computed once per
+    instance, on first use.
+    """
 
     values: tuple  # sorted (key, value) pairs
 
+    @cached_property
+    def _table(self) -> dict:
+        return dict(self.values)
+
     def __getitem__(self, key):
-        return dict(self.values)[key]
+        return self._table[key]
 
     def as_dict(self):
         return dict(self.values)
@@ -275,6 +284,10 @@ class RunConfig:
     # -- canonical text and hashing --------------------------------------
 
     def canonical_lines(self) -> list:
+        return list(self._canonical)
+
+    @cached_property
+    def _canonical(self) -> tuple:
         out = []
         for key, value in self.values:
             if key == "pump_polarization":
@@ -288,10 +301,14 @@ class RunConfig:
             else:
                 text = repr(float(value))
             out.append(f"{key} = {text}")
-        return out
+        return tuple(out)
 
     def config_hash(self) -> str:
-        lines = [ln for ln in self.canonical_lines()
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> str:
+        lines = [ln for ln in self._canonical
                  if ln.split(" = ")[0] not in _HASH_EXCLUDED]
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 

@@ -74,8 +74,7 @@ class OperatingPoint:
             raise ValueError("mot_saturation must be >= 0")
         if self.total_atoms < 0:
             raise ValueError("total_atoms must be >= 0")
-        # a norm within np.isclose's default tolerance of 1, in plain
-        # floats: replace() builds one operating point per scan point
+        # a norm within np.isclose's default tolerance of 1, in plain floats
         try:
             a, b = map(complex, self.pump_polarization)
         except (TypeError, ValueError):
@@ -177,27 +176,31 @@ class _GainKernel:
     coupling C_N and frequency offset (:attr:`offsets`), per channel the
     Zeeman shift of |B|, and the saturation intensity and Doppler width.
     Per evaluation: the drive, rho_ee, the prefactor and the Lorentzian
-    of :meth:`channel_gains`.
+    of :meth:`channel_gains`.  Built on ``fields``, one offset field per
+    row, the per-channel terms gain a trailing scan-point axis.
 
     Axis 0 of every array argument is the family axis, of length 1
-    (shared) or one row per family; the other axes broadcast behind it.
-    The products keep the operand order of the module docstring's
-    formula, so an element of a scan equals the same point evaluated
-    alone, bit for bit.  Families are sorted and distinct, the order the
-    steady state sums.
+    (shared) or one row per family; the other axes broadcast behind it,
+    the last against the scan-point axis if there is one.  The products
+    keep the operand order of the module docstring's formula, so an
+    element of a scan equals the same point evaluated alone, bit for bit.
+    Families are sorted and distinct, the order the steady state sums.
     """
 
     def __init__(self, op: OperatingPoint, families, system: LaserSystem,
-                 calib: CalibrationConstants):
+                 calib: CalibrationConstants, fields=None):
         self.families = tuple(sorted(set(families)))
         self._op, self._system, self._calib = op, system, calib
-        b = np.asarray(op.b_offset, float)
-        b_mag = _field_magnitude(b)
-        self._weights, self._strengths = geometry.channel_geometry(
-            op.pump_polarization, b)
-        self._i_sat = atomics.saturation_intensity(system.green)
+        b = np.asarray(op.b_offset if fields is None else fields, float)
+        rows = [(_field_magnitude(f), *geometry.channel_geometry(
+            op.pump_polarization, f)) for f in b.reshape(-1, 3)]
+        # one field keeps its shared read-only arrays; a scan stacks them
+        b_mag, self._weights, self._strengths = (
+            terms[0] if b.ndim == 1 else np.stack(terms, axis=-1)
+            for terms in zip(*rows))
         self._shifts = np.array([atomics.zeeman_shift(
             system.green.lande_g_upper, m, b_mag) for m in SUBLEVELS])
+        self._i_sat = atomics.saturation_intensity(system.green)
         self._couplings = np.array([geometry.family_coupling(
             system.ensemble, system.cavity, n) for n in self.families])
         self.offsets = np.array([geometry.transverse_mode_frequency(
@@ -230,7 +233,9 @@ class _GainKernel:
         op, system, calib = self._op, self._system, self._calib
         (pump, delta, pump_power, atoms), ndim = self._aligned(
             (pump, delta, pump_power, atoms), 1)
-        family, channel = (-1,) + (1,) * ndim, (1, -1) + (1,) * (ndim - 1)
+        family = (-1,) + (1,) * ndim
+        channel = ((1, len(SUBLEVELS)) + (1,) * (ndim - self._shifts.ndim)
+                   + self._shifts.shape[1:])
         linewidth = system.green.linewidth
         s_pump = atomics.saturation_parameter(pump_power, system.pump_waist,
                                               self._i_sat)
@@ -655,10 +660,12 @@ class OptimumScan:
 
 
 _COARSE = 25          # pump points of the coarse search along the ridge
+_SCAN_BATCH = 1024    # points searched side by side: bounds the temporaries
 
 
-def _fminbound(func, lo: float, hi: float, xatol: float) -> float:
-    """Minimizer of ``func`` on [lo, hi] by Brent's bounded search.
+def _fminbound(lo: float, hi: float, xatol: float):
+    """Minimizer of f on [lo, hi] by Brent's bounded search: a generator
+    that yields each x, is sent f(x) and returns the minimizer.
 
     A port of scipy's ``minimize_scalar(method="bounded")`` (golden-section
     steps with parabolic interpolation, Forsythe, Malcolm & Moler,
@@ -672,7 +679,7 @@ def _fminbound(func, lo: float, hi: float, xatol: float) -> float:
     fulc = a + golden_mean * (b - a)
     nfc, xf = fulc, fulc
     rat = e = 0.0
-    fx = func(xf)
+    fx = yield xf
     num = 1
     ffulc = fnfc = fx
     xm = 0.5 * (a + b)
@@ -702,7 +709,7 @@ def _fminbound(func, lo: float, hi: float, xatol: float) -> float:
             e = (a if xf >= xm else b) - xf
             rat = golden_mean * e
         x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = func(x)
+        fu = yield x
         num += 1
         if fu <= fx:
             if x >= xf:
@@ -730,40 +737,46 @@ def _fminbound(func, lo: float, hi: float, xatol: float) -> float:
     return xf
 
 
-def _ridge_optimum(op, system, calib, family, zeeman):
-    """Pump and cavity detunings of one family's gain maximum on the
-    two-photon ridge, where the two-photon detuning is exactly zero at any
-    field, searched from the pumps in [zeeman/4, 5 zeeman/2 + 2 MHz] about
-    the sigma+ Zeeman shift ``zeeman``, or (None, None) when neither a
-    coarse pump point nor the shift itself lases."""
-    kernel = _GainKernel(op, (family,), system, calib)
-
+def _ridge_optima(kernel: _GainKernel, op: OperatingPoint, kappa: float):
+    """Whether each scan point of ``kernel`` lases on the two-photon ridge,
+    and the pump of its gain maximum there, as :func:`optimum_scan` says."""
     def gain_at(dp):
-        return kernel.gains(dp, 0.0, op.pump_power, op.total_atoms)[0]
+        return kernel.gains(dp[None], 0.0, op.pump_power, op.total_atoms)[0]
 
-    pump_lo, pump_hi = sorted(
-        (0.25 * zeeman, 2.5 * zeeman + math.copysign(2e6, zeeman)))
+    zeeman = np.atleast_1d(kernel._shifts[SUBLEVELS.index(1)])
+    ends = (0.25 * zeeman, 2.5 * zeeman + np.copysign(2e6, zeeman))
+    pump_lo, pump_hi = np.minimum(*ends), np.maximum(*ends)
     dps = np.linspace(pump_lo, pump_hi, _COARSE)
-    g = gain_at(dps[None])
-    if np.any(g >= system.cavity.kappa):
-        start = float(dps[np.argmax(g)])
-        best = g.max()
-    else:
+    g = gain_at(dps)
+    lases, best = np.any(g >= kappa, axis=0), g.max(axis=0)
+    start = np.where(lases, dps[np.argmax(g, axis=0), np.arange(zeeman.size)],
+                     zeeman)
+    if not lases.all():
         # once an ulp of the shift exceeds the power-broadened line, only
-        # a coarse pump that rounds onto the shift would see it lase
-        start, best = zeeman, gain_at(zeeman)
-        if not best >= system.cavity.kappa:
-            return None, None
+        # a coarse pump that rounds onto the shift would see it lase (the
+        # other points evaluate their coarse maximum again)
+        best = gain_at(start)
+        lases |= best >= kappa
     span = (pump_hi - pump_lo) / (_COARSE - 1)
-    dp = float(_fminbound(lambda x: -float(gain_at(x)),
-                          max(pump_lo, start - 2 * span),
-                          min(pump_hi, start + 2 * span), xatol=1.0))
+    lo = np.maximum(pump_lo, start - 2 * span)
+    hi = np.minimum(pump_hi, start + 2 * span)
+    # the lasing points' searches side by side; the others hold a pump
+    # they were evaluated at
+    searches = {i: _fminbound(float(lo[i]), float(hi[i]), xatol=1.0)
+                for i in np.flatnonzero(lases)}
+    dp, x = start.copy(), start.copy()
+    x[list(searches)] = [next(search) for search in searches.values()]
+    while searches:
+        f = -gain_at(x)
+        for i, search in list(searches.items()):
+            try:
+                x[i] = search.send(float(f[i]))
+            except StopIteration as done:
+                dp[i] = done.value
+                del searches[i]
     # Brent never evaluates its start, and its steps of at least
     # sqrt(eps) |x| can all miss a line narrower than that
-    if gain_at(dp) < best:
-        dp = start
-    return dp, float(two_photon_resonance(dp, op.mot_detuning)
-                     + calib.resonance_offset - kernel.offsets[0])
+    return lases, np.where(gain_at(dp) < best, start, dp)
 
 
 def _line_fit(xs, ys) -> tuple:
@@ -806,43 +819,41 @@ def optimum_scan(vary: str, values, op: OperatingPoint, system: LaserSystem,
     optima.  The fitted slope/intercept describe pump_opt(B) for the field
     scan and cavity_opt(mot detuning) for the trap-detuning scan.
 
-    The cavity detuning enters G only through the unit-peak two-photon
-    Lorentzian, so at any pump detuning G peaks on the ridge delta_c =
-    delta_p + delta_mot + resonance_offset - offset_N; and one family's
-    photon number rises with G (dn/dG > 0 from (G/(1 + n/n_sat) - kappa) n
-    + G = 0).  So each point evaluates G at a zero two-photon detuning at
-    ``_COARSE`` pumps in [Zeeman/4, 5 Zeeman/2 + 2 MHz], lases if any
-    reaches kappa, or else if G at the Zeeman shift itself does, and
-    refines the best by one bounded Brent search of -G, kept only where it
-    finds a higher G; no photon number is solved.  A negative Zeeman shift
-    mirrors it.
+    At any pump G peaks on the two-photon ridge delta_c = delta_p +
+    delta_mot + resonance_offset - offset_N, since the cavity detuning
+    enters only through the unit-peak Lorentzian, and one family's photon
+    number rises with G (dn/dG > 0 from (G/(1 + n/n_sat) - kappa) n + G =
+    0); no photon number is solved.  Each point evaluates G on the ridge
+    at ``_COARSE`` pumps in [Zeeman/4, 5 Zeeman/2 + 2 MHz], lases if any
+    reaches kappa, or else if the Zeeman shift itself does, and refines
+    the best by a bounded Brent search of -G, kept only where it finds a
+    higher G.  A negative Zeeman shift mirrors it.  Up to ``_SCAN_BATCH``
+    points share one kernel, and their searches run side by side: each
+    step is one kernel call for all of them, and each point gets the bits
+    of its search alone.  A trap-detuning scan keeps its field, so its
+    points share one search.
     """
-    if vary == "b_offset_magnitude":
+    field = vary == "b_offset_magnitude"
+    if field:
         b_dir = geometry.field_direction(op.b_offset)
-
-        def make(x):
-            return replace(op, b_offset=tuple(b_dir * x))
-    elif vary == "mot_detuning":
-        def make(x):
-            return replace(op, mot_detuning=x)
-    else:
+    elif vary != "mot_detuning":
         raise ValueError("vary must be 'b_offset_magnitude' or 'mot_detuning'")
+    xs, points, fit = np.asarray(values, float), [], []
+    for first in range(0, xs.size, _SCAN_BATCH):
+        x = xs[first:first + _SCAN_BATCH]
+        kernel = _GainKernel(op, (family,), system, calib,
+                             b_dir * x[:, None] if field else None)
+        lases, dp = np.broadcast_arrays(
+            *_ridge_optima(kernel, op, system.cavity.kappa), x)[:2]
+        with np.errstate(over="ignore"):     # as float arithmetic would
+            dc = (two_photon_resonance(dp, op.mot_detuning if field else x)
+                  + calib.resonance_offset - kernel.offsets[0])
+        points += [ScanOptimum(*p) if ok else ScanOptimum(p[0], None, None)
+                   for ok, *p in zip(lases.tolist(), x.tolist(), dp.tolist(),
+                                     dc.tolist())]
+        fit.append(np.stack([x, dp if field else dc])[:, lases])
 
-    g_upper = system.green.lande_g_upper
-    points = []
-    for x in values:
-        cell = make(float(x))
-        b_mag = _field_magnitude(cell.b_offset)
-        zeeman = atomics.zeeman_shift(g_upper, 1, b_mag)
-        dp, dc = _ridge_optimum(cell, system, calib, family, zeeman)
-        points.append(ScanOptimum(float(x), dp, dc))
-
-    good = [p for p in points if p.pump_opt is not None]
-    if len(good) >= 2:
-        xs = np.array([p.x for p in good])
-        ys = np.array([p.pump_opt if vary == "b_offset_magnitude"
-                       else p.cavity_opt for p in good])
-        slope, intercept = _line_fit(xs, ys)
-    else:
-        slope, intercept = math.nan, math.nan
+    good = np.concatenate(fit or [np.empty((2, 0))], axis=1)
+    slope, intercept = (_line_fit(*good) if good.shape[1] >= 2
+                        else (math.nan, math.nan))
     return OptimumScan(vary, tuple(points), slope, intercept)

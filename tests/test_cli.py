@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from motlaser import cli, gain, geometry, photonstats, results
+from motlaser import cli, config, gain, geometry, photonstats, results
 from motlaser.atomics import MASS_YB174
 from motlaser.cli import (MAX_POINTS, build_parser, load_calibration, main,
                           render_polarization_table)
@@ -136,6 +136,24 @@ class TestConfig:
         # apparatus keys do
         assert cfg.replace(total_atoms=5e4).config_hash() != cfg.config_hash()
         assert cfg.replace(mot_detuning=-30e6).config_hash() != cfg.config_hash()
+
+    def test_canonical_text_computed_once_per_instance(self, monkeypatch):
+        # a command reads the text three times and the hash twice; a new
+        # instance, such as --seed makes, computes its own
+        calls = []
+        real = config._fmt_polarization
+        monkeypatch.setattr(config, "_fmt_polarization",
+                            lambda value: calls.append(value) or real(value))
+        cfg = default_config()
+        lines = cfg.canonical_lines()
+        digest = cfg.config_hash()
+        lines.clear()
+        assert cfg.canonical_lines() and cfg.config_hash() == digest
+        assert len(calls) == 1
+        reseeded = cfg.replace(seed=2)
+        assert reseeded.config_hash() == digest
+        assert reseeded.canonical_lines() != cfg.canonical_lines()
+        assert len(calls) == 2
 
     def test_comments_and_units(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -464,6 +482,15 @@ class TestShiftScanCommand:
         assert run("shift-scan", *argv) == 0
         assert geometry._field_geometry.cache_info().misses == 1
         assert geometry._pump_weights.cache_info().misses == 1
+
+    def test_zero_field_point_exits_3(self, workdir, monkeypatch, capsys):
+        # the zero field is the fifth point, in the second batch of three
+        calibrated(workdir)
+        monkeypatch.setattr(gain, "_SCAN_BATCH", 3)
+        assert run("shift-scan", "--vary", "b_offset", "--min", "-1",
+                   "--max", "1", "--step", "0.25") == 3
+        assert "quantization axis undefined" in capsys.readouterr().err
+        assert not (workdir / "shift_scan.csv").exists()
 
     def test_field_scan_where_the_squared_field_underflows(self, workdir):
         # |B|^2 of the configured field is 0 in floats; the scan direction

@@ -7,7 +7,7 @@ from scipy import constants as sc
 from scipy.ndimage import label
 from scipy.optimize import minimize_scalar
 
-from motlaser import gain, geometry
+from motlaser import cli, gain, geometry
 from motlaser.config import default_config
 from motlaser.errors import (CalibrationError, NoThresholdError,
                              PhysicsError, QuantizationAxisError,
@@ -876,6 +876,36 @@ def _field_optima_lase(system, op, calib, scan):
     return True
 
 
+def _ridge_alone(cell, system, calib):
+    """One point's optimum searched alone, with scalar gain evaluations:
+    (how it lases, pump_opt, cavity_opt), as optimum_scan's docstring
+    states the search."""
+    kernel = gain._GainKernel(cell, (0,), system, calib)
+
+    def gain_at(dp):
+        return kernel.gains(dp, 0.0, cell.pump_power, cell.total_atoms)[0]
+
+    zeeman, _ = _zeeman_and_center(system, cell)
+    lo, hi = sorted((0.25 * zeeman, 2.5 * zeeman + np.copysign(2e6, zeeman)))
+    dps = np.linspace(lo, hi, gain._COARSE)
+    g = gain_at(dps[None])
+    if np.any(g >= KAPPA):
+        route, start, best = "coarse", float(dps[np.argmax(g)]), g.max()
+    else:
+        route, start, best = "zeeman", zeeman, gain_at(zeeman)
+        if not best >= KAPPA:
+            return "dark", None, None
+    span = (hi - lo) / (gain._COARSE - 1)
+    bits, _ = _minimize(gain._fminbound(max(lo, start - 2 * span),
+                                        min(hi, start + 2 * span), 1.0),
+                        lambda x: -float(gain_at(x)))
+    dp = float(bits.view(np.float64))
+    if gain_at(dp) < best:
+        dp = start
+    return route, dp, float(two_photon_resonance(dp, cell.mot_detuning)
+                            + calib.resonance_offset - kernel.offsets[0])
+
+
 class TestOptimumScan:
     def test_trap_detuning_slope_unity(self, system, op, calib):
         scan = optimum_scan("mot_detuning", np.array([-40e6, -30e6, -20e6]),
@@ -901,6 +931,30 @@ class TestOptimumScan:
                             system, calib)
         assert all(p.pump_opt is None for p in scan.points)
         assert np.isnan(scan.slope)
+
+    @pytest.mark.parametrize("batch", [gain._SCAN_BATCH, 3])
+    def test_lockstep_equals_each_point_alone(self, system, op, calib,
+                                              monkeypatch, batch):
+        # a field along the vertical pump and a sigma- pump: the sigma+
+        # lobe gets the whole drive at negative fields and none at
+        # positive ones, where only the sigma- line of a field of 1 mG
+        # reaches the coarse pumps.  Batches of 3 split the 10 points.
+        monkeypatch.setattr(gain, "_SCAN_BATCH", batch)
+        r = 2 ** -0.5
+        vertical = replace(op, b_offset=(0.0, 0.0, 2.38),
+                           pump_polarization=(r, -1j * r))
+        values = np.array([-2.0, 3.0, -3e16, 1e-3, -1.0, 4.0, 6e16, -4.5,
+                           1e-3, -1e20])
+        scan = optimum_scan("b_offset_magnitude", values, vertical, system,
+                            calib)
+        routes = []
+        for x, p in zip(values, scan.points):
+            route, dp, dc = _ridge_alone(
+                _scan_cell(vertical, "b_offset_magnitude", x), system, calib)
+            routes.append(route)
+            assert repr(p) == repr(gain.ScanOptimum(float(x), dp, dc))
+        assert routes == ["coarse", "dark", "zeeman", "coarse", "coarse",
+                          "dark", "dark", "coarse", "coarse", "coarse"]
 
     @pytest.mark.parametrize("vary,values", CRITERION_SCANS,
                              ids=["criterion-3", "criterion-4"])
@@ -1078,20 +1132,48 @@ def _bits(x):
     return np.float64(x).view(np.uint64)
 
 
-def _fminbound_counted(func, lo, hi, xatol, search=gain._fminbound):
-    calls = [0]
+def _minimize(search, func):
+    """Drive one gain._fminbound search on ``func``: (bits of its x, the
+    number of evaluations)."""
+    x, calls = next(search), 0
+    while True:
+        calls += 1
+        try:
+            x = search.send(func(x))
+        except StopIteration as done:
+            return _bits(done.value), calls
 
-    def counted(x):
-        calls[0] += 1
-        return func(x)
 
-    return _bits(search(counted, lo, hi, xatol)), calls[0]
+def _fminbound_counted(func, lo, hi, xatol):
+    return _minimize(gain._fminbound(lo, hi, xatol), func)
 
 
 def _scipy_bounded(func, lo, hi, xatol):
     res = minimize_scalar(func, method="bounded", bounds=(lo, hi),
                           options={"xatol": xatol})
     return _bits(res.x), res.nfev
+
+
+def _recorded_searches(monkeypatch):
+    """Replace gain._fminbound with a search that records its bounds, its
+    x and its number of evaluations, in the order the searches start."""
+    searches, real = [], gain._fminbound
+
+    def recorded(lo, hi, xatol):
+        entry = {"bounds": (lo, hi, xatol), "calls": 0}
+        searches.append(entry)
+        search = real(lo, hi, xatol)
+        x = next(search)
+        while True:
+            entry["calls"] += 1
+            try:
+                x = search.send((yield x))
+            except StopIteration as done:
+                entry["x"] = _bits(done.value)
+                return done.value
+
+    monkeypatch.setattr(gain, "_fminbound", recorded)
+    return searches
 
 
 class TestFminbound:
@@ -1102,19 +1184,45 @@ class TestFminbound:
                              ids=["criterion-3", "criterion-4"])
     def test_scan_objectives(self, system, op, calib, monkeypatch, vary,
                              values):
-        searches = []
-
-        def checked(func, lo, hi, xatol):
-            got = _fminbound_counted(func, lo, hi, xatol)
-            searches.append((got, _scipy_bounded(func, lo, hi, xatol)))
-            return got[0].view(np.float64)
-
-        monkeypatch.setattr(gain, "_fminbound", checked)
+        # the scan runs its points' searches side by side; each must be
+        # scipy's search of that point's -G on the ridge alone
+        searches = _recorded_searches(monkeypatch)
         optimum_scan(vary, values, op, system, calib)
-        # one pump search along the two-photon ridge per point
-        assert len(searches) == len(values)
-        for got, want in searches:
-            assert got == want
+        # one pump search along the two-photon ridge per point, or one for
+        # a whole trap-detuning scan, whose points share their field
+        field_scan = vary == "b_offset_magnitude"
+        assert len(searches) == (len(values) if field_scan else 1)
+        for i, x in enumerate(values):
+            search = searches[i if field_scan else 0]
+            cell = _scan_cell(op, vary, x)
+            kernel = gain._GainKernel(cell, (0,), system, calib)
+
+            def func(dp):
+                return -float(kernel.gains(dp, 0.0, cell.pump_power,
+                                           cell.total_atoms)[0])
+
+            assert (search["x"], search["calls"]) == \
+                _scipy_bounded(func, *search["bounds"])
+
+    def test_kernel_evaluations_per_scan(self, tmp_path, monkeypatch):
+        # the scan workload's shift-scan searches its points side by side:
+        # one gain evaluation for the coarse grid, at most one at the
+        # Zeeman shifts, one per round of the longest Brent search and one
+        # for the final check
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["calibrate"]) == 0
+        evaluations, excited = [0], gain.atomics.excited_population
+
+        def counted(*args):
+            evaluations[0] += 1
+            return excited(*args)
+
+        monkeypatch.setattr(gain.atomics, "excited_population", counted)
+        searches = _recorded_searches(monkeypatch)
+        assert cli.main(["shift-scan", "--vary", "b_offset", "--min", "1.5",
+                         "--max", "4.5", "--step", "1"]) == 0
+        assert len(searches) == 4
+        assert 0 < evaluations[0] <= 3 + max(s["calls"] for s in searches)
 
     @pytest.mark.parametrize("func,lo,hi,xatol", [
         (lambda x: 0.0, 0.0, 1.0, 1e-5),                   # flat
