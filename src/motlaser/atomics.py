@@ -129,16 +129,38 @@ def doppler_sigma(temperature: float, mass: float, wavelength: float) -> float:
     return np.sqrt(BOLTZMANN * temperature / mass) / wavelength
 
 
+def effective_linewidth(gamma: float, doppler_sigma_hz: float = 0.0) -> float:
+    """Gamma' of :func:`excited_population`, rad/s: the natural linewidth
+    with the Doppler FWHM added in quadrature (a pseudo-Voigt shortcut,
+    adequate at the precision of this model)."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    if doppler_sigma_hz < 0:
+        raise ValueError("doppler_sigma_hz must be >= 0")
+    return np.hypot(gamma, 2 * np.pi * doppler_sigma_hz * _GAUSSIAN_FWHM)
+
+
+def detuning_term(detuning, gamma_eff: float):
+    """(2 delta_omega / Gamma')^2 of :func:`excited_population`, with
+    delta_omega = 2 pi * detuning (Hz) and Gamma' in rad/s."""
+    return (4 * np.pi * detuning / gamma_eff) ** 2
+
+
+def excited_fraction(s, d2):
+    """rho_ee of :func:`excited_population` from the saturation parameter
+    ``s`` and the :func:`detuning_term` ``d2``, unchecked."""
+    return 0.5 * s / (1.0 + s + d2)
+
+
 def excited_population(detuning: float, s: float, gamma: float,
                        doppler_sigma_hz: float = 0.0) -> float:
     """Steady-state excited-state fraction of a driven two-level atom.
 
     rho_ee = (s/2) / (1 + s + (2 delta_omega / Gamma')^2)
 
-    with delta_omega = 2 pi * detuning and Gamma' the natural linewidth
-    with the Doppler FWHM added in quadrature (a pseudo-Voigt shortcut,
-    adequate at the precision of this model).  Bounded by 1/2, even in the
-    detuning, monotonically decreasing in |detuning|.
+    with delta_omega = 2 pi * detuning and Gamma' the
+    :func:`effective_linewidth`.  Bounded by 1/2, even in the detuning,
+    monotonically decreasing in |detuning|.
 
     Parameters
     ----------
@@ -153,9 +175,5 @@ def excited_population(detuning: float, s: float, gamma: float,
     """
     if _any_negative(s):
         raise ValueError("saturation parameter must be >= 0")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if doppler_sigma_hz < 0:
-        raise ValueError("doppler_sigma_hz must be >= 0")
-    gamma_eff = np.hypot(gamma, 2 * np.pi * doppler_sigma_hz * _GAUSSIAN_FWHM)
-    return 0.5 * s / (1.0 + s + (4 * np.pi * detuning / gamma_eff) ** 2)
+    gamma_eff = effective_linewidth(gamma, doppler_sigma_hz)
+    return excited_fraction(s, detuning_term(detuning, gamma_eff))

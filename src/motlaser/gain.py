@@ -165,19 +165,25 @@ def _lorentzian(delta_hz, fwhm_rad: float):
     return hwhm_hz**2 / (delta_hz**2 + hwhm_hz**2)
 
 
+def _total(c):
+    """Total gain, (family, ...): the channel gains c summed m = -1, 0, +1."""
+    return c[:, 0] + c[:, 1] + c[:, 2]
+
+
 class _GainKernel:
     """The gain model over arrays of the pump detuning, the two-photon
     :meth:`detuning`, the pump power and the atom number.
 
-    Terms are computed at three levels.  Per field direction, shared by
+    Terms are computed at four levels.  Per field direction, shared by
     every kernel with that direction: the channels' w_m (per pump
     polarization too) and E_m, read-only arrays from
     :func:`geometry.channel_geometry`.  Per kernel, here: per family the
     coupling C_N and frequency offset (:attr:`offsets`), per channel the
-    Zeeman shift of |B|, and the saturation intensity and Doppler width.
-    Per evaluation: the drive, rho_ee, the prefactor and the Lorentzian
-    of :meth:`channel_gains`.  Built on ``fields``, one offset field per
-    row, the per-channel terms gain a trailing scan-point axis.
+    Zeeman shift of |B|, and the saturation intensity and Gamma'.  Per
+    scan, in :meth:`along`: the :meth:`_factor` of each argument it holds.
+    Per evaluation: the factor of the argument that moves, rho_ee and the
+    product.  Built on ``fields``, one offset field per row, the
+    per-channel terms gain a trailing scan-point axis.
 
     Axis 0 of every array argument is the family axis, of length 1
     (shared) or one row per family; the other axes broadcast behind it,
@@ -192,8 +198,9 @@ class _GainKernel:
         self.families = tuple(sorted(set(families)))
         self._op, self._system, self._calib = op, system, calib
         b = np.asarray(op.b_offset if fields is None else fields, float)
-        rows = [(_field_magnitude(f), *geometry.channel_geometry(
-            op.pump_polarization, f)) for f in b.reshape(-1, 3)]
+        # |B| once per field, for its Zeeman shift and its direction
+        rows = [(m := _field_magnitude(f), *geometry.channel_geometry(
+            op.pump_polarization, f, m)) for f in b.reshape(-1, 3)]
         # one field keeps its shared read-only arrays; a scan stacks them
         b_mag, self._weights, self._strengths = (
             terms[0] if b.ndim == 1 else np.stack(terms, axis=-1)
@@ -205,19 +212,27 @@ class _GainKernel:
             system.ensemble, system.cavity, n) for n in self.families])
         self.offsets = np.array([geometry.transverse_mode_frequency(
             n, system.cavity.family_spacing) for n in self.families])
-        self._doppler = system.pump_doppler_sigma()
+        self._gamma_eff = atomics.effective_linewidth(
+            system.green.linewidth, system.pump_doppler_sigma())
 
-    def _aligned(self, args, channel_axis: int) -> tuple:
+    def _aligned(self, args, channel_axis: int, ndim=None) -> tuple:
         """``args``, each array as (family, [channel,] its other axes
-        right-aligned), and the number of axes after the family axis."""
+        right-aligned), and the number of axes after the family axis:
+        ``ndim``, or the fewest that hold every argument."""
         dims = [getattr(a, "ndim", 0) for a in args]
-        ndim = max(1, *dims) - 1 + channel_axis
+        if ndim is None:
+            ndim = max(1, *dims) - 1 + channel_axis
         if any(d and len(a) not in (1, len(self.families))
                for a, d in zip(args, dims)):
             raise ValueError(f"a family axis has a length other than 1 or "
                              f"{len(self.families)}")
         return [a.reshape(a.shape[:1] + (1,) * (1 + ndim - d) + a.shape[1:])
                 if d else a for a, d in zip(args, dims)], ndim
+
+    def _channel(self, ndim: int) -> tuple:
+        """The shape of a per-channel term, ``ndim`` axes behind family."""
+        return ((1, len(SUBLEVELS)) + (1,) * (ndim - self._shifts.ndim)
+                + self._shifts.shape[1:])
 
     def detuning(self, pump, cavity):
         """Two-photon detuning delta_c,N - delta_p - delta_mot - resonance
@@ -228,37 +243,60 @@ class _GainKernel:
             return (cavity + offset - pump - self._op.mot_detuning
                     - self._calib.resonance_offset)
 
+    def _factor(self, name: str, value, ndim: int):
+        """The factor of the gain that the argument ``name`` alone sets,
+        with ``ndim`` axes behind the family axis: the detuning term of
+        rho_ee (pump), the drive w_m s_pump (pump_power), the prefactor
+        (atoms) or the Lorentzian (delta)."""
+        system, channel = self._system, self._channel(ndim)
+        (value,), _ = self._aligned((value,), 1, ndim)
+        if name == "pump":
+            return atomics.detuning_term(
+                value - self._shifts.reshape(channel), self._gamma_eff)
+        if name == "pump_power":
+            s = atomics.saturation_parameter(value, system.pump_waist,
+                                             self._i_sat)
+            return self._weights.reshape(channel) * s
+        if name == "atoms":
+            return (self._calib.gain_scale * value
+                    * self._couplings.reshape((-1,) + (1,) * ndim)
+                    * system.cavity.single_atom_coupling**2)
+        return _lorentzian(value, system.broad_linewidth)
+
+    def along(self, vary: str, **fixed):
+        """:meth:`channel_gains` as a function of the argument named
+        ``vary``, the other three held at ``fixed``.  A call computes the
+        factor of ``vary``; those of ``fixed``, once per number of axes."""
+        dims, staged = [getattr(v, "ndim", 0) for v in fixed.values()], {}
+
+        def channel_gains(x):
+            ndim = max(self._shifts.ndim, getattr(x, "ndim", 0), *dims)
+            if ndim not in staged:
+                staged[ndim] = {name: self._factor(name, value, ndim)
+                                for name, value in fixed.items()}
+            f = {**staged[ndim], vary: self._factor(vary, x, ndim)}
+            rho = atomics.excited_fraction(f["pump_power"], f["pump"])
+            return (f["atoms"] * rho * self._strengths.reshape(
+                self._channel(ndim)) * self._op.mot_saturation * f["delta"]
+                / self._system.green.linewidth)
+        return channel_gains
+
     def channel_gains(self, pump, delta, pump_power, atoms) -> np.ndarray:
         """Gain rates, 1/s, of shape (family, m = -1, 0, +1, ...)."""
-        op, system, calib = self._op, self._system, self._calib
-        (pump, delta, pump_power, atoms), ndim = self._aligned(
-            (pump, delta, pump_power, atoms), 1)
-        family = (-1,) + (1,) * ndim
-        channel = ((1, len(SUBLEVELS)) + (1,) * (ndim - self._shifts.ndim)
-                   + self._shifts.shape[1:])
-        linewidth = system.green.linewidth
-        s_pump = atomics.saturation_parameter(pump_power, system.pump_waist,
-                                              self._i_sat)
-        rho = atomics.excited_population(
-            pump - self._shifts.reshape(channel),
-            self._weights.reshape(channel) * s_pump, linewidth, self._doppler)
-        prefactor = (calib.gain_scale * atoms * self._couplings.reshape(family)
-                     * system.cavity.single_atom_coupling**2)
-        lorentz = _lorentzian(delta, system.broad_linewidth)
-        return (prefactor * rho * self._strengths.reshape(channel)
-                * op.mot_saturation * lorentz / linewidth)
+        return self.along("pump", delta=delta, pump_power=pump_power,
+                          atoms=atoms)(pump)
 
     def gains(self, pump, delta, pump_power, atoms) -> np.ndarray:
         """Total gain, (family, ...): the channels summed m = -1, 0, +1."""
-        c = self.channel_gains(pump, delta, pump_power, atoms)
-        return c[:, 0] + c[:, 1] + c[:, 2]
+        return _total(self.channel_gains(pump, delta, pump_power, atoms))
 
-    def solve(self, pump, delta, pump_power, atoms):
-        """Gains, per-family photon numbers and solved mask.  A detuning
-        whose square overflows (beyond any line) gives rho_ee and L 0."""
+    def solve(self, gains, *args):
+        """Gains ``gains(*args)``, per-family photon numbers and solved
+        mask.  A detuning whose square overflows (beyond any line) gives
+        rho_ee and L 0."""
         kappa = self._system.cavity.kappa
         with np.errstate(over="ignore"):
-            g = self.gains(pump, delta, pump_power, atoms)
+            g = gains(*args)
         s_tot = _saturation(g, kappa, self._calib.n_sat)
         return g, _photons(g, s_tot, kappa), ~np.isnan(s_tot)
 
@@ -378,18 +416,18 @@ def threshold_scan(vary: str, values, op: OperatingPoint, families,
     x = np.asarray(values, float)
     if np.any(x < 0):
         raise ValueError(f"{vary} must be >= 0")
-    if vary == "atoms":
-        pump_power, atoms = op.pump_power, x[None]
-    elif vary == "pump_power":
-        pump_power, atoms = x[None], op.total_atoms
-    else:
+    if vary not in ("atoms", "pump_power"):
         raise ValueError("vary must be 'atoms' or 'pump_power'")
     kernel = _GainKernel(op, families, system, calib)
-    g, n, ok = kernel.solve(op.pump_detuning, kernel.detuning(
-        op.pump_detuning, op.cavity_detuning), pump_power, atoms)
+    held = {"pump_power": op.pump_power, "atoms": op.total_atoms}
+    del held[vary]
+    # the solve and the threshold search share the factors of the rest
+    stage = kernel.along(vary, pump=op.pump_detuning, delta=kernel.detuning(
+        op.pump_detuning, op.cavity_detuning), **held)
+    g, n, ok = kernel.solve(lambda x: _total(stage(x)), x[None])
     if not ok.all():
         raise SolverError("saturation fixed point not found")
-    thresholds = _thresholds(kernel, vary, op, system.cavity.kappa)
+    thresholds = _thresholds(stage, vary, len(g), system.cavity.kappa)
     return LaserSolution(dict(zip(kernel.families, n)),
                          dict(zip(kernel.families, g)),
                          dict(zip(kernel.families, thresholds.tolist())))
@@ -467,10 +505,11 @@ def calibrate(system: LaserSystem,
     return CalibrationConstants(float(gain_scale), float(n_sat))
 
 
-def _thresholds(kernel: _GainKernel, vary: str, op: OperatingPoint,
+def _thresholds(stage, vary: str, families: int,
                 kappa: float) -> np.ndarray:
-    """Per family of ``kernel``, the ``atoms`` or ``pump_power`` value at
-    which its gain meets ``kappa``; inf where no finite value does.
+    """Per family, the ``atoms`` or ``pump_power`` value at which its gain,
+    from the channel gains ``stage(value)``, meets ``kappa``; inf where no
+    finite value does.
 
     G is linear in the atom number: the atom threshold is kappa / G(1 atom).
     The pump threshold is the P with G(P) >= kappa > G(the float below P).
@@ -480,29 +519,27 @@ def _thresholds(kernel: _GainKernel, vary: str, op: OperatingPoint,
     bits depend on the computed gain alone.  Zero gain, gain saturating
     below the loss and NaN gain (the drive overflows) never reach kappa.
     """
-    delta = kernel.detuning(op.pump_detuning, op.cavity_detuning)
-    if vary == "atoms":
-        unit = kernel.gains(op.pump_detuning, delta, op.pump_power, 1.0)
+    if vary == "atoms":     # at the axes of the scan, as it staged them
+        unit = _total(stage(np.ones((1, 1))))[:, 0]
         with np.errstate(divide="ignore"):
             return np.where(unit > 0.0, kappa / unit, math.inf)
-    rows, steps = np.arange(len(kernel.families)), np.arange(1, 64)
-    lo = np.zeros(rows.size, np.int64)   # 0 W, no gain: below kappa
-    hi = np.full(rows.size, np.float64(np.inf).view(np.int64))  # above it
+    steps, rows = np.arange(65), np.arange(0, 65 * families, 65)
+    # from 0 W (no gain: below kappa) to inf (above it); bound k of a round
+    # is lo + k/64 of the width, rounded down: lo, the 63 probes, hi
+    lo = np.zeros((families, 1), np.int64)
+    width = np.full((families, 1), np.float64(np.inf).view(np.int64))
+    reached = np.ones((families, 64), bool)     # the last: hi reaches kappa
     with np.errstate(over="ignore", invalid="ignore"):
-        while np.any(hi - lo > 1):
-            width = (hi - lo)[:, None]
-            probes = (lo[:, None] + (width >> 6) * steps
-                      + ((width & 63) * steps >> 6))
-            reached = kernel.gains(op.pump_detuning, delta,
-                                   probes.view(np.float64),
-                                   op.total_atoms) >= kappa
-            # index in [lo, probes..., hi] of the first value reaching
-            # kappa (hi if no probe does); the value before it stays below
-            first = np.where(reached.any(axis=1), reached.argmax(axis=1),
-                             steps.size) + 1
-            bounds = np.column_stack([lo, probes, hi])
-            lo, hi = bounds[rows, first - 1], bounds[rows, first]
-    return hi.view(np.float64)
+        while (width > 1).any():
+            bounds = lo + (width >> 6) * steps + ((width & 63) * steps >> 6)
+            g = _total(stage(bounds[:, 1:-1].view(np.float64)))
+            np.greater_equal(g, kappa, out=reached[:, :-1])
+            # the first bound reaching kappa (hi if no probe does) and the
+            # one before it, which stays below
+            i, flat = rows + reached.argmax(axis=1), bounds.ravel()
+            lo = flat[i][:, None]
+            width = flat[i + 1][:, None] - lo
+    return (lo + width)[:, 0].view(np.float64)
 
 
 def threshold_reason(threshold: float, lo: float, hi: float) -> str:
@@ -628,8 +665,8 @@ def detuning_map(op: OperatingPoint, system: LaserSystem,
     kappa = system.cavity.kappa
     kernel = _GainKernel(op, families, system, calib)
     dp = pump[None, :, None]
-    g, n, ok = kernel.solve(dp, kernel.detuning(dp, cav[None, None, :]),
-                            op.pump_power, op.total_atoms)
+    g, n, ok = kernel.solve(kernel.gains, dp, kernel.detuning(
+        dp, cav[None, None, :]), op.pump_power, op.total_atoms)
     powers = dict(zip(kernel.families, output_power(
         n, system.cavity, system.green.wavelength)))
     above = dict(zip(kernel.families, ok & (g >= kappa)))
@@ -740,8 +777,12 @@ def _fminbound(lo: float, hi: float, xatol: float):
 def _ridge_optima(kernel: _GainKernel, op: OperatingPoint, kappa: float):
     """Whether each scan point of ``kernel`` lases on the two-photon ridge,
     and the pump of its gain maximum there, as :func:`optimum_scan` says."""
-    def gain_at(dp):
-        return kernel.gains(dp[None], 0.0, op.pump_power, op.total_atoms)[0]
+    stage = kernel.along("pump", delta=0.0, pump_power=op.pump_power,
+                         atoms=op.total_atoms)
+
+    def gain_at(dp):    # every call at the coarse grid's axes
+        x = dp.reshape(1, -1, dp.shape[-1])
+        return _total(stage(x))[0].reshape(dp.shape)
 
     zeeman = np.atleast_1d(kernel._shifts[SUBLEVELS.index(1)])
     ends = (0.25 * zeeman, 2.5 * zeeman + np.copysign(2e6, zeeman))

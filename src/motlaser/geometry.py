@@ -96,17 +96,19 @@ class PolarizationLabel:
 NO_EMISSION = PolarizationLabel("none")
 
 
-def field_direction(b_dir) -> np.ndarray:
+def field_direction(b_dir, norm=None) -> np.ndarray:
     """Unit vector along the field, b / |b|.
 
     Where |b|^2 over- or underflows, b is first rescaled so that its
     largest finite component is 1, which keeps the direction; elsewhere
-    the result is b / |b| bit for bit.  Raises
+    the result is b / |b| bit for bit.  ``norm`` is |b| as
+    ``np.linalg.norm`` gives it, when the caller has it already.  Raises
     :class:`QuantizationAxisError` on zero field.
     """
     b = np.asarray(b_dir, float)
-    with np.errstate(over="ignore", under="ignore"):
-        norm = np.linalg.norm(b)
+    if norm is None:
+        with np.errstate(over="ignore", under="ignore"):
+            norm = np.linalg.norm(b)
     if not 0 < norm < np.inf:
         finite = np.abs(b[np.isfinite(b)])
         if finite.size and finite.max() > 0:
@@ -192,11 +194,12 @@ def field_geometry(b_dir) -> FieldGeometry:
     return _field_geometry(field_direction(b_dir).tobytes())
 
 
-def channel_geometry(polarization, b_dir) -> tuple:
+def channel_geometry(polarization, b_dir, norm=None) -> tuple:
     """Read-only arrays (w_m, E_m) of the channels m = -1, 0, +1, shared
-    by every caller with the same field direction and pump polarization.
-    Raises :class:`QuantizationAxisError` on zero field."""
-    unit = field_direction(b_dir).tobytes()
+    by every caller with the same field direction and pump polarization;
+    ``norm`` as in :func:`field_direction`.  Raises
+    :class:`QuantizationAxisError` on zero field."""
+    unit = field_direction(b_dir, norm).tobytes()
     return (_pump_weights(unit, np.asarray(polarization, complex).tobytes()),
             _field_geometry(unit).strengths)
 

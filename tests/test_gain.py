@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from collections import Counter
 from dataclasses import replace
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
@@ -45,6 +46,20 @@ def kernel_gains(kernel, pump, cavity, pump_power, atoms):
     axis 0 of each array argument is the family axis."""
     return kernel.gains(pump, kernel.detuning(pump, cavity), pump_power,
                         atoms)
+
+
+def recorded_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` with a wrapper that records the positional
+    arguments, the keyword arguments and the result of each call."""
+    calls, real = [], getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
 
 
 def channel_rates(op, family, system, calib):
@@ -189,6 +204,69 @@ class TestModeGain:
             probe = replace(op, pump_detuning=rng.uniform(-30e6, 30e6),
                             cavity_detuning=rng.uniform(-80e6, 20e6))
             assert mode_gain(probe, 0, system, calib) >= 0.0
+
+
+# pump powers: none, ordinary, and ones whose drive overflows to inf, which
+# makes rho_ee inf/inf = NaN
+_STAGE_POWERS = st.one_of(st.just(0.0), st.floats(0.0, 1e-2),
+                          st.floats(1e303, 1e308))
+
+
+@st.composite
+def _stage_cases(draw):
+    """A kernel's families and scan fields (None: the operating point's
+    field alone, else three fields on a trailing axis), and arguments of
+    its gains, each a scalar or a (1 or F, [2,] points) array."""
+    families = draw(st.sampled_from([(0,), FAMILIES]))
+    fields = draw(st.sampled_from([None, (1.5, -2.5, 40.0)]))
+    points = 3 if fields else draw(st.integers(1, 4))
+
+    def argument(elements):
+        if draw(st.booleans()):
+            return draw(elements)
+        shape = ((draw(st.sampled_from([1, len(families)])),)
+                 + draw(st.sampled_from([(), (2,)])) + (points,))
+        return draw(hnp.arrays(float, shape, elements=elements))
+
+    return families, fields, {
+        "pump": argument(st.floats(-20e6, 20e6)),
+        "delta": argument(st.floats(-50e6, 50e6)),
+        "pump_power": argument(_STAGE_POWERS),
+        "atoms": argument(st.floats(0.0, 1e5))}
+
+
+class TestStagedKernel:
+    """A scan holds three of the kernel's four arguments and computes
+    their factors once; its gains are the kernel's, bit for bit, at its
+    first call and at a later one that reuses those factors."""
+
+    @given(case=_stage_cases(),
+           vary=st.sampled_from(["pump", "pump_power", "atoms"]))
+    @settings(max_examples=150, deadline=None)
+    @example(case=((0,), None, {"pump": 1e6, "delta": 0.0,
+                                "pump_power": np.array([[0.0, 1e308]]),
+                                "atoms": 5e3}), vary="pump_power")
+    @example(case=(FAMILIES, (1.5, -2.5, 40.0), {
+        "pump": np.zeros((1, 2, 3)), "delta": 0.0, "pump_power": 1e305,
+        "atoms": np.full((4, 3), 2e4)}), vary="pump")
+    def test_stage_equals_the_kernel(self, system, op, calib, case, vary):
+        families, fields, args = case
+        kernel = gain._GainKernel(
+            op, families, system, calib, None if fields is None else
+            geometry.field_direction(op.b_offset) * np.array(fields)[:, None])
+        fixed = {name: a for name, a in args.items() if name != vary}
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = kernel.gains(**args)
+            stage = kernel.along(vary, **fixed)
+            got = [gain._total(stage(args[vary])) for _ in range(2)]
+            overflows = np.isinf(gain.atomics.saturation_parameter(
+                args["pump_power"], system.pump_waist,
+                gain.atomics.saturation_intensity(system.green)))
+        for g in got:
+            assert g.shape == want.shape
+            assert g.tobytes() == want.tobytes()
+        # every drive that overflows, and no other, leaves a NaN gain
+        assert np.isnan(want).any() == np.any(overflows)
 
 
 def _clear_field_geometry():
@@ -460,15 +538,16 @@ class TestThresholds:
     def test_no_pump_threshold_iff_saturated_gain_below_loss(
             self, system, op, calib, pump, angle, atoms):
         # G rises to sum_m A_m as rho_ee -> 1/2 in every channel the pump
-        # drives (w_m > 0); a threshold exists iff that limit exceeds kappa
+        # drives (w_m > 0); a threshold exists iff that limit exceeds kappa.
+        # excited_fraction is the rho_ee the kernel evaluates
         op = replace(op, pump_detuning=pump,
                      pump_polarization=geometry.jones_linear(angle),
                      total_atoms=atoms)
         thresholds = self._pump_thresholds(op, system, calib)
         kernel = gain._GainKernel(op, FAMILIES, system, calib)
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(gain.atomics, "excited_population",
-                      lambda d, s, *args: np.where(s > 0.0, 0.5, 0.0))
+            m.setattr(gain.atomics, "excited_fraction",
+                      lambda s, d2: np.where(s > 0.0, 0.5, 0.0))
             saturated = kernel_gains(kernel, pump, op.cavity_detuning, 1.0,
                                      atoms)
         for n, g_sat in zip(kernel.families, saturated):
@@ -478,22 +557,30 @@ class TestThresholds:
                 assert np.isfinite(thresholds[n])
 
     def test_pump_search_evaluates_each_family_at_its_own_probes(
-            self, system, op, calib, monkeypatch):
+            self, tmp_path, monkeypatch):
+        # the scan workload's threshold command: after the 40-point solve,
         # each round evaluates a (family, 63) probe array, one gain per
-        # family and probe, not every family at every family's probes
-        kernel = gain._GainKernel(op, FAMILIES, system, calib)
-        sizes = []
-        real = gain._GainKernel.gains
-
-        def counted(self, *args):
-            g = real(self, *args)
-            sizes.append(np.size(g))
-            return g
-
-        monkeypatch.setattr(gain._GainKernel, "gains", counted)
-        gain._thresholds(kernel, "pump_power", op, KAPPA)
-        assert 5 <= len(sizes) <= 64
-        assert sizes == [len(FAMILIES) * 63] * len(sizes)
+        # family and probe, not every family at every family's probes.
+        # The solve and every round share the factors of the pump
+        # detuning, delta and the atom number, computed once; only the
+        # drive is computed again
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["calibrate"]) == 0
+        rho = recorded_calls(monkeypatch, gain.atomics, "excited_fraction")
+        factors = recorded_calls(monkeypatch, gain._GainKernel, "_factor")
+        lorentz = recorded_calls(monkeypatch, gain, "_lorentzian")
+        assert cli.main(["threshold", "--vary", "pump", "--min", "1uW",
+                         "--max", "1mW"]) == 0
+        families = len(CFG.families())
+        rounds = len(rho) - 1
+        assert 5 <= rounds <= 64
+        # rho_ee of each evaluation, (family, m, point): the solve's is
+        # shared by the families
+        assert [r.shape for *_, r in rho] == \
+            [(1, 3, 40)] + [(families, 3, 63)] * rounds
+        assert Counter(args[1] for args, *_ in factors) == {
+            "pump": 1, "delta": 1, "atoms": 1, "pump_power": 1 + rounds}
+        assert len(lorentz) == 1
 
     def test_atom_threshold_outside_range(self, system, op, calib):
         anchor = gain.reference_operating_point(
@@ -1208,21 +1295,24 @@ class TestFminbound:
         # the scan workload's shift-scan searches its points side by side:
         # one gain evaluation for the coarse grid, at most one at the
         # Zeeman shifts, one per round of the longest Brent search and one
-        # for the final check
+        # for the final check.  Its one batch fixes the pump power, delta
+        # and the atom number: the drive and the Lorentzian are computed
+        # once, the detuning term of rho_ee at every evaluation
         monkeypatch.chdir(tmp_path)
         assert cli.main(["calibrate"]) == 0
-        evaluations, excited = [0], gain.atomics.excited_population
-
-        def counted(*args):
-            evaluations[0] += 1
-            return excited(*args)
-
-        monkeypatch.setattr(gain.atomics, "excited_population", counted)
+        rho = recorded_calls(monkeypatch, gain.atomics, "excited_fraction")
+        terms = recorded_calls(monkeypatch, gain.atomics, "detuning_term")
+        drives = recorded_calls(monkeypatch, gain.atomics,
+                                "saturation_parameter")
+        lorentz = recorded_calls(monkeypatch, gain, "_lorentzian")
         searches = _recorded_searches(monkeypatch)
         assert cli.main(["shift-scan", "--vary", "b_offset", "--min", "1.5",
                          "--max", "4.5", "--step", "1"]) == 0
         assert len(searches) == 4
-        assert 0 < evaluations[0] <= 3 + max(s["calls"] for s in searches)
+        evaluations = len(rho)
+        assert 0 < evaluations <= 3 + max(s["calls"] for s in searches)
+        assert len(terms) == evaluations
+        assert len(drives) == len(lorentz) == 1
 
     @pytest.mark.parametrize("func,lo,hi,xatol", [
         (lambda x: 0.0, 0.0, 1.0, 1e-5),                   # flat
