@@ -308,8 +308,7 @@ def cmd_shift_scan(args) -> int:
                              family=(cfg.families() or (0,))[0])
     unit = "hz_per_gauss" if vary == "b_offset_magnitude" else "hz_per_hz"
     table = ScanResultTable([args.vary, "pump_opt_hz", "cavity_opt_hz"])
-    table.set_columns(*zip(*((p.x, p.pump_opt, p.cavity_opt)
-                             for p in scan.points)))
+    table.set_columns(xs, scan.pump_opt, scan.cavity_opt)
     meta = _base_metadata(cfg, "shift-scan", {
         "vary": args.vary, "min": repr(args.min), "max": repr(args.max),
         "step": repr(args.step)})

@@ -678,22 +678,11 @@ def detuning_map(op: OperatingPoint, system: LaserSystem,
 
 
 @dataclass(frozen=True)
-class ScanOptimum:
-    x: float
-    pump_opt: float | None       # Hz; None when nothing lases at this x
-    cavity_opt: float | None     # Hz
-
-
-@dataclass(frozen=True)
 class OptimumScan:
-    vary: str
-    points: tuple                # of ScanOptimum
+    pump_opt: np.ndarray         # Hz per scanned value; NaN where none lases
+    cavity_opt: np.ndarray       # Hz per scanned value; NaN where none lases
     slope: float                 # d(opt)/dx of the primary fitted relation
     intercept: float | None      # None: below the fit's resolution
-
-    @property
-    def valid_points(self):
-        return [p for p in self.points if p.pump_opt is not None]
 
 
 _COARSE = 25          # pump points of the coarse search along the ridge
@@ -856,9 +845,10 @@ def optimum_scan(vary: str, values, op: OperatingPoint, system: LaserSystem,
     ``vary`` is ``b_offset_magnitude`` (gauss, scaled along the operating
     point's :func:`geometry.field_direction`, which a field too small or
     too large to square still has; the scan follows the sigma+ lobe) or
-    ``mot_detuning`` (Hz).  Points where nothing lases are kept with None
-    optima.  The fitted slope/intercept describe pump_opt(B) for the field
-    scan and cavity_opt(mot detuning) for the trap-detuning scan.
+    ``mot_detuning`` (Hz).  The optima are columns aligned with
+    ``values``, NaN where nothing lases.  The slope/intercept fitted to the
+    lasing points describe pump_opt(B) for the field scan and
+    cavity_opt(mot detuning) for the trap-detuning scan.
 
     At any pump G peaks on the two-photon ridge delta_c = delta_p +
     delta_mot + resonance_offset - offset_N, since the cavity detuning
@@ -879,22 +869,22 @@ def optimum_scan(vary: str, values, op: OperatingPoint, system: LaserSystem,
         b_dir = geometry.field_direction(op.b_offset)
     elif vary != "mot_detuning":
         raise ValueError("vary must be 'b_offset_magnitude' or 'mot_detuning'")
-    xs, points, fit = np.asarray(values, float), [], []
+    xs = np.asarray(values, float)
+    pump_opt, cavity_opt = np.full((2, xs.size), math.nan)
     for first in range(0, xs.size, _SCAN_BATCH):
-        x = xs[first:first + _SCAN_BATCH]
+        batch = slice(first, first + _SCAN_BATCH)
+        x = xs[batch]
         kernel = _GainKernel(op, (family,), system, calib,
                              b_dir * x[:, None] if field else None)
-        lases, dp = np.broadcast_arrays(
-            *_ridge_optima(kernel, op, system.cavity.kappa), x)[:2]
+        lases, dp = _ridge_optima(kernel, op, system.cavity.kappa)
         with np.errstate(over="ignore"):     # as float arithmetic would
             dc = (two_photon_resonance(dp, op.mot_detuning if field else x)
                   + calib.resonance_offset - kernel.offsets[0])
-        points += [ScanOptimum(*p) if ok else ScanOptimum(p[0], None, None)
-                   for ok, *p in zip(lases.tolist(), x.tolist(), dp.tolist(),
-                                     dc.tolist())]
-        fit.append(np.stack([x, dp if field else dc])[:, lases])
+        pump_opt[batch] = np.where(lases, dp, math.nan)
+        cavity_opt[batch] = np.where(lases, dc, math.nan)
 
-    good = np.concatenate(fit or [np.empty((2, 0))], axis=1)
-    slope, intercept = (_line_fit(*good) if good.shape[1] >= 2
-                        else (math.nan, math.nan))
-    return OptimumScan(vary, tuple(points), slope, intercept)
+    lases = ~np.isnan(pump_opt)
+    slope, intercept = (
+        _line_fit(xs[lases], (pump_opt if field else cavity_opt)[lases])
+        if np.count_nonzero(lases) >= 2 else (math.nan, math.nan))
+    return OptimumScan(pump_opt, cavity_opt, slope, intercept)

@@ -36,6 +36,7 @@ the same integer counts.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -259,7 +260,7 @@ def _thermal_power(n: int, a: float, sigma_field: float, seed: int,
         y *= scale
         if i0 == 0 and start is None:
             # before the drain overwrites the real noise
-            block = slice(_ar1_layout(x.size, a)[1])
+            block = slice(_ar1_layout(a)[1])
             head = x[block].copy(), y[block].copy()
         state = _ar1_power(x, y, a, state, None if p is None else p[:x.size])
         if p is not None:
@@ -283,31 +284,30 @@ def _thermal_chunk(a: float, buffers: int = 1) -> int:
     blocks over ``buffers`` chunk buffers.  So no chunk but the last runs a
     serial tail, and a pole near one, whose blocks are long, still runs
     many blocks side by side."""
-    block = _ar1_layout(_THERMAL_CHUNK, a)[1]
+    block = _ar1_layout(a)[1]
     return max(_THERMAL_CHUNK // block, _THERMAL_MIN_BLOCKS) // buffers * block
 
 
-# The blocked AR(1) recursion runs about this many blocks side by side.
-_AR1_BLOCKS = 4096
-# It advances them by slabs of _AR1_TILE_STEPS steps, each filled, and its
-# |y|^2 drained, in tiles of this many blocks by this many steps: one tile's
-# source rows stay within TLB reach, and a slab of all the blocks (2 MB
-# complex at 4096) within the second-level cache.  Tiles of 96 to 256
-# blocks by 24 to 64 steps ran alike; tiles of all 4096 blocks ran about
-# twice as long.
+# The blocked AR(1) recursion advances its blocks by slabs of
+# _AR1_TILE_STEPS steps, each filled, and its |y|^2 drained, in tiles of
+# this many blocks by this many steps: one tile's source rows stay within
+# TLB reach, and a slab of all the blocks (about 0.3 MB complex for the 590
+# blocks of a 2**20 chunk at the CLI's pole, a = e**-0.1) within the
+# second-level cache.  Tiles of 96 to 256 blocks by 24 to 64 steps ran
+# alike; tiles of all of 4096 blocks ran about twice as long.
 _AR1_TILE_BLOCKS = 256
 _AR1_TILE_STEPS = 32
 
 
-def _ar1_layout(n: int, a: float) -> tuple:
-    """(warm, block length) of :func:`_ar1_power` for ``n`` samples and
-    pole ``a``.
+def _ar1_layout(a: float) -> tuple:
+    """(warm, block length) of :func:`_ar1_power` for pole ``a``.
 
     A warm-up of ``warm`` steps shrinks the state it starts from by
     a**warm <= 2**-64, far below the rounding of the state it converges to.
+    A block is four warm-ups long.
     """
     warm = math.ceil(64.0 * math.log(2.0) / -math.log(a))
-    return warm, max(4 * warm, -(-n // _AR1_BLOCKS))
+    return warm, 4 * warm
 
 
 def _power(y, out) -> None:
@@ -417,7 +417,7 @@ def _ar1_power(re: np.ndarray, im: np.ndarray, a: float, start: complex,
     g2-sparse's thermal trace at seeds 1-20 met within 27 steps.
     """
     n = re.size
-    warm, length = _ar1_layout(n, a)
+    warm, length = _ar1_layout(a)
     blocks = n // length
     if out is None:
         out = re
@@ -858,7 +858,8 @@ def write_clickstream(stream: ClickStream, path) -> int:
 
 
 def read_clickstream(path) -> ClickStream:
-    """Read the binary format back into a ClickStream."""
+    """Read the binary format back into a ClickStream.  The header's count
+    must match the bytes that follow it, which is checked before reading."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -868,9 +869,14 @@ def read_clickstream(path) -> ClickStream:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != _CLICKS_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if 8 * count > size:
+            raise ValueError(f"{path}: truncated timestamp block: {count} "
+                             f"clicks need {8 * count} bytes, {size} follow")
+        if 8 * count < size:
+            raise ValueError(f"{path}: {size - 8 * count} bytes follow the "
+                             f"timestamp block of {count} clicks")
         data = np.frombuffer(fh.read(8 * count), dtype="<u8")
-        if data.size != count:
-            raise ValueError(f"{path}: truncated timestamp block")
     return ClickStream(det, data.astype(np.float64) * 1e-9, duration_ns * 1e-9)
 
 

@@ -11,12 +11,13 @@ stands for the cells of its ``tolist()``, and an ``Indexed(values, index)``
 for the cells ``values[index]``.  Every cell gets the bytes of
 ``format_cell``, written column by column:
 
-- a column whose cells are all floats or ``None`` goes through
-  ``format_e17``, in one call for all such columns of the table;
+- a float64 array goes through ``format_e17``, in one call for all such
+  columns of the table;
 - an int64 array of non-negative values is written with ``format_e17``'s
   three-digit words, its leading zeros padded;
-- any other column is written cell by cell with ``format_cell``, or for
-  an integer array with ``str`` of its ``tolist()`` ints;
+- any other column, a list of floats too, is written cell by cell with
+  ``format_cell``, or for an integer array with ``str`` of its
+  ``tolist()`` ints;
 - an ``Indexed`` column is written as its ``values`` would be, each value
   formatted once, and its rows of bytes are gathered by ``index``;
 - the columns are laid side by side in one byte array padded with 0xFF, a
@@ -190,14 +191,12 @@ def format_e17(values) -> np.ndarray:
 
 
 def _float_cells(column):
-    """The column as a float64 array when each cell is a float or None,
-    as itself when it is an integer array, else as a list of its cells."""
+    """The column as itself when it is a float64 or integer array, else as
+    a list of its cells."""
     if isinstance(column, np.ndarray):
         if column.dtype == np.float64 or column.dtype.kind in "iu":
             return column.ravel()
-        column = column.tolist()
-    if all(v is None or isinstance(v, float) for v in column):
-        return np.array(column, np.float64)
+        return column.tolist()
     return list(column)
 
 

@@ -689,6 +689,35 @@ def test_table_outputs_match_pinned_digests(workdir, command):
     assert got == digests
 
 
+# sha256 at seed 1 of a field scan through zero, the field vertical and
+# the pump sigma+: 8 lasing rows, then 4 dark ones written as empty cells
+_DARK_ROWS_PINNED = {
+    "shift_scan.csv":
+        "64097742be950e484944b142cddae029dcd22b85b6f3e8b94da8fe0fac81a9ed",
+    "shift_scan.csv.meta.txt":
+        "c354851387ce6ce9677863411375676a6471d3d1c0416a77f630707e6964e622",
+}
+
+
+@pytest.mark.parametrize("batch", [gain._SCAN_BATCH, 5])
+def test_shift_scan_dark_rows_match_pinned_digests(workdir, monkeypatch,
+                                                   batch):
+    # batches of 5 split the lasing rows and the dark ones across batches
+    monkeypatch.setattr(gain, "_SCAN_BATCH", batch)
+    (workdir / "vertical.cfg").write_text(
+        "b_offset_x = 0 G\nb_offset_z = 2.38 G\n"
+        "pump_polarization = circular:right\n")
+    assert run("--config", "vertical.cfg", "calibrate") == 0
+    assert run("--config", "vertical.cfg", "--seed", "1", "shift-scan",
+               "--vary", "b_offset", "--min=-2.75", "--max", "2.75",
+               "--step", "0.5") == 0
+    rows = (workdir / "shift_scan.csv").read_text().splitlines()[1:]
+    assert [row.endswith(",,") for row in rows] == [False] * 8 + [True] * 4
+    got = {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+           for name in _DARK_ROWS_PINNED}
+    assert got == _DARK_ROWS_PINNED
+
+
 @pytest.mark.parametrize("shape", list(_G2_PINNED))
 def test_g2_outputs_match_pinned_digests(workdir, shape):
     argv, digests = _G2_PINNED[shape]

@@ -949,24 +949,29 @@ def _zeeman_and_center(system, cell):
     return zeeman, two_photon_resonance(zeeman, cell.mot_detuning)
 
 
-def _field_optima_lase(system, op, calib, scan):
+def _field_optima_lase(system, op, calib, values, scan):
     """Every point of a field scan has an optimum at which its family's
     gain on the ridge reaches kappa."""
-    for p in scan.points:
-        if p.pump_opt is None:
+    for x, pump_opt in zip(values.tolist(), scan.pump_opt.tolist()):
+        if np.isnan(pump_opt):
             return False
-        cell = _scan_cell(op, "b_offset_magnitude", p.x)
+        cell = _scan_cell(op, "b_offset_magnitude", x)
         kernel = gain._GainKernel(cell, (0,), system, calib)
-        if not kernel.gains(p.pump_opt, 0.0, cell.pump_power,
+        if not kernel.gains(pump_opt, 0.0, cell.pump_power,
                             cell.total_atoms)[0] >= KAPPA:
             return False
     return True
 
 
+def _lasing_count(scan):
+    """The number of scan points with an optimum."""
+    return np.count_nonzero(~np.isnan(scan.pump_opt))
+
+
 def _ridge_alone(cell, system, calib):
     """One point's optimum searched alone, with scalar gain evaluations:
     (how it lases, pump_opt, cavity_opt), as optimum_scan's docstring
-    states the search."""
+    states the search; NaN optima when it is dark."""
     kernel = gain._GainKernel(cell, (0,), system, calib)
 
     def gain_at(dp):
@@ -981,7 +986,7 @@ def _ridge_alone(cell, system, calib):
     else:
         route, start, best = "zeeman", zeeman, gain_at(zeeman)
         if not best >= KAPPA:
-            return "dark", None, None
+            return "dark", np.nan, np.nan
     span = (hi - lo) / (gain._COARSE - 1)
     bits, _ = _minimize(gain._fminbound(max(lo, start - 2 * span),
                                         min(hi, start + 2 * span), 1.0),
@@ -1006,17 +1011,19 @@ class TestOptimumScan:
 
     def test_pump_optimum_independent_of_trap_detuning(self, system, op,
                                                        calib):
-        scan = optimum_scan("mot_detuning", np.array([-40e6, -28e6, -20e6]),
-                            op, system, calib)
-        pumps = np.array([p.pump_opt for p in scan.valid_points])
-        fit = np.polyfit(np.array([p.x for p in scan.valid_points]), pumps, 1)
+        values = np.array([-40e6, -28e6, -20e6])
+        scan = optimum_scan("mot_detuning", values, op, system, calib)
+        lases = ~np.isnan(scan.pump_opt)
+        fit = np.polyfit(values[lases], scan.pump_opt[lases], 1)
         assert abs(fit[0]) < 1e-3
 
     def test_dark_points_marked_missing(self, system, op, calib):
         dark = replace(op, total_atoms=10.0)  # far below threshold
         scan = optimum_scan("mot_detuning", np.array([-36e6, -30e6]), dark,
                             system, calib)
-        assert all(p.pump_opt is None for p in scan.points)
+        assert scan.pump_opt.shape == scan.cavity_opt.shape == (2,)
+        assert np.isnan(scan.pump_opt).all()
+        assert np.isnan(scan.cavity_opt).all()
         assert np.isnan(scan.slope)
 
     @pytest.mark.parametrize("batch", [gain._SCAN_BATCH, 3])
@@ -1035,11 +1042,12 @@ class TestOptimumScan:
         scan = optimum_scan("b_offset_magnitude", values, vertical, system,
                             calib)
         routes = []
-        for x, p in zip(values, scan.points):
+        for k, x in enumerate(values):
             route, dp, dc = _ridge_alone(
                 _scan_cell(vertical, "b_offset_magnitude", x), system, calib)
             routes.append(route)
-            assert repr(p) == repr(gain.ScanOptimum(float(x), dp, dc))
+            got = np.array([scan.pump_opt[k], scan.cavity_opt[k]])
+            assert got.tobytes() == np.array([dp, dc]).tobytes()
         assert routes == ["coarse", "dark", "zeeman", "coarse", "coarse",
                           "dark", "dark", "coarse", "coarse", "coarse"]
 
@@ -1053,9 +1061,11 @@ class TestOptimumScan:
         # stops within xatol = 1 Hz of the ridge maximum, on a pump peak
         # megahertz wide, which costs G about 1e-12; the bound allows 1e-9.
         scan = optimum_scan(vary, values, op, system, calib)
-        assert len(scan.valid_points) == len(values)
-        for p in scan.points:
-            cell = _scan_cell(op, vary, p.x)
+        assert _lasing_count(scan) == len(values)
+        for x, pump_opt, cavity_opt in zip(values.tolist(),
+                                           scan.pump_opt.tolist(),
+                                           scan.cavity_opt.tolist()):
+            cell = _scan_cell(op, vary, x)
             zeeman, center = _zeeman_and_center(system, cell)
             kernel = gain._GainKernel(cell, (0,), system, calib)
 
@@ -1073,7 +1083,7 @@ class TestOptimumScan:
             fine, _, _ = grid_max(
                 np.linspace(dp - dp_step, dp + dp_step, 201),
                 np.linspace(dc - dc_step, dc + dc_step, 201))
-            found = kernel_gains(kernel, p.pump_opt, p.cavity_opt,
+            found = kernel_gains(kernel, pump_opt, cavity_opt,
                                  cell.pump_power, cell.total_atoms)[0]
             assert found >= max(coarse, fine) * (1.0 - 1e-9)
 
@@ -1082,18 +1092,20 @@ class TestOptimumScan:
     def test_cavity_optimum_on_two_photon_ridge(self, system, op, calib,
                                                 family, offset):
         shifted = replace(calib, resonance_offset=offset)
-        scan = optimum_scan("mot_detuning", np.array([-40e6, -30e6]), op,
-                            system, shifted, family=family)
+        values = [-40e6, -30e6]
+        scan = optimum_scan("mot_detuning", np.array(values), op, system,
+                            shifted, family=family)
         family_offset = geometry.transverse_mode_frequency(
             family, system.cavity.family_spacing)
-        for p in scan.points:
-            ridge = (two_photon_resonance(p.pump_opt, p.x) + offset
+        for x, pump_opt, cavity_opt in zip(values, scan.pump_opt.tolist(),
+                                           scan.cavity_opt.tolist()):
+            ridge = (two_photon_resonance(pump_opt, x) + offset
                      - family_offset)
-            assert p.cavity_opt == ridge
+            assert cavity_opt == ridge
             # and the gain does fall off the ridge on either side
-            cell = replace(op, mot_detuning=p.x)
+            cell = replace(op, mot_detuning=x)
             kernel = gain._GainKernel(cell, (family,), system, shifted)
-            g = kernel_gains(kernel, p.pump_opt,
+            g = kernel_gains(kernel, pump_opt,
                              ridge + np.array([[-1e3, 0.0, 1e3]]),
                              cell.pump_power, cell.total_atoms)[0]
             assert g[1] > g[0] and g[1] > g[2]
@@ -1112,7 +1124,7 @@ class TestOptimumScan:
         monkeypatch.setattr(gain, "_saturation", counted)
         monkeypatch.setattr(gain._GainKernel, "solve", no_solve)
         scan = optimum_scan(*CRITERION_SCANS[1], op, system, calib)
-        assert len(scan.valid_points) == len(CRITERION_SCANS[1][1])
+        assert _lasing_count(scan) == len(CRITERION_SCANS[1][1])
         assert calls["saturation"] == 0
 
     @pytest.mark.parametrize("lo,count", [(1e20, 2), (1e100, 3)],
@@ -1124,9 +1136,9 @@ class TestOptimumScan:
         # exceeds the trap detuning, and the optima follow the Zeeman line.
         # The points are the CLI's for --min lo --step lo.  Brent's steps
         # all miss the line there, so the optimum is the coarse pump
-        scan = optimum_scan("b_offset_magnitude", lo + lo * np.arange(count),
-                            op, system, calib)
-        assert _field_optima_lase(system, op, calib, scan)
+        values = lo + lo * np.arange(count)
+        scan = optimum_scan("b_offset_magnitude", values, op, system, calib)
+        assert _field_optima_lase(system, op, calib, values, scan)
         assert scan.slope == pytest.approx(gain.atomics.zeeman_shift(
             system.green.lande_g_upper, 1, 1.0), rel=1e-12)
 
@@ -1138,9 +1150,9 @@ class TestOptimumScan:
         # an ulp of the Zeeman shift far exceeds the power-broadened line
         # here, and no coarse pump rounds onto the shift; the shift itself
         # lases (G/kappa = 3.954) and the search refines from it
-        scan = optimum_scan("b_offset_magnitude", np.array(fields), op,
-                            system, calib)
-        assert _field_optima_lase(system, op, calib, scan)
+        values = np.array(fields)
+        scan = optimum_scan("b_offset_magnitude", values, op, system, calib)
+        assert _field_optima_lase(system, op, calib, values, scan)
         assert scan.slope == pytest.approx(gain.atomics.zeeman_shift(
             system.green.lande_g_upper, 1, 1.0), rel=1e-12)
 
@@ -1151,7 +1163,7 @@ class TestOptimumScan:
         # intercept is below the optima's rounding
         scan = optimum_scan("mot_detuning", np.array([1e300, 2e300]), op,
                             system, calib)
-        assert [p.cavity_opt for p in scan.points] == [1e300, 2e300]
+        assert scan.cavity_opt.tolist() == [1e300, 2e300]
         assert scan.slope == pytest.approx(1.0, rel=1e-12)
         assert scan.intercept is None
 
@@ -1165,9 +1177,8 @@ class TestOptimumScan:
         plus = optimum_scan("b_offset_magnitude", values, op, system, calib)
         minus = optimum_scan("b_offset_magnitude", values, op, flipped,
                              calib)
-        assert len(plus.valid_points) == values.size
-        assert [p.pump_opt for p in minus.points] == \
-            [-p.pump_opt for p in plus.points]
+        assert _lasing_count(plus) == values.size
+        assert minus.pump_opt.tolist() == (-plus.pump_opt).tolist()
         assert minus.slope == -plus.slope
 
     def test_field_whose_square_overflows_refused(self, system, op, calib):

@@ -149,8 +149,7 @@ def _noise(n, seed):
 def _short_warm_ups(monkeypatch, warm):
     # warm-ups of ``warm`` steps, blocks of their usual length
     layout = ps._ar1_layout
-    monkeypatch.setattr(ps, "_ar1_layout",
-                        lambda n, a: (warm, layout(n, a)[1]))
+    monkeypatch.setattr(ps, "_ar1_layout", lambda a: (warm, layout(a)[1]))
 
 
 def _counted_generators(monkeypatch):
@@ -192,7 +191,7 @@ class TestAr1:
     @pytest.mark.parametrize("ratio", [0.01, 0.05, 0.1, 0.5])
     def test_equals_lfilter(self, ratio):
         a = np.exp(-ratio)
-        _, length = ps._ar1_layout(1, a)
+        _, length = ps._ar1_layout(a)
         # serial (n < 2L), two whole blocks, and a remainder after them
         for n in (1, length + 3, 2 * length - 1, 2 * length,
                   7 * length + 5):
@@ -214,7 +213,7 @@ class TestAr1:
         monkeypatch.setattr(ps, "_AR1_TILE_BLOCKS", tile[0])
         monkeypatch.setattr(ps, "_AR1_TILE_STEPS", tile[1])
         a = np.exp(-0.5)
-        warm, length = ps._ar1_layout(1, a)
+        warm, length = ps._ar1_layout(a)
         assert (warm, length) == (89, 356)
         for n in (6 * length + 3, 7 * length):
             x = _noise(n, n)
@@ -224,14 +223,14 @@ class TestAr1:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
             assert np.array_equal(re, x.real) and np.array_equal(im, x.imag)
 
-    def test_equals_lfilter_at_4096_blocks(self):
-        # long enough that the block length follows n, not the warm-up
+    def test_equals_lfilter_over_thousands_of_blocks(self):
+        # 4213 blocks of 356 steps, run side by side
         a = np.exp(-0.5)
         n = 1_500_007
-        warm, length = ps._ar1_layout(n, a)
-        assert length > 4 * warm and n // length == 4087
+        warm, length = ps._ar1_layout(a)
+        assert (warm, length) == (89, 356) and n // length == 4213
         # the last tile of blocks and the last slab of steps are partial
-        assert 4087 % ps._AR1_TILE_BLOCKS and length % ps._AR1_TILE_STEPS
+        assert 4213 % ps._AR1_TILE_BLOCKS and length % ps._AR1_TILE_STEPS
         x = _noise(n, 11) * 1e3
         got, _ = _ar1_power(x.real.copy(), x.imag.copy(), a, 1.0 + 2.0j)
         want = _lfilter_power(x, a, 1.0 + 2.0j)
@@ -246,7 +245,7 @@ class TestAr1:
         # block 7 until the noise resumes and swamps the tail.  Block 5's
         # guess is 0j, as a walk from the drawn start's is.
         a = np.exp(-0.1)
-        _, length = ps._ar1_layout(1, a)
+        _, length = ps._ar1_layout(a)
         n = 12 * length + 5
         x = _noise(n, 4)
         x[4 * length:7 * length + 10] = 0.0
@@ -297,7 +296,7 @@ class TestAr1:
         monkeypatch.setattr(ps, "_THERMAL_MIN_BLOCKS", 4)
         n, mean_rate, seed = chunk + extra, 1e5, 9
         a = np.exp(-period / 1e-4)
-        assert ps._ar1_layout(chunk, a)[1] == length
+        assert ps._ar1_layout(a)[1] == length
         assert ps._thermal_chunk(a) == chunk == 2 * ps._thermal_chunk(a, 2)
         want = _thermal_oracle(n, a, mean_rate, seed)
 
@@ -359,7 +358,7 @@ class TestAr1:
         # in place, a redo reads the kept slabs; with an intensity buffer,
         # and from the start, a whole block
         assert 2 * ps._AR1_TILE_STEPS in redos
-        assert ps._ar1_layout(n, np.exp(-period / 3e-6))[1] in redos
+        assert ps._ar1_layout(np.exp(-period / 3e-6))[1] in redos
 
     @pytest.mark.parametrize("restart_meets", [True, False],
                              ids=["walk", "rerun"])
@@ -379,7 +378,7 @@ class TestAr1:
         drained = simulate_intensity("thermal", 2e5, 3e-6, n * period,
                                      period, seed=seed).samples
         generators = _counted_generators(monkeypatch)
-        length = ps._ar1_layout(n, np.exp(-period / 3e-6))[1]
+        length = ps._ar1_layout(np.exp(-period / 3e-6))[1]
         walks = _start_walks(monkeypatch, generators, length, restart_meets)
         forced, walk = [], ps._ar1_walk
 
@@ -509,7 +508,7 @@ def test_thermal_synthesis_holds_the_real_noise_and_two_chunks(monkeypatch,
     # blocks, and no more.
     monkeypatch.setattr(ps, "_THERMAL_CHUNK", 1 << 15)
     chunk = ps._thermal_chunk(np.exp(-0.1))
-    length = ps._ar1_layout(chunk, np.exp(-0.1))[1]
+    length = ps._ar1_layout(np.exp(-0.1))[1]
     assert chunk == 18 * length == 2 * ps._thermal_chunk(np.exp(-0.1), 2)
     generators = _counted_generators(monkeypatch)
     _start_walks(monkeypatch, generators, length, meets=not rerun)
@@ -1087,6 +1086,29 @@ class TestClickFiles:
         data = path.read_bytes()
         path.write_bytes(data[:len(data) - 16])
         with pytest.raises(ValueError, match="truncated"):
+            read_clickstream(path)
+
+    @pytest.mark.parametrize("count", [2**61, 2**64 - 1])
+    def test_count_beyond_the_file_rejected(self, tmp_path, count):
+        # the count is checked against the file's size before any read, so
+        # no block of 8 * count bytes is asked for
+        path = tmp_path / "huge.clks"
+        write_clickstream(self.make_stream(), path)
+        data = bytearray(path.read_bytes())
+        data[12:20] = count.to_bytes(8, "little")    # the header's count
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=f"{path.name}: truncated"):
+            read_clickstream(path)
+
+    @pytest.mark.parametrize("tail", [b"\0", bytes(8), b"extra bytes"],
+                             ids=["byte", "click", "text"])
+    def test_bytes_after_the_timestamps_rejected(self, tmp_path, tail):
+        path = tmp_path / "tail.clks"
+        write_clickstream(self.make_stream(), path)
+        with open(path, "ab") as fh:
+            fh.write(tail)
+        with pytest.raises(ValueError, match=f"{path.name}: {len(tail)} "
+                           "bytes follow the timestamp block"):
             read_clickstream(path)
 
     def test_text_round_trip(self, tmp_path):
